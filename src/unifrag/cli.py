@@ -32,7 +32,7 @@ from .semantics import evaluate
 from .structures import (dump_structure, parse_structure, structure_to_doc)
 from .syntax import (Vocabulary, free_variables, infer_vocabulary,
                      parse_formula, print_formula)
-from .translate import dl_to_fu1, dlr0_to_fu1, fu1_to_dl
+from .translate import dl_to_fu1, dlr0_to_fu1, fu1_to_dl, gate_dlr0
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -149,10 +149,7 @@ def _cmd_translate(args, rep: _Reporter) -> int:
         rendered_in = dl.print_concept(concept)
     elif source == "dlr0" and target == "fu1":
         concept = dlr.parse_dlr_concept(text)
-        if dlr.contains_star_or_atmost(concept):  # gate before the vocab check
-            raise FragmentGateError(
-                "reflexive-transitive closure and number restrictions have no "
-                "translation into the uniform fragment; refusing")
+        gate_dlr0(concept)  # a refusal (3) outranks the missing vocabulary (2)
         if vocab is None:
             raise LogicError("--from dlr0 needs --vocab to resolve atomic role arities")
         out = print_formula(dlr0_to_fu1(concept, vocab, args.topn_mode))

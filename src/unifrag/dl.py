@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Union
 
-from .errors import ParseError, VocabularyError
+from .errors import VocabularyError
 from .structures import Structure
-from .syntax import Vocabulary, _tokenize
+from .syntax import TokenParser, Vocabulary
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
@@ -236,31 +236,7 @@ def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
 _RESERVED = frozenset({"eps", "exists", "perm", "top"})
 
 
-class _DlParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[min(self.pos, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next()
-
-    def error(self, msg):
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
-
+class _DlParser(TokenParser):
     def atom_name(self, what):
         t = self.peek()
         if t.kind != "NAME" or t.text in _RESERVED:
@@ -320,30 +296,19 @@ class _DlParser:
                 self.next()
                 values.append(int(self.expect("INT").text))
             self.expect("RBRACK")
-            try:
-                srj = Surjection(tuple(values))
-            except ValueError as e:
-                raise self.error(str(e)) from None
+            srj = self.build(Surjection, tuple(values))
             return Apply(srj, self.role())
         return AtomicRole(self.atom_name("role name"))
 
 
 def parse_concept(text: str) -> Concept:
     p = _DlParser(text)
-    c = p.concept()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    return c
+    return p.finish(p.concept())
 
 
 def parse_role(text: str) -> RoleTerm:
     p = _DlParser(text)
-    r = p.role()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    return r
+    return p.finish(p.role())
 
 
 def print_role(r: RoleTerm) -> str:

@@ -28,13 +28,13 @@ i over all tuples of R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from itertools import product
 from typing import Union
 
 from .errors import ArityError, ParseError, StructureError, VocabularyError
 from .structures import Structure
-from .syntax import Vocabulary, _tokenize
+from .syntax import TokenParser, Vocabulary
 
 TOPN_MODES = ("delta", "explicit")
 
@@ -313,42 +313,16 @@ def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> f
     raise TypeError(f"not a concept: {c!r}")
 
 
-def contains_star_or_atmost(c: DlrConcept) -> bool:
-    """True when the concept uses closure or number restrictions, the two
-    operators the composition-free translation refuses."""
-
-    def role(r: DlrRole) -> bool:
-        if isinstance(r, Sel):
-            return concept(r.concept)
-        if isinstance(r, NotR):
-            return role(r.role)
-        if isinstance(r, AndR):
-            return role(r.left) or role(r.right)
-        return False
-
-    def binrel(e: DlrBinRel) -> bool:
-        if isinstance(e, Star):
-            return True
-        if isinstance(e, Proj):
-            return role(e.role)
-        if isinstance(e, (Comp, UnionE)):
-            return binrel(e.left) or binrel(e.right)
-        return False
-
-    def concept(d: DlrConcept) -> bool:
-        if isinstance(d, AtMost):
-            return True
-        if isinstance(d, NotC):
-            return concept(d.body)
-        if isinstance(d, AndC):
-            return concept(d.left) or concept(d.right)
-        if isinstance(d, ExistsE):
-            return binrel(d.rel) or concept(d.concept)
-        if isinstance(d, ExistsProj):
-            return role(d.role)
-        return False
-
-    return concept(c)
+def operators_used(c: DlrConcept) -> frozenset[type]:
+    """The node classes occurring anywhere in a concept, its roles and its
+    binary relation terms (one iterative walk, whatever the nesting)."""
+    seen: set[type] = set()
+    stack: list = [c]
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        stack.extend(v for v in vars(node).values() if is_dataclass(v))
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -358,31 +332,7 @@ def contains_star_or_atmost(c: DlrConcept) -> bool:
 _RESERVED = frozenset({"eps", "exists", "o", "u"})
 
 
-class _DlrParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def expect(self, kind, text=None):
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise ParseError(f"expected {text or kind}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next()
-
-    def error(self, msg):
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
-
+class _DlrParser(TokenParser):
     def attempt(self, fn):
         saved = self.pos
         try:
@@ -408,7 +358,7 @@ class _DlrParser:
                 self.expect("DOLLAR")
                 i = int(self.expect("INT").text)
                 self.expect("RBRACK")
-                return ExistsProj(i, self.role())
+                return self.build(ExistsProj, i, self.role())
             e = self.binrel()
             self.expect("DOT")
             return ExistsE(e, self.concept())
@@ -423,7 +373,7 @@ class _DlrParser:
                 self.expect("RBRACK")
                 r = self.role()
                 self.expect("RPAREN")
-                return AtMost(k, i, r)
+                return self.build(AtMost, k, i, r)
             self.next()
             c = self.concept()
             while self.peek().kind == "AMP":
@@ -476,7 +426,7 @@ class _DlrParser:
         self.expect("COMMA")
         self.expect("DOLLAR")
         j = int(self.expect("INT").text)
-        return Proj(r, i, j)
+        return self.build(Proj, r, i, j)
 
     # roles --------------------------------------------------------------------
 
@@ -502,10 +452,7 @@ class _DlrParser:
                 self.expect("COLON")
                 c = self.concept()
                 self.expect("RPAREN")
-                try:
-                    return Sel(i, n, c)
-                except ValueError as e:
-                    raise self.error(str(e)) from None
+                return self.build(Sel, i, n, c)
             self.next()
             r = self.role()
             while self.peek().kind == "AMP":
@@ -521,11 +468,7 @@ class _DlrParser:
 
 def parse_dlr_concept(text: str) -> DlrConcept:
     p = _DlrParser(text)
-    c = p.concept()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    return c
+    return p.finish(p.concept())
 
 
 def print_dlr_role(r: DlrRole) -> str:

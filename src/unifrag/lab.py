@@ -171,12 +171,6 @@ def agreement_corpus() -> list[Formula]:
     return [parse_formula(text) for text in doc["sentences"]]
 
 
-def corpus_version() -> int:
-    doc = json.loads(
-        resources.files("unifrag").joinpath("data/u1_corpus.json").read_text())
-    return doc["version"]
-
-
 def separation_experiments() -> list[Experiment]:
     corpus = tuple(FoProbe(f, None) for f in agreement_corpus())
 

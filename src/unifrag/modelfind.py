@@ -6,9 +6,13 @@ order over the domain e0..e{n-1}).  The search walks these strings in
 increasing binary order, false first, so the reported model is always the
 lexicographically least satisfying interpretation of minimal domain size.
 Subtrees are cut with a three-valued evaluation of the sentence under the
-partial interpretation: a definite false prunes, a definite true is
-completed with all remaining cells false.  The pruning is conservative, so
-outcomes match an exhaustive enumeration exactly.
+partial interpretation: the Kleene evaluator core of
+:mod:`unifrag.semantics` (``compile_formula``) runs with atoms that read
+the cell array, where an undecided cell is unknown.  A definite false
+prunes, a definite true is completed with all remaining cells false.  The
+pruning is conservative, so outcomes match an exhaustive enumeration
+exactly.  A model is re-checked on the built structure, through the
+structure's own tuples, before it is returned.
 
 NoModelUpTo is a bounded verdict only.  Sentences of the uniform fragment
 that are satisfiable at all have models of size exponentially bounded in
@@ -27,18 +31,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import CellLimitError, EvalError
-from .semantics import evaluate
+from .semantics import compile_formula, evaluate
 from .structures import Structure
-from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     free_variables, validate_formula)
+from .syntax import Atom, Formula, Vocabulary, free_variables, validate_formula
 
 DEFAULT_CELL_LIMIT = 64
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def find_model(f: Formula, vocab: Vocabulary, max_size: int,
     """Search domain sizes 1..max_size in ascending order and return the
     first (lexicographically least) satisfying structure, if any."""
     if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+        raise EvalError(f"max_size must be >= 1, got {max_size}")
     fv = free_variables(f)
     if fv:
         raise EvalError(f"model search needs a sentence, free: {', '.join(sorted(fv))}")
@@ -106,7 +106,19 @@ def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
         cells.extend((rel, t) for t in product(range(n), repeat=arity))
     vals: list[Optional[bool]] = [None] * len(cells)
     asg: dict[str, int] = {}
-    root = _compile(f, n, vocab, offsets, vals, asg)
+
+    def atom(g: Atom):
+        base, args = offsets[g.rel], g.args
+
+        def ev_atom():
+            rank = 0
+            for v in args:
+                rank = rank * n + asg[v]
+            return vals[base + rank]
+
+        return ev_atom
+
+    root = compile_formula(f, range(n), atom, asg)
 
     swaps = _transposition_maps(vocab, n, offsets) if prune else []
 
@@ -170,142 +182,3 @@ def _transposition_maps(vocab: Vocabulary, n: int, offsets) -> list[list[int]]:
                     perm.append(offsets[rel] + rank)
             maps.append(perm)
     return maps
-
-
-# ---------------------------------------------------------------------------
-# Three-valued (Kleene) evaluation compiled to closures
-# ---------------------------------------------------------------------------
-
-def _compile(f: Formula, n: int, vocab: Vocabulary, offsets, vals,
-             asg) -> Callable[[], Optional[bool]]:
-    if isinstance(f, Top):
-        return lambda: True
-    if isinstance(f, Bottom):
-        return lambda: False
-    if isinstance(f, Atom):
-        base = offsets[f.rel]
-        args = f.args
-
-        def ev_atom():
-            rank = 0
-            for v in args:
-                rank = rank * n + asg[v]
-            return vals[base + rank]
-
-        return ev_atom
-    if isinstance(f, Equals):
-        left, right = f.left, f.right
-        return lambda: asg[left] == asg[right]
-    if isinstance(f, Not):
-        g = _compile(f.body, n, vocab, offsets, vals, asg)
-
-        def ev_not():
-            v = g()
-            return None if v is None else not v
-
-        return ev_not
-    if isinstance(f, (And, Or, Implies)):
-        gl = _compile(f.left, n, vocab, offsets, vals, asg)
-        gr = _compile(f.right, n, vocab, offsets, vals, asg)
-        if isinstance(f, And):
-            def ev_and():
-                a = gl()
-                if a is False:
-                    return False
-                b = gr()
-                if b is False:
-                    return False
-                return True if (a and b) else None
-
-            return ev_and
-        if isinstance(f, Or):
-            def ev_or():
-                a = gl()
-                if a is True:
-                    return True
-                b = gr()
-                if b is True:
-                    return True
-                return False if (a is False and b is False) else None
-
-            return ev_or
-
-        def ev_implies():
-            a = gl()
-            if a is False:
-                return True
-            b = gr()
-            if b is True:
-                return True
-            if a is True and b is False:
-                return False
-            return None
-
-        return ev_implies
-    if isinstance(f, (ExistsBlock, ForallBlock)):
-        body = _compile(f.body, n, vocab, offsets, vals, asg)
-        exists = isinstance(f, ExistsBlock)
-
-        def make(vars: tuple[str, ...]) -> Callable[[], Optional[bool]]:
-            if not vars:
-                return body
-            inner = make(vars[1:])
-            var = vars[0]
-
-            def ev_quant():
-                saw_unknown = False
-                saved = asg.get(var, _MISSING)
-                try:
-                    for d in range(n):
-                        asg[var] = d
-                        r = inner()
-                        if r is exists:
-                            return exists
-                        if r is None:
-                            saw_unknown = True
-                finally:
-                    if saved is _MISSING:
-                        del asg[var]
-                    else:
-                        asg[var] = saved
-                return None if saw_unknown else (not exists)
-
-            return ev_quant
-
-        return make(f.vars)
-    if isinstance(f, CountExists):
-        body = _compile(f.body, n, vocab, offsets, vals, asg)
-        var, bound, cmp = f.var, f.bound, f.cmp
-
-        def ev_count():
-            true_count = unknown = 0
-            saved = asg.get(var, _MISSING)
-            try:
-                for d in range(n):
-                    asg[var] = d
-                    r = body()
-                    if r is True:
-                        true_count += 1
-                    elif r is None:
-                        unknown += 1
-                    if cmp == ">=" and true_count >= bound:
-                        return True
-                    if cmp != ">=" and true_count > bound:
-                        return False
-            finally:
-                if saved is _MISSING:
-                    del asg[var]
-                else:
-                    asg[var] = saved
-            if cmp == ">=":
-                return False if true_count + unknown < bound else None
-            if cmp == "<=":
-                return True if true_count + unknown <= bound else None
-            if true_count + unknown < bound:
-                return False
-            if true_count == bound and unknown == 0:
-                return True
-            return None
-
-        return ev_count
-    raise TypeError(f"not a formula: {f!r}")

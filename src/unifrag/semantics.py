@@ -1,13 +1,20 @@
 """Tarskian model checking over finite structures, including counting
-quantifiers.  ``evaluate`` short-circuits quantifiers; ``evaluate_naive``
-enumerates every branch and serves as the reference the short-circuiting
-evaluator is tested against.
+quantifiers.
+
+``compile_formula`` is the one evaluator core: it compiles a formula into
+closures with three-valued (Kleene) connectives and quantifiers, leaving
+the atoms to a caller-supplied factory.  ``evaluate`` and
+``satisfaction_set`` compile with atoms that look tuples up in a structure,
+so there the core is two-valued; :mod:`unifrag.modelfind` compiles with
+atoms that read a partial interpretation.  ``evaluate_naive`` enumerates
+every branch with its own plain recursion and serves as the reference the
+compiled evaluator is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EvalError
 from .structures import Structure
@@ -16,6 +23,9 @@ from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
+Closure = Callable[[], Optional[bool]]
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -42,68 +52,157 @@ def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
     """Standard satisfaction; quantifier blocks are iterated quantification
     and E[cmp k] x. f counts the witnesses for x."""
     _check_inputs(s, a, f)
-    return _ev(s, dict(a), f)
+    return _compile_on_structure(s, f, dict(a))()
 
 
-def _ev(s: Structure, a: dict[str, str], f: Formula) -> bool:
+def _compile_on_structure(s: Structure, f: Formula, asg: dict[str, str]) -> Closure:
+    """``f`` compiled over a total structure: atoms test tuple membership,
+    so every closure answers True or False."""
+
+    def atom(g: Atom) -> Closure:
+        rel, args = s.relations[g.rel], g.args
+        return lambda: tuple([asg[v] for v in args]) in rel
+
+    return compile_formula(f, s.domain, atom, asg)
+
+
+# ---------------------------------------------------------------------------
+# The evaluator core: three-valued (Kleene) evaluation compiled to closures
+# ---------------------------------------------------------------------------
+
+def compile_formula(f: Formula, domain: Sequence, atom: Callable[[Atom], Closure],
+                    asg: dict) -> Closure:
+    """Compile ``f`` into a closure reading the variable values in ``asg``.
+
+    Quantifiers range over ``domain``; ``atom`` builds the closure of each
+    atom.  A closure answers True, False, or None (not yet determined) when
+    an atom closure does, and the connectives and quantifiers follow the
+    strong Kleene tables, so a definite answer never changes however the
+    undetermined atoms are later decided.  When no atom answers None the
+    evaluation is ordinary two-valued satisfaction.
+    """
     if isinstance(f, Top):
-        return True
+        return lambda: True
     if isinstance(f, Bottom):
-        return False
+        return lambda: False
     if isinstance(f, Atom):
-        return tuple(a[v] for v in f.args) in s.relations[f.rel]
+        return atom(f)
     if isinstance(f, Equals):
-        return a[f.left] == a[f.right]
+        left, right = f.left, f.right
+        return lambda: asg[left] == asg[right]
     if isinstance(f, Not):
-        return not _ev(s, a, f.body)
-    if isinstance(f, And):
-        return _ev(s, a, f.left) and _ev(s, a, f.right)
-    if isinstance(f, Or):
-        return _ev(s, a, f.left) or _ev(s, a, f.right)
-    if isinstance(f, Implies):
-        return (not _ev(s, a, f.left)) or _ev(s, a, f.right)
-    if isinstance(f, ExistsBlock):
-        return _ev_block(s, a, f.vars, f.body, exists=True)
-    if isinstance(f, ForallBlock):
-        return _ev_block(s, a, f.vars, f.body, exists=False)
+        g = compile_formula(f.body, domain, atom, asg)
+
+        def ev_not():
+            v = g()
+            return None if v is None else not v
+
+        return ev_not
+    if isinstance(f, (And, Or, Implies)):
+        gl = compile_formula(f.left, domain, atom, asg)
+        gr = compile_formula(f.right, domain, atom, asg)
+        if isinstance(f, And):
+            def ev_and():
+                a = gl()
+                if a is False:
+                    return False
+                b = gr()
+                if b is False:
+                    return False
+                return True if (a and b) else None
+
+            return ev_and
+        if isinstance(f, Or):
+            def ev_or():
+                a = gl()
+                if a is True:
+                    return True
+                b = gr()
+                if b is True:
+                    return True
+                return False if (a is False and b is False) else None
+
+            return ev_or
+
+        def ev_implies():
+            a = gl()
+            if a is False:
+                return True
+            b = gr()
+            if b is True:
+                return True
+            if a is True and b is False:
+                return False
+            return None
+
+        return ev_implies
+    if isinstance(f, (ExistsBlock, ForallBlock)):
+        body = compile_formula(f.body, domain, atom, asg)
+        exists = isinstance(f, ExistsBlock)
+
+        def make(vars: tuple[str, ...]) -> Closure:
+            if not vars:
+                return body
+            inner = make(vars[1:])
+            var = vars[0]
+
+            def ev_quant():
+                saw_unknown = False
+                saved = asg.get(var, _MISSING)
+                try:
+                    for d in domain:
+                        asg[var] = d
+                        r = inner()
+                        if r is exists:
+                            return exists
+                        if r is None:
+                            saw_unknown = True
+                finally:
+                    if saved is _MISSING:
+                        del asg[var]
+                    else:
+                        asg[var] = saved
+                return None if saw_unknown else (not exists)
+
+            return ev_quant
+
+        return make(f.vars)
     if isinstance(f, CountExists):
-        count = 0
-        saved = a.get(f.var)
-        had = f.var in a
-        for d in s.domain:
-            a[f.var] = d
-            if _ev(s, a, f.body):
-                count += 1
-                if f.cmp == ">=" and count >= f.bound:
-                    break
-                if count > f.bound:  # settles both <= and =
-                    break
-        if had:
-            a[f.var] = saved
-        else:
-            del a[f.var]
-        return {">=": count >= f.bound, "<=": count <= f.bound,
-                "=": count == f.bound}[f.cmp]
+        body = compile_formula(f.body, domain, atom, asg)
+        var, bound, cmp = f.var, f.bound, f.cmp
+
+        def ev_count():
+            true_count = unknown = 0
+            saved = asg.get(var, _MISSING)
+            try:
+                for d in domain:
+                    asg[var] = d
+                    r = body()
+                    if r is True:
+                        true_count += 1
+                    elif r is None:
+                        unknown += 1
+                    if cmp == ">=" and true_count >= bound:
+                        return True
+                    if cmp != ">=" and true_count > bound:
+                        return False
+            finally:
+                if saved is _MISSING:
+                    del asg[var]
+                else:
+                    asg[var] = saved
+            if cmp == ">=":
+                return False if true_count + unknown < bound else None
+            if cmp == "<=":
+                return True if true_count + unknown <= bound else None
+            if true_count + unknown < bound:
+                return False
+            if true_count == bound and unknown == 0:
+                return True
+            return None
+
+        return ev_count
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _ev_block(s, a, vars, body, exists: bool) -> bool:
-    if not vars:
-        return _ev(s, a, body)
-    v, rest = vars[0], vars[1:]
-    saved = a.get(v)
-    had = v in a
-    result = not exists
-    for d in s.domain:
-        a[v] = d
-        if _ev_block(s, a, rest, body, exists) == exists:
-            result = exists
-            break
-    if had:
-        a[v] = saved
-    else:
-        del a[v]
-    return result
 
 
 def evaluate_naive(s: Structure, a: Assignment, f: Formula) -> bool:
@@ -114,6 +213,14 @@ def evaluate_naive(s: Structure, a: Assignment, f: Formula) -> bool:
 
 
 def _ev_naive(s, a, f) -> bool:
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        return tuple(a[v] for v in f.args) in s.relations[f.rel]
+    if isinstance(f, Equals):
+        return a[f.left] == a[f.right]
     if isinstance(f, Not):
         return not _ev_naive(s, a, f.body)
     if isinstance(f, And):
@@ -141,7 +248,7 @@ def _ev_naive(s, a, f) -> bool:
         count = sum(_ev_naive(s, {**a, f.var: d}, f.body) for d in s.domain)
         return {">=": count >= f.bound, "<=": count <= f.bound,
                 "=": count == f.bound}[f.cmp]
-    return _ev(s, a, f)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
@@ -151,9 +258,15 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     if len(fv) > 1:
         raise EvalError(
             f"satisfaction_set needs at most one free variable, got {sorted(fv)}")
+    validate_formula(f, s.vocabulary)
+    asg: dict[str, str] = {}
+    test = _compile_on_structure(s, f, asg)
     if not fv:
-        truth = evaluate(s, {}, f)
-        return SatisfactionSet(f, frozenset(s.domain) if truth else frozenset())
+        return SatisfactionSet(f, frozenset(s.domain) if test() else frozenset())
     (x,) = fv
-    elements = frozenset(d for d in s.domain if evaluate(s, {x: d}, f))
-    return SatisfactionSet(f, elements)
+    elements = []
+    for d in s.domain:
+        asg[x] = d
+        if test():
+            elements.append(d)
+    return SatisfactionSet(f, frozenset(elements))

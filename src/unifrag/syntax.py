@@ -295,7 +295,11 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-class _FormulaParser:
+class TokenParser:
+    """Token-stream scaffold of the recursive-descent parsers for formulas
+    (here), DL concepts (:mod:`unifrag.dl`) and DLR concepts
+    (:mod:`unifrag.dlr`)."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
@@ -309,16 +313,33 @@ class _FormulaParser:
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> _Token:
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text or 'end of input'!r}", t.line, t.col)
+        if t.kind != kind or (text is not None and t.text != text):
+            raise self.error(f"expected {text or kind}, found {t.text or 'end of input'!r}")
         return self.next()
 
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
 
+    def build(self, ctor, *args):
+        """``ctor(*args)``, with the constructor's ValueError turned into a
+        ParseError at the current position."""
+        try:
+            return ctor(*args)
+        except ValueError as e:
+            raise self.error(str(e)) from None
+
+    def finish(self, result):
+        """``result``, once the whole input has been consumed."""
+        t = self.peek()
+        if t.kind != "EOF":
+            raise self.error(f"unexpected trailing input {t.text!r}")
+        return result
+
+
+class _FormulaParser(TokenParser):
     def name(self, what: str) -> _Token:
         t = self.peek()
         if t.kind != "NAME":
@@ -326,13 +347,6 @@ class _FormulaParser:
         if t.text in RESERVED_WORDS:
             raise self.error(f"{t.text!r} is a reserved word and cannot name a {what}")
         return self.next()
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        t = self.peek()
-        if t.kind != "EOF":
-            raise self.error(f"unexpected trailing input {t.text!r}")
-        return f
 
     def formula(self) -> Formula:
         t = self.peek()
@@ -430,7 +444,8 @@ class _FormulaParser:
 def parse_formula(text: str, vocab: Vocabulary | None = None) -> Formula:
     """Parse a formula; when a vocabulary is given, atoms are checked
     against it (unknown symbol or arity mismatch raises)."""
-    f = _FormulaParser(text).parse()
+    p = _FormulaParser(text)
+    f = p.finish(p.formula())
     if vocab is not None:
         validate_formula(f, vocab)
     return f

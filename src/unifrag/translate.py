@@ -154,27 +154,33 @@ def to_dnf_block(f: Formula) -> DnfBlock:
     return DnfBlock(f.vars, free_var, tuple(disjuncts))
 
 
+def _fold(op, parts: list, unit, drop_units: bool = True):
+    """Combine ``parts`` with the binary constructor ``op`` as a balanced
+    tree, so that nesting depth grows with the logarithm of their number
+    (a left-deep chain of 2^10 DNF disjuncts overflows the recursive
+    printer).  A binary tree over the same parts has the same number of
+    nodes whatever its shape, so the printed size does not depend on it.
+    No parts give ``unit``, op's identity; parts equal to it are left out
+    unless ``drop_units`` is false (disjunctions keep their false parts)."""
+    if drop_units:
+        parts = [p for p in parts if p != unit]
+    if not parts:
+        return unit
+
+    def tree(lo: int, hi: int):
+        if hi - lo == 1:
+            return parts[lo]
+        mid = (lo + hi + 1) // 2  # up to three parts nest as a left-deep chain
+        return op(tree(lo, mid), tree(mid, hi))
+
+    return tree(0, len(parts))
+
+
 # ---------------------------------------------------------------------------
 # FU1  ->  DL
 # ---------------------------------------------------------------------------
 
-def _and_c(parts: list[dl.Concept]) -> dl.Concept:
-    real = [p for p in parts if not isinstance(p, dl.TopC)]
-    if not real:
-        return dl.TopC()
-    out = real[0]
-    for p in real[1:]:
-        out = dl.AndC(out, p)
-    return out
-
-
-def _or_c(parts: list[dl.Concept]) -> dl.Concept:
-    if not parts:
-        return dl.NotC(dl.TopC())
-    out = parts[0]
-    for p in parts[1:]:
-        out = dl.or_concept(out, p)
-    return out
+_FALSE_C = dl.NotC(dl.TopC())
 
 
 def _identity_map(k: int) -> tuple[int, ...]:
@@ -212,7 +218,7 @@ def _concept_of(f: Formula) -> dl.Concept:
     if isinstance(f, Top):
         return dl.TopC()
     if isinstance(f, Bottom):
-        return dl.NotC(dl.TopC())
+        return _FALSE_C
     if isinstance(f, Atom):
         if len(set(f.args)) != 1:
             raise FragmentGateError("higher-arity atom outside a quantifier block")
@@ -229,11 +235,13 @@ def _concept_of(f: Formula) -> dl.Concept:
     if isinstance(f, Not):
         return dl.NotC(_concept_of(f.body))
     if isinstance(f, And):
-        return _and_c([_concept_of(f.left), _concept_of(f.right)])
+        return _fold(dl.AndC, [_concept_of(f.left), _concept_of(f.right)], dl.TopC())
     if isinstance(f, Or):
-        return _or_c([_concept_of(f.left), _concept_of(f.right)])
+        return _fold(dl.or_concept, [_concept_of(f.left), _concept_of(f.right)],
+                     _FALSE_C, drop_units=False)
     if isinstance(f, Implies):
-        return _or_c([dl.NotC(_concept_of(f.left)), _concept_of(f.right)])
+        return _fold(dl.or_concept, [dl.NotC(_concept_of(f.left)), _concept_of(f.right)],
+                     _FALSE_C, drop_units=False)
     if isinstance(f, ExistsBlock):
         return _block_concept(f)
     if isinstance(f, ForallBlock):
@@ -243,7 +251,8 @@ def _concept_of(f: Formula) -> dl.Concept:
 
 def _block_concept(f: ExistsBlock) -> dl.Concept:
     block = to_dnf_block(f)
-    return _or_c([_disjunct_concept(d, block.free_var) for d in block.disjuncts])
+    return _fold(dl.or_concept, [_disjunct_concept(d, block.free_var) for d in block.disjuncts],
+                 _FALSE_C, drop_units=False)
 
 
 def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
@@ -253,7 +262,7 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
         chis.setdefault(var, []).append(chi)
 
     def chi_concept(var: Optional[str]) -> dl.Concept:
-        return _and_c([_concept_of(g) for g in chis.get(var, [])])
+        return _fold(dl.AndC, [_concept_of(g) for g in chis.get(var, [])], dl.TopC())
 
     conjuncts: list[dl.Concept] = []
     covered: set[Optional[str]] = set()
@@ -271,7 +280,9 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
         for lit in uniform:
             piece = _literal_role(lit, ys)
             role = piece if role is None else dl.AndRole(role, piece)
-        head = _and_c([chi_concept(ys[0]), dl.ExistsRole(role, tuple(chi_concept(y) for y in ys[1:]))])
+        head = _fold(dl.AndC, [chi_concept(ys[0]),
+                               dl.ExistsRole(role, tuple(chi_concept(y) for y in ys[1:]))],
+                     dl.TopC())
         covered.update(ys)
         if x0 is not None and x0 in xset:
             conjuncts.append(head)
@@ -285,7 +296,7 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
             conjuncts.append(c)
         else:
             conjuncts.append(dl.ExistsRole(dl.universal_role(), (c,)))
-    return _and_c(conjuncts)
+    return _fold(dl.AndC, conjuncts, dl.TopC())
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +307,6 @@ def dl_to_fu1(c: dl.Concept, vocab: Vocabulary) -> Formula:
     """Standard translation; the result has the single free variable x
     (degenerate subterms denoting the empty relation may drop it)."""
     return _formula_of(c, "x", count(1), vocab)
-
-
-def _and_f(parts: list[Formula]) -> Formula:
-    real = [p for p in parts if not isinstance(p, Top)]
-    if not real:
-        return Top()
-    out = real[0]
-    for p in real[1:]:
-        out = And(out, p)
-    return out
 
 
 def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) -> Formula:
@@ -329,7 +330,7 @@ def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) ->
         ys = tuple(f"y{next(ctr)}" for _ in range(n - 1))
         parts = [_role_formula(c.role, (x,) + ys, vocab)]
         parts += [_formula_of(arg, y, ctr, vocab) for arg, y in zip(c.args, ys)]
-        return ExistsBlock(ys, _and_f(parts))
+        return ExistsBlock(ys, _fold(And, parts, Top()))
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -356,8 +357,9 @@ def _role_formula(r: dl.RoleTerm, tup: tuple[str, ...], vocab: Vocabulary) -> Fo
 # DLR without star and counting  ->  FU1
 # ---------------------------------------------------------------------------
 
-def _gate_dlr0(c: dlr.DlrConcept):
-    if dlr.contains_star_or_atmost(c):
+def gate_dlr0(c: dlr.DlrConcept) -> None:
+    """Refuse the two operators outside the translatable core."""
+    if dlr.operators_used(c) & {dlr.Star, dlr.AtMost}:
         raise FragmentGateError(
             "reflexive-transitive closure and number restrictions have no "
             "translation into the uniform fragment; refusing")
@@ -367,7 +369,7 @@ def eliminate_comp_union(c: dlr.DlrConcept) -> dlr.DlrConcept:
     """Rewrite away every composition and union of binary relation terms,
     using distribution over union and the unnesting of compositions under
     the binary existential."""
-    _gate_dlr0(c)
+    gate_dlr0(c)
     return _elim_concept(c)
 
 
@@ -388,10 +390,7 @@ def _elim_concept(c: dlr.DlrConcept) -> dlr.DlrConcept:
             for step in reversed(chain):
                 out = dlr.ExistsE(step, out)
             alternatives.append(out)
-        folded = alternatives[0]
-        for alt in alternatives[1:]:
-            folded = dlr.or_dlr(folded, alt)
-        return folded
+        return _fold(dlr.or_dlr, alternatives, dlr.NotC(dlr.Top1()), drop_units=False)
     raise TypeError(f"unexpected concept in composition elimination: {c!r}")
 
 
@@ -417,41 +416,6 @@ def _union_of_chains(e: dlr.DlrBinRel) -> list[list[dlr.DlrBinRel]]:
     if isinstance(e, dlr.UnionE):
         return _union_of_chains(e.left) + _union_of_chains(e.right)
     raise TypeError(f"unexpected term in composition elimination: {e!r}")
-
-
-def contains_comp_union(c: dlr.DlrConcept) -> bool:
-    def binrel(e: dlr.DlrBinRel) -> bool:
-        if isinstance(e, (dlr.Comp, dlr.UnionE)):
-            return True
-        if isinstance(e, dlr.Star):
-            return binrel(e.body)
-        if isinstance(e, dlr.Proj):
-            return role(e.role)
-        return False
-
-    def role(r: dlr.DlrRole) -> bool:
-        if isinstance(r, dlr.Sel):
-            return concept(r.concept)
-        if isinstance(r, dlr.NotR):
-            return role(r.role)
-        if isinstance(r, dlr.AndR):
-            return role(r.left) or role(r.right)
-        return False
-
-    def concept(d: dlr.DlrConcept) -> bool:
-        if isinstance(d, dlr.NotC):
-            return concept(d.body)
-        if isinstance(d, dlr.AndC):
-            return concept(d.left) or concept(d.right)
-        if isinstance(d, dlr.ExistsE):
-            return binrel(d.rel) or concept(d.concept)
-        if isinstance(d, dlr.ExistsProj):
-            return role(d.role)
-        if isinstance(d, dlr.AtMost):
-            return role(d.role)
-        return False
-
-    return concept(c)
 
 
 def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Formula:
@@ -507,7 +471,7 @@ def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
             others = tuple(f"x{next(ctr)}" for _ in range(n - 1))
             tup = others[:e.i - 1] + (x,) + others[e.i - 1:]
             member = ExistsBlock(others, _dlr_s(e.role, tup, ctr, vocab, topn))
-            return ExistsBlock((y,), _and_f([Equals(x, y), member, inner]))
+            return ExistsBlock((y,), _fold(And, [Equals(x, y), member, inner], Top()))
         zs = tuple(f"x{next(ctr)}" for _ in range(n - 2))
         tup: list[str] = []
         zi = iter(zs)
@@ -518,7 +482,7 @@ def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
                 tup.append(y)
             else:
                 tup.append(next(zi))
-        body = _and_f([_dlr_s(e.role, tuple(tup), ctr, vocab, topn), inner])
+        body = _fold(And, [_dlr_s(e.role, tuple(tup), ctr, vocab, topn), inner], Top())
         return ExistsBlock((y,) + zs, body)
     raise TypeError(f"untranslatable term (was composition elimination run?): {e!r}")
 
@@ -532,11 +496,11 @@ def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formu
     if isinstance(r, dlr.AtomicRole):
         return Atom(r.name, tup)
     if isinstance(r, dlr.Sel):
-        return _and_f([_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
-                       _topn_formula(r.n, tup, topn)])
+        return _fold(And, [_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
+                           _topn_formula(r.n, tup, topn)], Top())
     if isinstance(r, dlr.NotR):
-        return _and_f([_topn_formula(n, tup, topn),
-                       Not(_dlr_s(r.role, tup, ctr, vocab, topn))])
+        return _fold(And, [_topn_formula(n, tup, topn),
+                           Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
     if isinstance(r, dlr.AndR):
         return And(_dlr_s(r.left, tup, ctr, vocab, topn),
                    _dlr_s(r.right, tup, ctr, vocab, topn))

@@ -3,7 +3,9 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from unifrag import dl
 from unifrag.cli import run
 
 
@@ -153,6 +155,28 @@ def test_sat_cell_limit_refusal(capsys):
     code, _, err = invoke(capsys, "sat", "--max-size", "6", "-e", "E x y. T(x,x,y)")
     assert code == 2
     assert "cell" in err or "limit" in err
+
+
+TEN_CLAUSES = " & ".join(f"(P{i}(y) | R(x,y))" for i in range(10))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["translate", "--from", "dlr0", "--to", "fu1", "-e", "exists[$0] R"], 2),
+    (["translate", "--from", "dlr0", "--to", "fu1", "-e", "exists R|$0,$1 . A"], 2),
+    (["sat", "--max-size", "0", "-e", "E x. P(x)"], 2),
+    # 2^10 DNF disjuncts: the printed concept must stay shallow enough to
+    # print and to parse back
+    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({TEN_CLAUSES})"], 0),
+])
+def test_exit_code_contract_on_former_crashes(capsys, argv, expected):
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == expected
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    if expected == 2:
+        check_schema(doc, "error.schema.json")
+    else:
+        assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
 
 
 def test_lab_run_schema_and_single_name(capsys):

@@ -140,6 +140,8 @@ def test_oracle_and_naive_agreement(seed):
     expected = oracle_eval(s, a, f)
     assert evaluate(s, a, f) == expected
     assert evaluate_naive(s, a, f) == expected
+    assert satisfaction_set(s, f).elements == {d for d in s.domain
+                                               if oracle_eval(s, {"x": d}, f)}
 
 
 @settings(max_examples=150, deadline=None)

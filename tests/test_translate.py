@@ -10,8 +10,7 @@ from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.syntax import And, Atom, Equals, ExistsBlock, Top
 from unifrag.translate import (Disjunct, dl_to_fu1, dlr0_to_fu1,
-                               eliminate_comp_union, contains_comp_union,
-                               fu1_to_dl, to_dnf_block)
+                               eliminate_comp_union, fu1_to_dl, to_dnf_block)
 
 from strategies import (DLR_VOCAB, VOCAB, enum_structures, gen_dl_concept,
                         gen_dlr_concept, gen_formula, gen_structure)
@@ -186,7 +185,7 @@ def test_round_trip_up_to_semantics(seed):
 def test_union_elimination_shape():
     c = dlr.ExistsE(dlr.UnionE(dlr.Eps(), dlr.Eps()), dlr.AtomicConcept("A"))
     out = eliminate_comp_union(c)
-    assert not contains_comp_union(out)
+    assert not dlr.operators_used(out) & {dlr.Comp, dlr.UnionE}
     # a union of identical branches folds to a disjunction of existentials
     assert out == dlr.or_dlr(dlr.ExistsE(dlr.Eps(), dlr.AtomicConcept("A")),
                              dlr.ExistsE(dlr.Eps(), dlr.AtomicConcept("A")))
@@ -230,7 +229,7 @@ def test_elimination_is_comp_union_free_and_extension_equal(seed):
     rng = random.Random(seed)
     c = gen_dlr_concept(rng, rng.randint(1, 4), core_only=True)
     out = eliminate_comp_union(c)
-    assert not contains_comp_union(out)
+    assert not dlr.operators_used(out) & {dlr.Comp, dlr.UnionE}
     for _ in range(10):
         s = gen_structure(rng, DLR_VOCAB, max_size=3)
         assert (dlr.dlr_concept_extension(s, c)
