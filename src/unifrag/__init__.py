@@ -4,8 +4,9 @@ finite model checking, logic-to-logic translation, bounded model search
 and executable expressivity separations.
 """
 
-from .errors import (ArityError, CellLimitError, EvalError, FragmentGateError,
-                     LogicError, ParseError, StructureError, VocabularyError)
+from .errors import (ArityError, CellLimitError, DnfLimitError, EvalError,
+                     FragmentGateError, LogicError, ParseError, StructureError,
+                     VocabularyError)
 from .fragments import (Diagnostic, FragmentId, Violation, ViolationKind,
                         check_fo2, check_fragment)
 from .modelfind import SearchReport, find_model
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "ArityError", "Atom", "Bottom", "CellLimitError", "CountExists",
-    "Diagnostic", "Disjunct", "DnfBlock", "Equals", "EvalError", "ExistsBlock",
+    "Diagnostic", "Disjunct", "DnfBlock", "DnfLimitError", "Equals", "EvalError", "ExistsBlock",
     "ForallBlock", "Formula", "FragmentGateError", "FragmentId", "Implies",
     "LogicError", "Not", "Or", "ParseError", "SatisfactionSet", "SearchReport",
     "Structure", "StructureError", "Top", "Violation", "ViolationKind",

@@ -17,17 +17,29 @@ nominal arity two.
 Atomic roles must be declared with arity at least two, atomic concepts
 with arity one.  ``top`` denotes the whole domain; it also lets the
 n-ary existential express "some tuple, no constraint" as exists R.(top,...).
+
+Extensions are computed bottom-up without ever building a complement: a
+role term evaluates to a signed tuple set, the tuples of a relation or of
+its complement in domain^n, and role negation only flips the sign.  The
+n-ary existential over a complemented role counts, for each element, the
+excluded tuples that start there.  Each node therefore costs time linear
+in the size of the relations and the domain, O(|relations| + |domain|),
+never domain^n; only :func:`role_extension` of a complemented role, asked
+for the tuples themselves, enumerates domain^n.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from operator import itemgetter
 from typing import Union
 
 from .errors import VocabularyError
 from .structures import Structure
-from .syntax import TokenParser, Vocabulary
+from .syntax import TokenParser, Vocabulary, nested
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
@@ -175,30 +187,50 @@ def role_arity(r: RoleTerm, vocab: Vocabulary) -> int:
     raise TypeError(f"not a role term: {r!r}")
 
 
-def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
-    vocab = s.vocabulary
+def _role_literal(s: Structure, r: RoleTerm) -> tuple[int, bool, frozenset]:
+    """``(arity, negated, tuples)``: the extension of ``r`` is ``tuples``,
+    or its complement in domain^arity when ``negated``.  Every rule costs
+    time linear in the tuple sets it combines; none builds a complement."""
     if isinstance(r, AtomicRole):
-        role_arity(r, vocab)
-        return s.relations[r.name]
+        return role_arity(r, s.vocabulary), False, s.relations[r.name]
     if isinstance(r, Epsilon):
-        return frozenset((d, d) for d in s.domain)
+        return 2, False, frozenset((d, d) for d in s.domain)
     if isinstance(r, NotRole):
-        inner = role_extension(s, r.role)
-        n = role_arity(r.role, vocab)
-        return frozenset(t for t in product(s.domain, repeat=n) if t not in inner)
+        n, negated, tuples = _role_literal(s, r.role)
+        return n, not negated, tuples
     if isinstance(r, AndRole):
-        if role_arity(r.left, vocab) != role_arity(r.right, vocab):
-            return frozenset()
-        return role_extension(s, r.left) & role_extension(s, r.right)
+        n, neg1, t1 = _role_literal(s, r.left)
+        n2, neg2, t2 = _role_literal(s, r.right)
+        if n != n2:
+            return 2, False, frozenset()
+        if neg1 and neg2:
+            return n, True, t1 | t2  # ~t1 & ~t2 = ~(t1 | t2)
+        if neg1:
+            return n, False, t2 - t1
+        if neg2:
+            return n, False, t1 - t2
+        return n, False, t1 & t2
     if isinstance(r, Apply):
-        if r.srj.source != role_arity(r.role, vocab):
-            return frozenset()
-        inner = role_extension(s, r.role)
-        m = r.srj.target
-        return frozenset(
-            t for t in product(s.domain, repeat=m)
-            if tuple(t[i - 1] for i in r.srj.map) in inner)
+        k, negated, tuples = _role_literal(s, r.role)
+        if r.srj.source != k:
+            return 2, False, frozenset()
+        # t is in the result iff lift(t) = (t[map[j]-1])_j is in the inner
+        # relation.  lift is injective, so it commutes with complement, and
+        # the only candidate preimage of an inner tuple u is pick(u), whose
+        # position i is u's first position j with map[j] = i
+        images = r.srj.map
+        pick = itemgetter(*(images.index(i) for i in range(1, r.srj.target + 1)))
+        lift = itemgetter(*(i - 1 for i in images))
+        return r.srj.target, negated, frozenset(
+            t for t in map(pick, tuples) if lift(t) in tuples)
     raise TypeError(f"not a role term: {r!r}")
+
+
+def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
+    n, negated, tuples = _role_literal(s, r)
+    if not negated:
+        return tuples
+    return frozenset(t for t in product(s.domain, repeat=n) if t not in tuples)
 
 
 def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
@@ -216,16 +248,21 @@ def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
     if isinstance(c, AndC):
         return concept_extension(s, c.left) & concept_extension(s, c.right)
     if isinstance(c, ExistsRole):
-        n = role_arity(c.role, vocab)
+        n, negated, tuples = _role_literal(s, c.role)
         if len(c.args) != n - 1:
             raise VocabularyError(
                 f"existential over a role of arity {n} needs {n - 1} argument "
                 f"concepts, got {len(c.args)}")
         arg_exts = [concept_extension(s, a) for a in c.args]
-        ext = role_extension(s, c.role)
-        return frozenset(
-            t[0] for t in ext
-            if all(t[i + 1] in arg_exts[i] for i in range(len(arg_exts))))
+        hits = [t for t in tuples
+                if all(t[i] in ext for i, ext in enumerate(arg_exts, start=1))]
+        if not negated:
+            return frozenset(t[0] for t in hits)
+        # d has a witness outside the tuples iff fewer than all
+        # prod |C_i| candidate tuples (d, c_1, ..., c_n-1) are among them
+        room = prod(len(ext) for ext in arg_exts)
+        per_head = Counter(t[0] for t in hits)
+        return frozenset(d for d in s.domain if per_head[d] < room)
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -243,6 +280,7 @@ class _DlParser(TokenParser):
             raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
         return self.next().text
 
+    @nested
     def concept(self) -> Concept:
         t = self.peek()
         if t.kind == "NAME" and t.text == "top":
@@ -272,6 +310,7 @@ class _DlParser(TokenParser):
             return ExistsRole(role, tuple(args))
         return AtomicConcept(self.atom_name("concept name"))
 
+    @nested
     def role(self) -> RoleTerm:
         t = self.peek()
         if t.kind == "NAME" and t.text == "eps":

@@ -34,7 +34,7 @@ from typing import Union
 
 from .errors import ArityError, ParseError, StructureError, VocabularyError
 from .structures import Structure
-from .syntax import TokenParser, Vocabulary
+from .syntax import TokenParser, Vocabulary, nested
 
 TOPN_MODES = ("delta", "explicit")
 
@@ -333,16 +333,24 @@ _RESERVED = frozenset({"eps", "exists", "o", "u"})
 
 
 class _DlrParser(TokenParser):
-    def attempt(self, fn):
+    def either(self, first, second):
+        """``first()``, or on a ParseError ``second()`` from the same
+        position; when both fail, the error that got further is raised."""
         saved = self.pos
         try:
-            return fn()
-        except ParseError:
-            self.pos = saved
-            return None
+            return first()
+        except ParseError as e:
+            first_error = e
+        self.pos = saved
+        try:
+            return second()
+        except ParseError as second_error:
+            raise max(second_error, first_error,
+                      key=lambda err: (err.line, err.column)) from None
 
     # concepts ---------------------------------------------------------------
 
+    @nested
     def concept(self) -> DlrConcept:
         t = self.peek()
         if t.kind == "TILDE":
@@ -388,6 +396,7 @@ class _DlrParser(TokenParser):
 
     # binary relation terms ----------------------------------------------------
 
+    @nested
     def binrel(self) -> DlrBinRel:
         e = self.binrel_prim()
         while self.peek().kind == "STAR":
@@ -401,12 +410,10 @@ class _DlrParser(TokenParser):
             self.next()
             return Eps()
         if t.kind == "LPAREN":
-            combo = self.attempt(self.binrel_combo)
-            if combo is not None:
-                return combo
-            return self.projection()
+            return self.either(self.binrel_combo, self.projection)
         return self.projection()
 
+    @nested
     def binrel_combo(self) -> DlrBinRel:
         self.expect("LPAREN")
         left = self.binrel()
@@ -430,6 +437,7 @@ class _DlrParser(TokenParser):
 
     # roles --------------------------------------------------------------------
 
+    @nested
     def role(self) -> DlrRole:
         t = self.peek()
         if t.kind == "TILDE":

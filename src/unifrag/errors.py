@@ -39,3 +39,8 @@ class FragmentGateError(LogicError):
 class CellLimitError(LogicError):
     """Model search refused: the interpretation space at the requested
     domain size exceeds the configured cell limit."""
+
+
+class DnfLimitError(LogicError):
+    """Translation refused: the disjunctive normal form of a quantifier
+    block would exceed the fixed disjunct budget."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterator, Mapping, Union
 
 from .errors import ArityError, ParseError, VocabularyError
@@ -295,14 +296,41 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+# Deepest nesting of the recursive productions a parser accepts.  Each
+# level costs at most three interpreter frames, so inputs at the limit
+# stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 200
+
+
+def nested(production):
+    """Count one nesting level around a recursive parser production, and
+    refuse input that nests deeper than ``MAX_NESTING`` with a ParseError
+    instead of exhausting the interpreter stack."""
+
+    @wraps(production)
+    def guarded(self, *args):
+        if self.depth >= MAX_NESTING:
+            raise self.error(f"input nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return production(self, *args)
+        finally:
+            self.depth -= 1
+
+    return guarded
+
+
 class TokenParser:
     """Token-stream scaffold of the recursive-descent parsers for formulas
     (here), DL concepts (:mod:`unifrag.dl`) and DLR concepts
-    (:mod:`unifrag.dlr`)."""
+    (:mod:`unifrag.dlr`).  Every cycle of recursive productions passes
+    through a method decorated with :func:`nested`, and a cycle of more
+    than three frames through two of them."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -348,6 +376,7 @@ class _FormulaParser(TokenParser):
             raise self.error(f"{t.text!r} is a reserved word and cannot name a {what}")
         return self.next()
 
+    @nested
     def formula(self) -> Formula:
         t = self.peek()
         if t.kind == "TILDE":

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Iterator, Optional, Union
 
 from . import dl, dlr
-from .errors import FragmentGateError, VocabularyError
+from .errors import DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
                      Formula, Implies, Not, Or, Top, Vocabulary,
@@ -79,6 +79,24 @@ def _leaf_vars(a: LeafAtom) -> frozenset[str]:
     return frozenset((a.left, a.right))
 
 
+# Most disjuncts the normal form of one block may have.  A conjunction of
+# k two-way disjunctions has 2^k disjuncts; 2^11 print as about 100k
+# characters of DL concept, 2^13 as half a megabyte.
+DNF_LIMIT = 2048
+
+
+def _check_dnf_size(disjuncts: int) -> None:
+    if disjuncts > DNF_LIMIT:
+        raise DnfLimitError(
+            f"disjunctive normal form would have {disjuncts} disjuncts, "
+            f"more than the limit of {DNF_LIMIT}")
+
+
+def _product(left: list, right: list) -> list:
+    _check_dnf_size(len(left) * len(right))  # before building it
+    return [a + b for a in left for b in right]
+
+
 def _dnf(f: Formula, positive: bool) -> list[list[tuple[bool, Formula]]]:
     """Disjunctive normal form over the Boolean skeleton; quantified
     subformulas and atoms stay opaque leaves.  Returns a list of
@@ -90,15 +108,13 @@ def _dnf(f: Formula, positive: bool) -> list[list[tuple[bool, Formula]]]:
     if isinstance(f, Bottom):
         return [] if positive else [[]]
     if isinstance(f, And) and positive or isinstance(f, Or) and not positive:
-        left = _dnf(f.left, positive)
-        right = _dnf(f.right, positive)
-        return [a + b for a in left for b in right]
+        return _product(_dnf(f.left, positive), _dnf(f.right, positive))
     if isinstance(f, Or) and positive or isinstance(f, And) and not positive:
         return _dnf(f.left, positive) + _dnf(f.right, positive)
     if isinstance(f, Implies):
         if positive:
             return _dnf(f.left, False) + _dnf(f.right, True)
-        return [a + b for a in _dnf(f.left, True) for b in _dnf(f.right, False)]
+        return _product(_dnf(f.left, True), _dnf(f.right, False))
     return [[(positive, f)]]
 
 
@@ -144,8 +160,12 @@ def to_dnf_block(f: Formula) -> DnfBlock:
             f"block leaves {len(leftover)} variables free, so it is not "
             f"one-dimensional: {sorted(leftover)}")
     free_var = next(iter(leftover)) if leftover else None
+    conjs = _dnf(f.body, True)
+    # products are checked as they are built; unions of checked products
+    # grow only with the size of the input, so the total is checked here
+    _check_dnf_size(len(conjs))
     disjuncts = []
-    for conj in _dnf(f.body, True):
+    for conj in conjs:
         d = _classify(conj, frozenset(f.vars))
         covered = {v for v, _ in d.unary_parts}
         padding = tuple((v, Top()) for v in sorted(d.uniform_variables() - covered))

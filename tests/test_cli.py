@@ -157,7 +157,12 @@ def test_sat_cell_limit_refusal(capsys):
     assert "cell" in err or "limit" in err
 
 
-TEN_CLAUSES = " & ".join(f"(P{i}(y) | R(x,y))" for i in range(10))
+def _clauses(k):
+    return " & ".join(f"(P{i}(y) | R(x,y))" for i in range(k))
+
+
+DL_FU1 = ["translate", "--from", "dl", "--to", "fu1", "--vocab", "VOCAB", "-e"]
+DLR0_FU1 = ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "VOCAB", "-e"]
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -166,9 +171,24 @@ TEN_CLAUSES = " & ".join(f"(P{i}(y) | R(x,y))" for i in range(10))
     (["sat", "--max-size", "0", "-e", "E x. P(x)"], 2),
     # 2^10 DNF disjuncts: the printed concept must stay shallow enough to
     # print and to parse back
-    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({TEN_CLAUSES})"], 0),
+    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(10)})"], 0),
+    # 2^13 DNF disjuncts: refused by the disjunct budget instead of printed
+    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(13)})"], 2),
+    # 2 x 2^11 disjuncts, each product within the budget but not their union
+    (["translate", "--from", "fu1", "--to", "dl", "-e",
+      f"E y. (({_clauses(11)}) | ({_clauses(11)}))"], 2),
+    # nesting past the parsers' depth limit is a parse error, not a crash
+    (["parse", "-e", "~" * 3000 + "P(x)"], 2),
+    (["parse", "-e", "(" * 600 + "P(x)" + ")" * 600], 2),
+    (DL_FU1 + ["~" * 3000 + "A"], 2),
+    (DL_FU1 + ["(" * 600 + "A" + ")" * 600], 2),
+    (DLR0_FU1 + ["~" * 3000 + "A"], 2),
+    (DLR0_FU1 + ["(" * 600 + "A" + ")" * 600], 2),
 ])
-def test_exit_code_contract_on_former_crashes(capsys, argv, expected):
+def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"R": 2, "A": 1}))
+    argv = [str(vocab) if a == "VOCAB" else a for a in argv]
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == expected
     assert "Traceback" not in err

@@ -1,17 +1,20 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import VocabularyError, disjoint_union, make_structure, satisfaction_set
+from unifrag import (VocabularyError, disjoint_union, evaluate, make_structure,
+                     satisfaction_set)
 from unifrag.dl import (AndRole, Apply, AtomicConcept, AtomicRole,
                         Epsilon, ExistsRole, NotC, NotRole, Surjection, TopC,
                         concept_extension, parse_concept, parse_role,
                         print_concept, print_role, role_arity, role_extension,
                         universal_role)
+from unifrag.lab import disjoint_copies, gen_clique
 from unifrag.syntax import Vocabulary
-from unifrag.translate import dl_to_fu1
+from unifrag.translate import _role_formula, dl_to_fu1
 
 from strategies import VOCAB, gen_dl_concept, gen_dl_role, gen_structure
 
@@ -189,3 +192,83 @@ def test_agreement_with_evaluation_exhaustive_small():
         f = dl_to_fu1(c, vocab)
         for s in structures:
             assert concept_extension(s, c) == satisfaction_set(s, f).elements
+
+
+# ---------------------------------------------------------------------------
+# Extensions against the first-order oracle on larger structures
+# ---------------------------------------------------------------------------
+
+def _structure_of_size(rng, n):
+    domain = tuple(f"e{i}" for i in range(n))
+    rels = {name: {t for t in itertools.product(domain, repeat=arity)
+                   if rng.random() < 0.4}
+            for name, arity in VOCAB.symbols.items()}
+    return make_structure(domain, dict(VOCAB.symbols), rels)
+
+
+def _role_oracle(s, r):
+    """The tuples satisfying the standard translation of r."""
+    n = role_arity(r, VOCAB)
+    xs = tuple(f"x{i}" for i in range(n))
+    f = _role_formula(r, xs, VOCAB)
+    return frozenset(t for t in itertools.product(s.domain, repeat=n)
+                     if evaluate(s, dict(zip(xs, t)), f))
+
+
+_R, _T = AtomicRole("R"), AtomicRole("T")
+_EMPTY = NotC(TopC())
+# ternary roles, maps with repeated positions, double negation, and role
+# intersection under all four sign pairs
+_ROLES = [
+    _T,
+    NotRole(_T),
+    NotRole(NotRole(_T)),
+    Apply(Surjection((1, 2, 2)), _T),
+    Apply(Surjection((2, 1, 1)), NotRole(_T)),
+    Apply(Surjection((1, 3, 2, 1)), NotRole(NotRole(_T))),
+    Apply(Surjection((2, 1, 2)), Apply(Surjection((2, 1)), _R)),
+    AndRole(_R, Apply(Surjection((2, 1)), _R)),
+    AndRole(_R, NotRole(Epsilon())),
+    AndRole(NotRole(_R), Epsilon()),
+    AndRole(NotRole(_R), NotRole(Apply(Surjection((2, 1)), _R))),
+    AndRole(NotRole(_T), NotRole(Apply(Surjection((1, 3, 2)), _T))),
+    AndRole(_T, NotRole(_R)),  # mismatched arities: the empty binary relation
+    universal_role(),
+]
+
+
+@pytest.mark.parametrize("r", _ROLES, ids=print_role)
+def test_role_extensions_agree_with_first_order_oracle(r):
+    rng = random.Random(17)
+    for n in (5, 6, 7):
+        s = _structure_of_size(rng, n)
+        assert role_extension(s, r) == _role_oracle(s, r)
+        arity = role_arity(r, VOCAB)
+        for arg in (TopC(), AtomicConcept("P"), NotC(AtomicConcept("Q")), _EMPTY):
+            c = ExistsRole(r, (arg,) * (arity - 1))
+            assert concept_extension(s, c) == satisfaction_set(s, dl_to_fu1(c, VOCAB)).elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_generated_extensions_agree_on_five_to_seven_elements(seed):
+    rng = random.Random(seed)
+    s = _structure_of_size(rng, rng.randint(5, 7))
+    r = gen_dl_role(rng, rng.randint(1, 3))
+    assert role_extension(s, r) == _role_oracle(s, r)
+    c = gen_dl_concept(rng, rng.randint(1, 2))
+    assert concept_extension(s, c) == satisfaction_set(s, dl_to_fu1(c, VOCAB)).elements
+
+
+def test_existential_over_negated_role_with_empty_argument_is_empty():
+    s = make_structure(["a", "b"], {"R": 2, "P": 1}, {"R": {("a", "b")}})
+    for empty in (_EMPTY, AtomicConcept("P")):
+        assert concept_extension(s, ExistsRole(NotRole(AtomicRole("R")), (empty,))) == frozenset()
+    # the complement of R is not empty, so a non-empty argument finds it
+    assert concept_extension(s, ExistsRole(NotRole(AtomicRole("R")), (TopC(),))) == {"a", "b"}
+
+
+def test_universal_role_reaches_the_whole_of_a_large_domain():
+    s = disjoint_copies(gen_clique(8), 9)
+    assert s.size == 72
+    assert concept_extension(s, ExistsRole(universal_role(), (TopC(),))) == frozenset(s.domain)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import ArityError, StructureError, disjoint_union, make_structure
+from unifrag import (ArityError, ParseError, StructureError, disjoint_union,
+                     make_structure)
 from unifrag.dlr import (AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
@@ -258,3 +259,12 @@ def test_printer_parser_round_trip_on_generated_concepts(seed):
     rng = random.Random(seed)
     c = gen_dlr_concept(rng, rng.randint(0, 3))
     assert parse_dlr_concept(print_dlr_concept(c)) == c
+
+
+def test_backtracking_reports_the_error_that_got_furthest():
+    # the composition reading fails at the 0 index, the projection reading
+    # already at the '|'; the former is the one worth reporting
+    with pytest.raises(ParseError, match="1:17: projection indices are 1-based"):
+        parse_dlr_concept("exists (R|$0,$1 o eps) . A")
+    with pytest.raises(ParseError, match="1:23: projection indices are 1-based"):
+        parse_dlr_concept("exists (R & ~R)|$1,$0 . A")

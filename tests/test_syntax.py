@@ -9,6 +9,7 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      infer_vocabulary, parse_formula, print_formula,
                      validate_formula)
 from unifrag.fragments import FragmentId
+from unifrag.syntax import MAX_NESTING
 
 from strategies import VOCAB, gen_any_formula, gen_formula
 
@@ -54,6 +55,13 @@ def test_syntax_error_has_position():
         parse_formula("E y z R(x)")
     assert e.value.line == 1
     assert e.value.column > 1
+
+
+def test_nesting_limit_is_a_positioned_parse_error():
+    deepest = "~" * (MAX_NESTING - 1) + "P(x)"
+    assert print_formula(parse_formula(deepest)) == deepest
+    with pytest.raises(ParseError, match=f"1:{MAX_NESTING + 1}: .*deeper than"):
+        parse_formula("~" + deepest)
 
 
 def test_duplicate_block_variable_rejected():
