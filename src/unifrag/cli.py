@@ -310,6 +310,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         rep.error("io", str(e))
         return EXIT_INPUT_ERROR
+    except Exception as e:  # last resort: a crash must never read as a verdict
+        rep.error("internal", " ".join(f"{type(e).__name__}: {e}".split()))
+        return EXIT_INPUT_ERROR
 
 
 def main() -> None:

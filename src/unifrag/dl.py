@@ -61,7 +61,7 @@ class Surjection:
         m = max(self.map, default=0)
         if m < 2:
             raise ValueError("coordinate maps need target arity >= 2")
-        if set(self.map) != set(range(1, m + 1)):
+        if min(self.map) < 1 or len(set(self.map)) != m:  # every value is <= m
             raise ValueError(f"map {self.map} is not onto 1..{m}")
 
     @property
@@ -152,10 +152,6 @@ Concept = Union[AtomicConcept, TopC, NotC, AndC, ExistsRole]
 
 def or_concept(c1: Concept, c2: Concept) -> Concept:
     return NotC(AndC(NotC(c1), NotC(c2)))
-
-
-def union_role(r1: RoleTerm, r2: RoleTerm) -> RoleTerm:
-    return NotRole(AndRole(NotRole(r1), NotRole(r2)))
 
 
 def universal_role() -> RoleTerm:
@@ -290,13 +286,7 @@ class _DlParser(TokenParser):
             self.next()
             return NotC(self.concept())
         if t.kind == "LPAREN":
-            self.next()
-            c = self.concept()
-            while self.peek().kind == "AMP":
-                self.next()
-                c = AndC(c, self.concept())
-            self.expect("RPAREN")
-            return c
+            return self.conjunction(self.concept, AndC)
         if t.kind == "NAME" and t.text == "exists":
             self.next()
             role = self.role()
@@ -320,13 +310,7 @@ class _DlParser(TokenParser):
             self.next()
             return NotRole(self.role())
         if t.kind == "LPAREN":
-            self.next()
-            r = self.role()
-            while self.peek().kind == "AMP":
-                self.next()
-                r = AndRole(r, self.role())
-            self.expect("RPAREN")
-            return r
+            return self.conjunction(self.role, AndRole)
         if t.kind == "NAME" and t.text == "perm":
             self.next()
             self.expect("LBRACK")

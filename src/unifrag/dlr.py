@@ -38,6 +38,10 @@ from .syntax import TokenParser, Vocabulary, nested
 
 TOPN_MODES = ("delta", "explicit")
 
+# Largest n of a ``top<n>`` role or a ``($i/n:C)`` selection: the text
+# gives n, which sizes domain^n and the translation's variable lists.
+MAX_TOP_ARITY = 32
+
 
 def topn_relation_name(n: int) -> str:
     return f"top{n}"
@@ -47,6 +51,11 @@ def topn_relation_name(n: int) -> str:
 # ASTs
 # ---------------------------------------------------------------------------
 
+def _check_top_arity(n: int) -> None:
+    if n > MAX_TOP_ARITY:
+        raise ValueError(f"top relation arity {n} exceeds the limit of {MAX_TOP_ARITY}")
+
+
 @dataclass(frozen=True)
 class TopN:
     n: int
@@ -54,6 +63,7 @@ class TopN:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("top_n needs n >= 2")
+        _check_top_arity(self.n)
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,7 @@ class Sel:
     def __post_init__(self):
         if not (2 <= self.n and 1 <= self.i <= self.n):
             raise ValueError(f"selection needs 1 <= i <= n and n >= 2, got i={self.i}, n={self.n}")
+        _check_top_arity(self.n)
 
 
 @dataclass(frozen=True)
@@ -232,23 +243,22 @@ def _topn_extension(s: Structure, n: int, topn: str) -> frozenset[tuple[str, ...
 
 
 def dlr_role_extension(s: Structure, r: DlrRole, topn: str = "delta") -> frozenset[tuple[str, ...]]:
-    vocab = s.vocabulary
+    return _role_tuples(s, r, dlr_role_arity(r, s.vocabulary), topn)
+
+
+def _role_tuples(s: Structure, r: DlrRole, n: int, topn: str) -> frozenset[tuple[str, ...]]:
+    """Extension of a role that :func:`dlr_role_arity` has checked to have
+    arity ``n``; every role inside it has arity ``n`` too."""
     if isinstance(r, TopN):
-        return _topn_extension(s, r.n, topn)
+        return _topn_extension(s, n, topn)
     if isinstance(r, AtomicRole):
-        dlr_role_arity(r, vocab)
         return s.relations[r.name]
     if isinstance(r, Sel):
         good = dlr_concept_extension(s, r.concept, topn)
-        top = _topn_extension(s, r.n, topn)
-        return frozenset(t for t in top if t[r.i - 1] in good)
+        return frozenset(t for t in _topn_extension(s, n, topn) if t[r.i - 1] in good)
     if isinstance(r, NotR):
-        n = dlr_role_arity(r.role, vocab)
-        return _topn_extension(s, n, topn) - dlr_role_extension(s, r.role, topn)
-    if isinstance(r, AndR):
-        dlr_role_arity(r, vocab)
-        return dlr_role_extension(s, r.left, topn) & dlr_role_extension(s, r.right, topn)
-    raise TypeError(f"not a role: {r!r}")
+        return _topn_extension(s, n, topn) - _role_tuples(s, r.role, n, topn)
+    return _role_tuples(s, r.left, n, topn) & _role_tuples(s, r.right, n, topn)
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:
@@ -259,7 +269,7 @@ def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> fro
         if e.i > n or e.j > n:
             raise ArityError(
                 f"projection |${e.i},${e.j} out of range for a role of arity {n}")
-        ext = dlr_role_extension(s, e.role, topn)
+        ext = _role_tuples(s, e.role, n, topn)
         return frozenset((t[e.i - 1], t[e.j - 1]) for t in ext)
     if isinstance(e, Comp):
         left = dlr_binrel_extension(s, e.left, topn)
@@ -301,13 +311,13 @@ def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> f
         n = dlr_role_arity(c.role, vocab)
         if c.i > n:
             raise ArityError(f"position ${c.i} out of range for a role of arity {n}")
-        return frozenset(t[c.i - 1] for t in dlr_role_extension(s, c.role, topn))
+        return frozenset(t[c.i - 1] for t in _role_tuples(s, c.role, n, topn))
     if isinstance(c, AtMost):
         n = dlr_role_arity(c.role, vocab)
         if c.i > n:
             raise ArityError(f"position ${c.i} out of range for a role of arity {n}")
         counts: dict[str, int] = {}
-        for t in dlr_role_extension(s, c.role, topn):
+        for t in _role_tuples(s, c.role, n, topn):
             counts[t[c.i - 1]] = counts.get(t[c.i - 1], 0) + 1
         return frozenset(d for d in s.domain if counts.get(d, 0) <= c.k)
     raise TypeError(f"not a concept: {c!r}")
@@ -382,13 +392,7 @@ class _DlrParser(TokenParser):
                 r = self.role()
                 self.expect("RPAREN")
                 return self.build(AtMost, k, i, r)
-            self.next()
-            c = self.concept()
-            while self.peek().kind == "AMP":
-                self.next()
-                c = AndC(c, self.concept())
-            self.expect("RPAREN")
-            return c
+            return self.conjunction(self.concept, AndC)
         if t.kind == "NAME" and t.text not in _RESERVED:
             self.next()
             return AtomicConcept(t.text)
@@ -449,7 +453,7 @@ class _DlrParser(TokenParser):
             if n < 2:
                 raise ParseError("top_n roles need n >= 2 (use top1 as a concept)",
                                  t.line, t.col)
-            return TopN(n)
+            return self.build(TopN, n)
         if t.kind == "LPAREN":
             if self.peek(1).kind == "DOLLAR":
                 self.next()
@@ -461,13 +465,7 @@ class _DlrParser(TokenParser):
                 c = self.concept()
                 self.expect("RPAREN")
                 return self.build(Sel, i, n, c)
-            self.next()
-            r = self.role()
-            while self.peek().kind == "AMP":
-                self.next()
-                r = AndR(r, self.role())
-            self.expect("RPAREN")
-            return r
+            return self.conjunction(self.role, AndR)
         if t.kind == "NAME" and t.text not in _RESERVED:
             self.next()
             return AtomicRole(t.text)

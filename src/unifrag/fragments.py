@@ -37,12 +37,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     free_variables)
+                     children, free_variables)
 
 
 class FragmentId(Enum):
@@ -101,24 +101,32 @@ class _Checker:
 
     # -- formula positions (clauses 1-3 plus block entry) -------------------
 
-    def check_f(self, f: Formula, path: tuple[int, ...]):
+    def check_f(self, f: Formula, path: tuple[int, ...],
+                shared: Optional["_SharedX"] = None):
+        """Check ``f`` at ``path``.  Inside a block's Boolean skeleton
+        ``shared`` collects its uniform atoms; ``None`` means outside one."""
         if isinstance(f, (Top, Bottom)):
             return
         if isinstance(f, Atom):
-            if len(set(f.args)) >= 2:
+            varset = frozenset(f.args)
+            if len(varset) < 2:
+                return
+            if shared is None:
                 self.emit(ViolationKind.UNIFORMITY, path,
                           f"atom {f.rel} over two or more distinct variables may only "
                           f"occur inside a quantifier block")
+            else:
+                shared.add_atom(varset, path, f.rel)
             return
         if isinstance(f, Equals):
-            self.check_equality_leaf(f, path, shared_x=None)
+            self.check_equality_leaf(f, path, shared)
             return
         if isinstance(f, Not):
-            self.check_f(f.body, path + (0,))
+            self.check_f(f.body, path + (0,), shared)
             return
         if isinstance(f, (And, Or, Implies)):
-            self.check_f(f.left, path + (0,))
-            self.check_f(f.right, path + (1,))
+            self.check_f(f.left, path + (0,), shared)
+            self.check_f(f.right, path + (1,), shared)
             return
         if isinstance(f, (ExistsBlock, ForallBlock)):
             self.check_block(f.vars, f.body, path)
@@ -132,12 +140,12 @@ class _Checker:
         raise TypeError(f"not a formula: {f!r}")
 
     def check_equality_leaf(self, f: Equals, path: tuple[int, ...],
-                            shared_x: Optional["_SharedX"]):
+                            shared: Optional["_SharedX"]):
         """Equality outside uniform-atom positions.
 
         U1 and UC1 admit x=y anywhere; U1(wo=) admits no equality at all;
         in FU1 an equality between distinct variables stands for a binary
-        atom and is handled by the uniformity bookkeeping (shared_x).
+        atom and is handled by the uniformity bookkeeping (``shared``).
         """
         if self.frag is FragmentId.U1_WO_EQ:
             self.emit(ViolationKind.EQUALITY_PLACEMENT, path,
@@ -146,12 +154,12 @@ class _Checker:
         if f.left == f.right:
             return  # x=x substitutes a unary atom R(x,x); harmless everywhere else
         if self.frag is FragmentId.FU1:
-            if shared_x is None:
+            if shared is None:
                 self.emit(ViolationKind.EQUALITY_PLACEMENT, path,
                           "equality between distinct variables may only stand where "
                           "a binary atom could (inside a quantifier block)")
             else:
-                shared_x.add_equality(frozenset((f.left, f.right)), path)
+                shared.add_equality(frozenset((f.left, f.right)), path)
 
     # -- clause 4 ------------------------------------------------------------
 
@@ -163,29 +171,8 @@ class _Checker:
                       f"{len(leftover)} variables free ({', '.join(sorted(leftover))}) "
                       f"instead of at most one")
         shared = _SharedX()
-        self.check_leaves(body, path + (0,), shared)
+        self.check_f(body, path + (0,), shared)
         shared.report(self)
-
-    def check_leaves(self, f: Formula, path: tuple[int, ...], shared: "_SharedX"):
-        """Decompose a block body over the Boolean connectives and classify
-        each leaf as a recursively checked formula or as a uniform atom."""
-        if isinstance(f, Not):
-            self.check_leaves(f.body, path + (0,), shared)
-            return
-        if isinstance(f, (And, Or, Implies)):
-            self.check_leaves(f.left, path + (0,), shared)
-            self.check_leaves(f.right, path + (1,), shared)
-            return
-        if isinstance(f, Atom):
-            varset = frozenset(f.args)
-            if len(varset) >= 2:
-                shared.add_atom(varset, path, f.rel)
-            return
-        if isinstance(f, Equals):
-            self.check_equality_leaf(f, path, shared)
-            return
-        # anything else is an ordinary formula position
-        self.check_f(f, path)
 
 
 class _SharedX:
@@ -265,65 +252,54 @@ def check_fo2(f: Formula, vocab: Vocabulary | None = None) -> Diagnostic:
     checker = _Checker(FragmentId.FO2)
     if vocab is not None:
         _arity_violations(f, vocab, checker)
-    seen: dict[str, tuple[int, ...]] = {}
-
-    def note(names, path):
-        for name in names:
-            if name not in seen:
-                seen[name] = path
-                if len(seen) == 3:
-                    checker.emit(ViolationKind.VARIABLE_COUNT, path,
-                                 f"third distinct variable {name!r} appears here; "
-                                 f"FO2 allows at most two")
-                elif len(seen) > 3:
-                    pass  # one report per formula is enough
-
-    def visit(g: Formula, path: tuple[int, ...]):
+    seen: set[str] = set()
+    for path, g in _paths(f):
         if isinstance(g, Atom):
-            note(g.args, path)
+            names = g.args
         elif isinstance(g, Equals):
-            note((g.left, g.right), path)
-        elif isinstance(g, Not):
-            visit(g.body, path + (0,))
-        elif isinstance(g, (And, Or, Implies)):
-            visit(g.left, path + (0,))
-            visit(g.right, path + (1,))
+            names = (g.left, g.right)
         elif isinstance(g, (ExistsBlock, ForallBlock)):
             if len(g.vars) > 1:
                 checker.emit(ViolationKind.VARIABLE_COUNT, path,
                              f"FO2 quantifies one variable at a time, block has {len(g.vars)}")
-            note(g.vars, path)
-            visit(g.body, path + (0,))
+            names = g.vars
         elif isinstance(g, CountExists):
             checker.emit(ViolationKind.COUNTING_QUANTIFIER, path,
                          "counting quantifiers are outside FO2")
-            note((g.var,), path)
-            visit(g.body, path + (0,))
-
-    visit(f, ())
+            names = (g.var,)
+        else:
+            continue
+        for name in names:
+            if name not in seen:
+                seen.add(name)
+                if len(seen) == 3:  # one report per formula is enough
+                    checker.emit(ViolationKind.VARIABLE_COUNT, path,
+                                 f"third distinct variable {name!r} appears here; "
+                                 f"FO2 allows at most two")
     return _diag(checker.out)
 
 
 def _arity_violations(f: Formula, vocab: Vocabulary, checker: _Checker):
-    def visit(g: Formula, path: tuple[int, ...]):
-        if isinstance(g, Atom):
-            try:
-                arity = vocab.arity(g.rel)
-            except VocabularyError:
-                checker.emit(ViolationKind.ARITY, path,
-                             f"relation {g.rel!r} is not in the vocabulary")
-                return
-            if arity != len(g.args):
-                checker.emit(ViolationKind.ARITY, path,
-                             f"relation {g.rel!r} has arity {arity}, "
-                             f"used with {len(g.args)} arguments")
-            return
-        if isinstance(g, Not):
-            visit(g.body, path + (0,))
-        elif isinstance(g, (And, Or, Implies)):
-            visit(g.left, path + (0,))
-            visit(g.right, path + (1,))
-        elif isinstance(g, (ExistsBlock, ForallBlock, CountExists)):
-            visit(g.body, path + (0,))
+    for path, g in _paths(f):
+        if not isinstance(g, Atom):
+            continue
+        try:
+            arity = vocab.arity(g.rel)
+        except VocabularyError:
+            checker.emit(ViolationKind.ARITY, path,
+                         f"relation {g.rel!r} is not in the vocabulary")
+            continue
+        if arity != len(g.args):
+            checker.emit(ViolationKind.ARITY, path,
+                         f"relation {g.rel!r} has arity {arity}, "
+                         f"used with {len(g.args)} arguments")
 
-    visit(f, ())
+
+def _paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
+    """Every subformula of ``f`` with its diagnostic path, in pre-order."""
+    stack = [((), f)]
+    while stack:
+        path, g = stack.pop()
+        yield path, g
+        kids = children(g)
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))

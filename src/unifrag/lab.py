@@ -115,6 +115,9 @@ class FoProbe:
     def label(self) -> str:
         return print_formula(self.formula)
 
+    def outcome(self, s: Structure) -> str:
+        return str(evaluate(s, {}, self.formula))
+
 
 @dataclass(frozen=True)
 class DlProbe:
@@ -125,6 +128,9 @@ class DlProbe:
     def label(self) -> str:
         return dl.print_concept(self.concept)
 
+    def outcome(self, s: Structure) -> str:
+        return "nonempty" if dl.concept_extension(s, self.concept) else "empty"
+
 
 @dataclass(frozen=True)
 class DlrProbe:
@@ -134,6 +140,12 @@ class DlrProbe:
     @property
     def label(self) -> str:
         return dlr.print_dlr_concept(self.concept)
+
+    def outcome(self, s: Structure) -> str:
+        ext = dlr.dlr_concept_extension(s, self.concept)
+        if ext == frozenset(s.domain):
+            return "full"
+        return "empty" if not ext else "partial"
 
 
 Probe = Union[FoProbe, DlProbe, DlrProbe]
@@ -221,32 +233,11 @@ def separation_experiments() -> list[Experiment]:
 
 
 def _run_probe(probe: Probe, structures: tuple[Structure, Structure]) -> ProbeResult:
-    s1, s2 = structures
-    if isinstance(probe, FoProbe):
-        actual = (evaluate(s1, {}, probe.formula), evaluate(s2, {}, probe.formula))
-        if probe.expected is None:
-            return ProbeResult(probe.label, "agree",
-                               f"{actual[0]}/{actual[1]}", actual[0] == actual[1])
-        expected = f"{probe.expected[0]}/{probe.expected[1]}"
-        return ProbeResult(probe.label, expected,
-                           f"{actual[0]}/{actual[1]}", actual == probe.expected)
-    if isinstance(probe, DlProbe):
-        actual = tuple(
-            "nonempty" if dl.concept_extension(s, probe.concept) else "empty"
-            for s in structures)
-        return ProbeResult(probe.label, "/".join(probe.expected),
-                           "/".join(actual), actual == probe.expected)
-    if isinstance(probe, DlrProbe):
-        def classify(s: Structure) -> str:
-            ext = dlr.dlr_concept_extension(s, probe.concept)
-            if ext == frozenset(s.domain):
-                return "full"
-            return "empty" if not ext else "partial"
-
-        actual = tuple(classify(s) for s in structures)
-        return ProbeResult(probe.label, "/".join(probe.expected),
-                           "/".join(actual), actual == probe.expected)
-    raise TypeError(f"unknown probe: {probe!r}")
+    actual = tuple(probe.outcome(s) for s in structures)
+    if probe.expected is None:  # the pair must agree
+        return ProbeResult(probe.label, "agree", "/".join(actual), actual[0] == actual[1])
+    expected = tuple(map(str, probe.expected))
+    return ProbeResult(probe.label, "/".join(expected), "/".join(actual), actual == expected)
 
 
 def run_experiments(names: Optional[list[str]] = None) -> list[ExperimentResult]:

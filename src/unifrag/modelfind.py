@@ -120,7 +120,7 @@ def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
 
     root = compile_formula(f, range(n), atom, asg)
 
-    swaps = _transposition_maps(vocab, n, offsets) if prune else []
+    swaps = _transposition_maps(cells, offsets, n) if prune else []
 
     def lex_violates(depth: int) -> bool:
         # certified "assignment > transposed assignment" on the decided prefix
@@ -166,19 +166,19 @@ def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
     return dfs(0)
 
 
-def _transposition_maps(vocab: Vocabulary, n: int, offsets) -> list[list[int]]:
+def _transposition_maps(cells: list[tuple[str, tuple[int, ...]]],
+                        offsets: dict[str, int], n: int) -> list[list[int]]:
+    """For each transposition of two domain elements, the index of the
+    image of every cell, in cell order."""
     maps = []
     for p in range(n):
         for q in range(p + 1, n):
             swap = {p: q, q: p}
             perm: list[int] = []
-            for rel in sorted(vocab.symbols):
-                arity = vocab.symbols[rel]
-                for t in product(range(n), repeat=arity):
-                    image = tuple(swap.get(i, i) for i in t)
-                    rank = 0
-                    for i in image:
-                        rank = rank * n + i
-                    perm.append(offsets[rel] + rank)
+            for rel, t in cells:
+                rank = 0
+                for i in t:
+                    rank = rank * n + swap.get(i, i)
+                perm.append(offsets[rel] + rank)
             maps.append(perm)
     return maps

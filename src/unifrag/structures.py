@@ -101,6 +101,8 @@ def structure_from_doc(doc: Any) -> Structure:
     for name, tuples in relations.items():
         if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):
             raise StructureError(f"relation {name!r} must be a list of tuples (lists)")
+        if not all(isinstance(c, str) for t in tuples for c in t):
+            raise StructureError(f"tuple components of relation {name!r} must be strings")
         rels[name] = [tuple(t) for t in tuples]
     return Structure(tuple(domain), rels, vocab)
 

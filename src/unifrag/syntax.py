@@ -173,9 +173,6 @@ class CountExists:
 Formula = Union[Top, Bottom, Atom, Equals, Not, And, Or, Implies,
                 ExistsBlock, ForallBlock, CountExists]
 
-BOOLEAN_NODES = (Not, And, Or, Implies)
-QUANTIFIER_NODES = (ExistsBlock, ForallBlock, CountExists)
-
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Subformulas of f in child-index order (used for diagnostic paths)."""
@@ -325,7 +322,9 @@ class TokenParser:
     (here), DL concepts (:mod:`unifrag.dl`) and DLR concepts
     (:mod:`unifrag.dlr`).  Every cycle of recursive productions passes
     through a method decorated with :func:`nested`, and a cycle of more
-    than three frames through two of them."""
+    than three frames through two of them.  :meth:`conjunction` is the
+    one ``'(' item ('&' item)* ')'`` production of the DL and DLR
+    concepts and roles."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -358,6 +357,17 @@ class TokenParser:
             return ctor(*args)
         except ValueError as e:
             raise self.error(str(e)) from None
+
+    def conjunction(self, item, ctor):
+        """``'(' item ('&' item)* ')'``, the items folded to the left with
+        the binary constructor ``ctor``."""
+        self.expect("LPAREN")
+        result = item()
+        while self.peek().kind == "AMP":
+            self.next()
+            result = ctor(result, item())
+        self.expect("RPAREN")
+        return result
 
     def finish(self, result):
         """``result``, once the whole input has been consumed."""

@@ -508,9 +508,8 @@ def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
 
 
 def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formula:
-    n = dlr.dlr_role_arity(r, vocab)
-    if n != len(tup):
-        raise VocabularyError(f"role of arity {n} used at {len(tup)} positions")
+    """Membership of ``tup`` in a role that :func:`dlr.dlr_role_arity` has
+    checked to have arity ``len(tup)``."""
     if isinstance(r, dlr.TopN):
         return _topn_formula(r.n, tup, topn)
     if isinstance(r, dlr.AtomicRole):
@@ -519,12 +518,10 @@ def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formu
         return _fold(And, [_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
                            _topn_formula(r.n, tup, topn)], Top())
     if isinstance(r, dlr.NotR):
-        return _fold(And, [_topn_formula(n, tup, topn),
+        return _fold(And, [_topn_formula(len(tup), tup, topn),
                            Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
-    if isinstance(r, dlr.AndR):
-        return And(_dlr_s(r.left, tup, ctr, vocab, topn),
-                   _dlr_s(r.right, tup, ctr, vocab, topn))
-    raise TypeError(f"not a role: {r!r}")
+    return And(_dlr_s(r.left, tup, ctr, vocab, topn),
+               _dlr_s(r.right, tup, ctr, vocab, topn))
 
 
 def _topn_formula(n: int, tup: tuple[str, ...], topn: str) -> Formula:

@@ -184,11 +184,24 @@ DLR0_FU1 = ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "VOCAB", "-
     (DL_FU1 + ["(" * 600 + "A" + ")" * 600], 2),
     (DLR0_FU1 + ["~" * 3000 + "A"], 2),
     (DLR0_FU1 + ["(" * 600 + "A" + ")" * 600], 2),
+    # a tuple component that is not a string
+    (["eval", "--model", "MODEL", "-e", "E x. true"], 2),
+    # integers from the text that would size an allocation
+    (DL_FU1 + ["exists perm[1,3000000000]R.(A)"], 2),
+    (DLR0_FU1 + ["exists[$1] top1000000"], 2),
+    (DLR0_FU1 + ["exists[$1] ($1/1000000:A)"], 2),
+    # nesting in role position
+    (DL_FU1 + ["exists " + "(" * 600 + "R" + ")" * 600 + ".(A)"], 2),
+    (DLR0_FU1 + ["exists[$1] " + "(" * 600 + "R" + ")" * 600], 2),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"
     vocab.write_text(json.dumps({"R": 2, "A": 1}))
-    argv = [str(vocab) if a == "VOCAB" else a for a in argv]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"domain": ["a"], "arities": {"R": 2},
+                                 "relations": {"R": [["a", ["a"]]]}}))
+    files = {"VOCAB": str(vocab), "MODEL": str(model)}
+    argv = [files.get(a, a) for a in argv]
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == expected
     assert "Traceback" not in err
@@ -197,6 +210,22 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
         check_schema(doc, "error.schema.json")
     else:
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    import unifrag.cli
+
+    def crash(args, rep):
+        raise RuntimeError("unexpected\nfailure")
+
+    monkeypatch.setattr(unifrag.cli, "_cmd_parse", crash)
+    code, out, err = invoke(capsys, "parse", "-e", "P(x)", "--format", "json")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc["error"]["kind"] == "internal"
 
 
 def test_lab_run_schema_and_single_name(capsys):

@@ -132,6 +132,8 @@ def test_parse_errors_have_positions():
         parse_concept("exists R.(")
     with pytest.raises(ParseError):
         parse_concept("perm[1]R")
+    with pytest.raises(ParseError, match="not onto"):
+        parse_concept("exists perm[1,3000000000]R.(A)")
 
 
 # ---------------------------------------------------------------------------

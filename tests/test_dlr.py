@@ -43,6 +43,9 @@ def test_role_intersection_arity_mismatch_is_an_error():
     s = make_structure(["a"], {"R": 2, "T": 3})
     with pytest.raises(ArityError):
         dlr_role_extension(s, AndR(AtomicRole("R"), AtomicRole("T")))
+    # the arity check precedes the missing top2 relation of explicit mode
+    with pytest.raises(ArityError):
+        dlr_role_extension(s, AndR(TopN(2), TopN(3)), "explicit")
 
 
 def test_projection():

@@ -87,6 +87,13 @@ def test_arity_diagnostics_with_vocabulary():
     assert ViolationKind.ARITY in {v.kind for v in diag.violations}
     diag2 = check_fragment(parse_formula("E x y. W(x,y)"), F.U1, vocab)
     assert ViolationKind.ARITY in {v.kind for v in diag2.violations}
+    # arity violations come first, in pre-order, then the fragment's own
+    diag3 = check_fragment(parse_formula(
+        "(E x y z. (R(x,y) & R(y,z)) | E y. (W(y) & R(x,y,y)))"),
+        F.U1, Vocabulary({"R": 2, "P": 1}))
+    assert [(v.kind, v.path) for v in diag3.violations] == [
+        (ViolationKind.ARITY, (1, 0, 0)), (ViolationKind.ARITY, (1, 0, 1)),
+        (ViolationKind.UNIFORMITY, (0, 0, 0)), (ViolationKind.UNIFORMITY, (0, 0, 1))]
 
 
 def test_fo2_examples():
@@ -102,6 +109,10 @@ def test_fo2_multi_variable_block():
     diag = check_fo2(parse_formula("E x y. S(x,y)"))
     assert not diag.verdict
     assert ViolationKind.VARIABLE_COUNT in {v.kind for v in diag.violations}
+    diag2 = check_fo2(parse_formula("(E x y. S(x,y) & A z. E[>=2] y. S(z,y))"))
+    assert [(v.kind, v.path) for v in diag2.violations] == [
+        (ViolationKind.VARIABLE_COUNT, (0,)), (ViolationKind.VARIABLE_COUNT, (1,)),
+        (ViolationKind.COUNTING_QUANTIFIER, (1, 0))]
 
 
 def test_check_fragment_dispatches_fo2():

@@ -33,6 +33,13 @@ def test_component_outside_domain_rejected():
         structure_from_doc(doc)
 
 
+@pytest.mark.parametrize("component", [["a"], {"a": "a"}])
+def test_non_string_component_rejected(component):
+    doc = {"domain": ["a"], "arities": {"R": 2}, "relations": {"R": [["a", component]]}}
+    with pytest.raises(StructureError, match="must be strings"):
+        parse_structure(json.dumps(doc))
+
+
 def test_arity_mismatch_rejected():
     doc = {"domain": ["a"], "arities": {"R": 2}, "relations": {"R": [["a"]]}}
     with pytest.raises(StructureError, match="arity"):
