@@ -163,13 +163,33 @@ def universal_role() -> RoleTerm:
 # Arity and extension semantics
 # ---------------------------------------------------------------------------
 
+def atomic_role_arity(name: str, vocab: Vocabulary) -> int:
+    """Arity of the symbol an atomic role names; roles need arity >= 2."""
+    arity = vocab.arity(name)
+    if arity < 2:
+        raise VocabularyError(f"{name!r} has arity {arity}; roles need arity >= 2")
+    return arity
+
+
+def check_concept_name(name: str, vocab: Vocabulary) -> None:
+    """An atomic concept must name a unary symbol."""
+    if vocab.symbols.get(name) != 1:
+        arity = vocab.arity(name)  # raises for an unknown name
+        raise VocabularyError(f"{name!r} has arity {arity}; atomic concepts must be unary")
+
+
+def check_existential_args(n: int, args: tuple) -> None:
+    """An existential over a role of arity n takes n - 1 argument concepts."""
+    if len(args) != n - 1:
+        raise VocabularyError(
+            f"existential over a role of arity {n} needs {n - 1} argument "
+            f"concepts, got {len(args)}")
+
+
 def role_arity(r: RoleTerm, vocab: Vocabulary) -> int:
     """Arity of a role term; mismatches collapse to the empty binary relation."""
     if isinstance(r, AtomicRole):
-        arity = vocab.arity(r.name)
-        if arity < 2:
-            raise VocabularyError(f"{r.name!r} has arity {arity}; roles need arity >= 2")
-        return arity
+        return atomic_role_arity(r.name, vocab)
     if isinstance(r, Epsilon):
         return 2
     if isinstance(r, NotRole):
@@ -188,7 +208,7 @@ def _role_literal(s: Structure, r: RoleTerm) -> tuple[int, bool, frozenset]:
     or its complement in domain^arity when ``negated``.  Every rule costs
     time linear in the tuple sets it combines; none builds a complement."""
     if isinstance(r, AtomicRole):
-        return role_arity(r, s.vocabulary), False, s.relations[r.name]
+        return atomic_role_arity(r.name, s.vocabulary), False, s.relations[r.name]
     if isinstance(r, Epsilon):
         return 2, False, frozenset((d, d) for d in s.domain)
     if isinstance(r, NotRole):
@@ -230,14 +250,10 @@ def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
 
 
 def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
-    vocab = s.vocabulary
     if isinstance(c, TopC):
         return frozenset(s.domain)
     if isinstance(c, AtomicConcept):
-        arity = vocab.arity(c.name)
-        if arity != 1:
-            raise VocabularyError(
-                f"{c.name!r} has arity {arity}; atomic concepts must be unary")
+        check_concept_name(c.name, s.vocabulary)
         return frozenset(t[0] for t in s.relations[c.name])
     if isinstance(c, NotC):
         return frozenset(s.domain) - concept_extension(s, c.body)
@@ -245,10 +261,7 @@ def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
         return concept_extension(s, c.left) & concept_extension(s, c.right)
     if isinstance(c, ExistsRole):
         n, negated, tuples = _role_literal(s, c.role)
-        if len(c.args) != n - 1:
-            raise VocabularyError(
-                f"existential over a role of arity {n} needs {n - 1} argument "
-                f"concepts, got {len(c.args)}")
+        check_existential_args(n, c.args)
         arg_exts = [concept_extension(s, a) for a in c.args]
         hits = [t for t in tuples
                 if all(t[i] in ext for i, ext in enumerate(arg_exts, start=1))]
@@ -314,10 +327,10 @@ class _DlParser(TokenParser):
         if t.kind == "NAME" and t.text == "perm":
             self.next()
             self.expect("LBRACK")
-            values = [int(self.expect("INT").text)]
+            values = [self.integer()]
             while self.peek().kind == "COMMA":
                 self.next()
-                values.append(int(self.expect("INT").text))
+                values.append(self.integer())
             self.expect("RBRACK")
             srj = self.build(Surjection, tuple(values))
             return Apply(srj, self.role())

@@ -24,6 +24,9 @@ unlike the absolute role negation of the surjection-based logic in
 :mod:`unifrag.dl`.  The number restriction counts tuples: the extension of
 ``(<=k [$i] R)`` holds the elements occurring at most k times in position
 i over all tuples of R.
+
+Atomic roles and concepts, concept negation and conjunction are the node
+classes of :mod:`unifrag.dl`, checked by its vocabulary rules.
 """
 
 from __future__ import annotations
@@ -32,15 +35,13 @@ from dataclasses import dataclass, is_dataclass
 from itertools import product
 from typing import Union
 
-from .errors import ArityError, ParseError, StructureError, VocabularyError
+from .dl import AndC, AtomicConcept, AtomicRole, NotC, atomic_role_arity, check_concept_name
+from .dl import or_concept as or_dlr
+from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import TokenParser, Vocabulary, nested
+from .syntax import MAX_ARITY, TokenParser, Vocabulary, nested
 
 TOPN_MODES = ("delta", "explicit")
-
-# Largest n of a ``top<n>`` role or a ``($i/n:C)`` selection: the text
-# gives n, which sizes domain^n and the translation's variable lists.
-MAX_TOP_ARITY = 32
 
 
 def topn_relation_name(n: int) -> str:
@@ -52,8 +53,8 @@ def topn_relation_name(n: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_top_arity(n: int) -> None:
-    if n > MAX_TOP_ARITY:
-        raise ValueError(f"top relation arity {n} exceeds the limit of {MAX_TOP_ARITY}")
+    if n > MAX_ARITY:
+        raise ValueError(f"top relation arity {n} exceeds the limit of {MAX_ARITY}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,6 @@ class TopN:
         if self.n < 2:
             raise ValueError("top_n needs n >= 2")
         _check_top_arity(self.n)
-
-
-@dataclass(frozen=True)
-class AtomicRole:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -143,22 +139,6 @@ class Top1:
 
 
 @dataclass(frozen=True)
-class AtomicConcept:
-    name: str
-
-
-@dataclass(frozen=True)
-class NotC:
-    body: "DlrConcept"
-
-
-@dataclass(frozen=True)
-class AndC:
-    left: "DlrConcept"
-    right: "DlrConcept"
-
-
-@dataclass(frozen=True)
 class ExistsE:
     rel: DlrBinRel
     concept: "DlrConcept"
@@ -194,10 +174,6 @@ class AtMost:
 DlrConcept = Union[Top1, AtomicConcept, NotC, AndC, ExistsE, ExistsProj, AtMost]
 
 
-def or_dlr(c1: DlrConcept, c2: DlrConcept) -> DlrConcept:
-    return NotC(AndC(NotC(c1), NotC(c2)))
-
-
 # ---------------------------------------------------------------------------
 # Extension semantics
 # ---------------------------------------------------------------------------
@@ -206,10 +182,7 @@ def dlr_role_arity(r: DlrRole, vocab: Vocabulary) -> int:
     if isinstance(r, TopN):
         return r.n
     if isinstance(r, AtomicRole):
-        arity = vocab.arity(r.name)
-        if arity < 2:
-            raise VocabularyError(f"{r.name!r} has arity {arity}; roles need arity >= 2")
-        return arity
+        return atomic_role_arity(r.name, vocab)
     if isinstance(r, Sel):
         return r.n
     if isinstance(r, NotR):
@@ -221,6 +194,15 @@ def dlr_role_arity(r: DlrRole, vocab: Vocabulary) -> int:
             raise ArityError(f"role intersection of arities {a1} and {a2}")
         return a1
     raise TypeError(f"not a role: {r!r}")
+
+
+def role_arity_covering(r: DlrRole, vocab: Vocabulary, what: str, *positions: int) -> int:
+    """Arity of ``r``, once every 1-based position is within it; ``what``
+    is the error's format string for the positions."""
+    n = dlr_role_arity(r, vocab)
+    if max(positions) > n:
+        raise ArityError(f"{what.format(*positions)} out of range for a role of arity {n}")
+    return n
 
 
 def _topn_extension(s: Structure, n: int, topn: str) -> frozenset[tuple[str, ...]]:
@@ -265,10 +247,7 @@ def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> fro
     if isinstance(e, Eps):
         return frozenset((d, d) for d in s.domain)
     if isinstance(e, Proj):
-        n = dlr_role_arity(e.role, s.vocabulary)
-        if e.i > n or e.j > n:
-            raise ArityError(
-                f"projection |${e.i},${e.j} out of range for a role of arity {n}")
+        n = role_arity_covering(e.role, s.vocabulary, "projection |${},${}", e.i, e.j)
         ext = _role_tuples(s, e.role, n, topn)
         return frozenset((t[e.i - 1], t[e.j - 1]) for t in ext)
     if isinstance(e, Comp):
@@ -290,14 +269,10 @@ def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> fro
 
 
 def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> frozenset[str]:
-    vocab = s.vocabulary
     if isinstance(c, Top1):
         return frozenset(s.domain)
     if isinstance(c, AtomicConcept):
-        arity = vocab.arity(c.name)
-        if arity != 1:
-            raise VocabularyError(
-                f"{c.name!r} has arity {arity}; atomic concepts must be unary")
+        check_concept_name(c.name, s.vocabulary)
         return frozenset(t[0] for t in s.relations[c.name])
     if isinstance(c, NotC):
         return frozenset(s.domain) - dlr_concept_extension(s, c.body, topn)
@@ -308,14 +283,10 @@ def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> f
         good = dlr_concept_extension(s, c.concept, topn)
         return frozenset(u for u, v in ext if v in good)
     if isinstance(c, ExistsProj):
-        n = dlr_role_arity(c.role, vocab)
-        if c.i > n:
-            raise ArityError(f"position ${c.i} out of range for a role of arity {n}")
+        n = role_arity_covering(c.role, s.vocabulary, "position ${}", c.i)
         return frozenset(t[c.i - 1] for t in _role_tuples(s, c.role, n, topn))
     if isinstance(c, AtMost):
-        n = dlr_role_arity(c.role, vocab)
-        if c.i > n:
-            raise ArityError(f"position ${c.i} out of range for a role of arity {n}")
+        n = role_arity_covering(c.role, s.vocabulary, "position ${}", c.i)
         counts: dict[str, int] = {}
         for t in _role_tuples(s, c.role, n, topn):
             counts[t[c.i - 1]] = counts.get(t[c.i - 1], 0) + 1
@@ -374,7 +345,7 @@ class _DlrParser(TokenParser):
             if self.peek().kind == "LBRACK":
                 self.next()
                 self.expect("DOLLAR")
-                i = int(self.expect("INT").text)
+                i = self.integer()
                 self.expect("RBRACK")
                 return self.build(ExistsProj, i, self.role())
             e = self.binrel()
@@ -384,10 +355,10 @@ class _DlrParser(TokenParser):
             if self.peek(1).kind == "LE":
                 self.next()
                 self.next()
-                k = int(self.expect("INT").text)
+                k = self.integer()
                 self.expect("LBRACK")
                 self.expect("DOLLAR")
-                i = int(self.expect("INT").text)
+                i = self.integer()
                 self.expect("RBRACK")
                 r = self.role()
                 self.expect("RPAREN")
@@ -433,10 +404,10 @@ class _DlrParser(TokenParser):
         r = self.role()
         self.expect("PIPE")
         self.expect("DOLLAR")
-        i = int(self.expect("INT").text)
+        i = self.integer()
         self.expect("COMMA")
         self.expect("DOLLAR")
-        j = int(self.expect("INT").text)
+        j = self.integer()
         return self.build(Proj, r, i, j)
 
     # roles --------------------------------------------------------------------
@@ -449,7 +420,7 @@ class _DlrParser(TokenParser):
             return NotR(self.role())
         if t.kind == "NAME" and t.text.startswith("top") and t.text[3:].isdigit():
             self.next()
-            n = int(t.text[3:])
+            n = self.integer(t, 3)
             if n < 2:
                 raise ParseError("top_n roles need n >= 2 (use top1 as a concept)",
                                  t.line, t.col)
@@ -458,9 +429,9 @@ class _DlrParser(TokenParser):
             if self.peek(1).kind == "DOLLAR":
                 self.next()
                 self.next()
-                i = int(self.expect("INT").text)
+                i = self.integer()
                 self.expect("SLASH")
-                n = int(self.expect("INT").text)
+                n = self.integer()
                 self.expect("COLON")
                 c = self.concept()
                 self.expect("RPAREN")

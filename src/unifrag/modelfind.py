@@ -145,25 +145,30 @@ def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
                 relations[rel].add(tuple(domain[i] for i in t))
         return Structure(domain, relations, vocab)
 
-    def dfs(i: int) -> Optional[Structure]:
+    i = 0  # depth of the node: the cells before i are decided
+    while True:
         counter[0] += 1
         verdict = root()
-        if verdict is False:
-            return None
         if verdict is True:
             for j in range(i, len(vals)):
                 vals[j] = False
             return build()
-        for value in (False, True):
-            vals[i] = value
-            if not (prune and lex_violates(i)):
-                found = dfs(i + 1)
-                if found is not None:
-                    return found
-        vals[i] = None
-        return None
-
-    return dfs(0)
+        if verdict is None:
+            vals[i] = False
+            i += 1
+            if not (prune and lex_violates(i - 1)):
+                continue
+        # backtrack to the deepest decided cell that can still turn True
+        while True:
+            i -= 1
+            if i < 0:
+                return None
+            if vals[i] is False:
+                vals[i] = True
+                if not (prune and lex_violates(i)):
+                    i += 1
+                    break
+            vals[i] = None
 
 
 def _transposition_maps(cells: list[tuple[str, tuple[int, ...]]],

@@ -34,6 +34,13 @@ RESERVED_WORDS = frozenset({"true", "false", "E", "A"})
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Largest arity of a vocabulary symbol and of a DLR top relation or selection;
+# arities size tuples, domain powers and the translations' variable lists.
+MAX_ARITY = 32
+
+# Most digits of an integer literal in any of the text grammars.
+MAX_DIGITS = 18
+
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -55,6 +62,9 @@ class Vocabulary:
                 raise VocabularyError("'=' is reserved for built-in equality")
             if not isinstance(arity, int) or arity < 1:
                 raise VocabularyError(f"arity of {name!r} must be a positive integer, got {arity!r}")
+            if arity > MAX_ARITY:
+                raise VocabularyError(
+                    f"arity {arity} of {name!r} exceeds the limit of {MAX_ARITY}")
             # E/A/true/false stay usable as symbols of the data model even
             # though the formula text grammar cannot reference them
             if not NAME_RE.fullmatch(name):
@@ -248,48 +258,31 @@ class _Token:
 
 
 # the last four token kinds only occur in the DL/DLR grammars
-_PUNCT = [("->", "ARROW"), (">=", "GE"), ("<=", "LE"), ("(", "LPAREN"), (")", "RPAREN"),
-          ("[", "LBRACK"), ("]", "RBRACK"), (",", "COMMA"), (".", "DOT"), ("=", "EQ"),
-          ("~", "TILDE"), ("&", "AMP"), ("|", "PIPE"),
-          ("$", "DOLLAR"), ("/", "SLASH"), (":", "COLON"), ("*", "STAR")]
+_PUNCT = {"->": "ARROW", ">=": "GE", "<=": "LE", "(": "LPAREN", ")": "RPAREN",
+          "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ".": "DOT", "=": "EQ",
+          "~": "TILDE", "&": "AMP", "|": "PIPE",
+          "$": "DOLLAR", "/": "SLASH", ":": "COLON", "*": "STAR"}
+
+# One alternation, tried in order at each offset; the name of the matching
+# group is the token kind.  NL and WS make no token, BAD is an error.
+_TOKEN_RE = re.compile("|".join(
+    [r"(?P<NL>\n)", r"(?P<WS>[^\S\n]+)", f"(?P<NAME>{NAME_RE.pattern})", r"(?P<INT>[0-9]+)"]
+    + [f"(?P<{kind}>{re.escape(lit)})" for lit, kind in _PUNCT.items()] + ["(?P<BAD>.)"]))
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):  # every character matches, so no gaps
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        m = NAME_RE.match(text, i)
-        if m:
-            toks.append(_Token("NAME", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = re.match(r"[0-9]+", text[i:])
-        if m:
-            toks.append(_Token("INT", m.group(), line, col))
-            col += len(m.group())
-            i += len(m.group())
-            continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                toks.append(_Token(kind, lit, line, col))
-                col += len(lit)
-                i += len(lit)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "WS":
+            toks.append(_Token(kind, m.group(), line, col))
+    toks.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -349,6 +342,16 @@ class TokenParser:
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
+
+    def integer(self, token: _Token | None = None, skip: int = 0) -> int:
+        """The next INT token's value or, given ``token``, that of its text
+        after ``skip`` characters (``top<n>``); at most ``MAX_DIGITS`` digits."""
+        t = token or self.expect("INT")
+        digits = t.text[skip:]
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits",
+                             t.line, t.col + skip)
+        return int(digits)
 
     def build(self, ctor, *args):
         """``ctor(*args)``, with the constructor's ValueError turned into a
@@ -447,17 +450,10 @@ class _FormulaParser(TokenParser):
     def counting(self) -> Formula:
         self.next()  # E
         self.expect("LBRACK")
-        t = self.peek()
-        if t.kind == "GE":
-            cmp = ">="
-        elif t.kind == "LE":
-            cmp = "<="
-        elif t.kind == "EQ":
-            cmp = "="
-        else:
-            raise self.error(f"expected '>=', '<=' or '=', found {t.text!r}")
-        self.next()
-        bound = int(self.expect("INT").text)
+        if self.peek().text not in COUNT_COMPARATORS:
+            raise self.error(f"expected '>=', '<=' or '=', found {self.peek().text!r}")
+        cmp = self.next().text
+        bound = self.integer()
         self.expect("RBRACK")
         var = self.name("variable").text
         self.expect("DOT")

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Iterator, Optional, Union
 
 from . import dl, dlr
-from .errors import DnfLimitError, FragmentGateError, VocabularyError
+from .errors import DnfLimitError, FragmentGateError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
                      Formula, Implies, Not, Or, Top, Vocabulary,
@@ -333,8 +333,7 @@ def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) ->
     if isinstance(c, dl.TopC):
         return Equals(x, x)
     if isinstance(c, dl.AtomicConcept):
-        if vocab.arity(c.name) != 1:
-            raise VocabularyError(f"{c.name!r} is not a unary symbol")
+        dl.check_concept_name(c.name, vocab)
         return Atom(c.name, (x,))
     if isinstance(c, dl.NotC):
         return Not(_formula_of(c.body, x, ctr, vocab))
@@ -343,10 +342,7 @@ def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) ->
                    _formula_of(c.right, x, ctr, vocab))
     if isinstance(c, dl.ExistsRole):
         n = dl.role_arity(c.role, vocab)
-        if n != len(c.args) + 1:
-            raise VocabularyError(
-                f"existential over a role of arity {n} needs {n - 1} argument "
-                f"concepts, got {len(c.args)}")
+        dl.check_existential_args(n, c.args)
         ys = tuple(f"y{next(ctr)}" for _ in range(n - 1))
         parts = [_role_formula(c.role, (x,) + ys, vocab)]
         parts += [_formula_of(arg, y, ctr, vocab) for arg, y in zip(c.args, ys)]
@@ -454,8 +450,7 @@ def _dlr_T(c: dlr.DlrConcept, x: str, ctr: Iterator[int], vocab: Vocabulary,
     if isinstance(c, dlr.Top1):
         return Top()
     if isinstance(c, dlr.AtomicConcept):
-        if vocab.arity(c.name) != 1:
-            raise VocabularyError(f"{c.name!r} is not a unary symbol")
+        dl.check_concept_name(c.name, vocab)
         return Atom(c.name, (x,))
     if isinstance(c, dlr.NotC):
         return Not(_dlr_T(c.body, x, ctr, vocab, topn))
@@ -465,11 +460,8 @@ def _dlr_T(c: dlr.DlrConcept, x: str, ctr: Iterator[int], vocab: Vocabulary,
     if isinstance(c, dlr.ExistsE):
         return _dlr_exists_e(c, x, ctr, vocab, topn)
     if isinstance(c, dlr.ExistsProj):
-        n = dlr.dlr_role_arity(c.role, vocab)
-        if c.i > n:
-            raise VocabularyError(f"position ${c.i} out of range for arity {n}")
-        others = tuple(f"x{next(ctr)}" for _ in range(n - 1))
-        tup = others[:c.i - 1] + (x,) + others[c.i - 1:]
+        n = dlr.role_arity_covering(c.role, vocab, "position ${}", c.i)
+        tup, others = _fresh_tuple(n, {c.i: x}, ctr)
         return ExistsBlock(others, _dlr_s(c.role, tup, ctr, vocab, topn))
     raise TypeError(f"untranslatable concept (was composition elimination run?): {c!r}")
 
@@ -481,30 +473,25 @@ def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
     if isinstance(e, dlr.Eps):
         return ExistsBlock((y,), And(Equals(x, y), inner))
     if isinstance(e, dlr.Proj):
-        n = dlr.dlr_role_arity(e.role, vocab)
-        if e.i > n or e.j > n:
-            raise VocabularyError(
-                f"projection |${e.i},${e.j} out of range for arity {n}")
+        n = dlr.role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
         if e.i == e.j:
             # (u,v) with u = v = t_i for some tuple t: an equality guard plus
-            # a nested membership block keeps the block uniform
-            others = tuple(f"x{next(ctr)}" for _ in range(n - 1))
-            tup = others[:e.i - 1] + (x,) + others[e.i - 1:]
-            member = ExistsBlock(others, _dlr_s(e.role, tup, ctr, vocab, topn))
+            # the nested membership block of exists[$i] keeps the block uniform
+            member = _dlr_T(dlr.ExistsProj(e.i, e.role), x, ctr, vocab, topn)
             return ExistsBlock((y,), _fold(And, [Equals(x, y), member, inner], Top()))
-        zs = tuple(f"x{next(ctr)}" for _ in range(n - 2))
-        tup: list[str] = []
-        zi = iter(zs)
-        for pos in range(1, n + 1):
-            if pos == e.i:
-                tup.append(x)
-            elif pos == e.j:
-                tup.append(y)
-            else:
-                tup.append(next(zi))
-        body = _fold(And, [_dlr_s(e.role, tuple(tup), ctr, vocab, topn), inner], Top())
+        tup, zs = _fresh_tuple(n, {e.i: x, e.j: y}, ctr)
+        body = _fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
         return ExistsBlock((y,) + zs, body)
     raise TypeError(f"untranslatable term (was composition elimination run?): {e!r}")
+
+
+def _fresh_tuple(n: int, fixed: dict[int, str], ctr: Iterator[int]
+                 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """An n-tuple holding ``fixed[i]`` at each 1-based position i and a
+    fresh variable, drawn from ``ctr`` in position order, everywhere else;
+    returned with the fresh variables."""
+    tup = tuple(fixed[pos] if pos in fixed else f"x{next(ctr)}" for pos in range(1, n + 1))
+    return tup, tuple(v for pos, v in enumerate(tup, start=1) if pos not in fixed)
 
 
 def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formula:

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -163,6 +164,7 @@ def _clauses(k):
 
 DL_FU1 = ["translate", "--from", "dl", "--to", "fu1", "--vocab", "VOCAB", "-e"]
 DLR0_FU1 = ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "VOCAB", "-e"]
+DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -193,6 +195,17 @@ DLR0_FU1 = ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "VOCAB", "-
     # nesting in role position
     (DL_FU1 + ["exists " + "(" * 600 + "R" + ")" * 600 + ".(A)"], 2),
     (DLR0_FU1 + ["exists[$1] " + "(" * 600 + "R" + ")" * 600], 2),
+    # integer literals too long for int(): positioned parse errors
+    (["parse", "-e", f"E[>={DIGITS}] x. P(x)"], 2),
+    (DL_FU1 + [f"exists perm[1,{DIGITS}]R.(A)"], 2),
+    (DLR0_FU1 + [f"exists[${DIGITS}] R"], 2),
+    (DLR0_FU1 + [f"exists[$1] top{DIGITS}"], 2),
+    # a vocabulary arity that would size the translation's variable list
+    (["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "BIG", "-e",
+      "exists[$1] R"], 2),
+    # 1,200 interpretation cells: model search must not recurse per cell
+    (["sat", "--max-size", "1", "--cell-limit", "5000", "--vocab", "MANY",
+      "-e", "A x. P999(x)"], 0),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"
@@ -200,7 +213,11 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"domain": ["a"], "arities": {"R": 2},
                                  "relations": {"R": [["a", ["a"]]]}}))
-    files = {"VOCAB": str(vocab), "MODEL": str(model)}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"R": 200000}))
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({f"P{i}": 1 for i in range(1200)}))
+    files = {"VOCAB": str(vocab), "MODEL": str(model), "BIG": str(big), "MANY": str(many)}
     argv = [files.get(a, a) for a in argv]
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == expected
@@ -208,6 +225,10 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     doc = json.loads(out)
     if expected == 2:
         check_schema(doc, "error.schema.json")
+        assert doc["error"]["kind"] != "internal"
+    elif argv[0] == "sat":
+        check_schema(doc, "sat.schema.json")
+        assert doc["found"] is True
     else:
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
 
@@ -253,6 +274,17 @@ def test_lab_dump_writes_structure_documents(tmp_path, capsys):
     check_schema(sample, "structure.schema.json")
     from unifrag import parse_structure
     parse_structure(Path(doc["written"][0]).read_text())
+
+
+def test_sat_human_output_has_no_wall_time(capsys):
+    runs = []
+    for _ in range(2):
+        code, out, err = invoke(capsys, "sat", "--max-size", "2", "-e", "A x. E y. S(x,y)")
+        assert code == 0
+        assert re.search(r"\d+\.\d{3}s", err) and not re.search(r"\d+\.\d{3}s", out)
+        runs.append(out)
+    assert runs[0] == runs[1]
+    assert runs[0].startswith("model of size 1 (")
 
 
 def test_json_mode_is_byte_identical(capsys):

@@ -40,6 +40,9 @@ def test_top_has_a_singleton_model():
 def test_infinity_axioms_have_no_small_model():
     report = find_model(WITNESS, BINARY, 4)
     assert not report.found
+    # the search order is fixed, and so is the number of nodes it visits
+    assert find_model(WITNESS, BINARY, 5).nodes_examined == 8103
+    assert find_model(WITNESS, BINARY, 5, prune=True).nodes_examined == 832
 
 
 def test_relaxed_witness_finds_size_two():
@@ -143,3 +146,12 @@ def test_found_model_is_lexicographically_least(seed):
     reference = _lex_first_model(f, BINARY, 2)
     assert find_model(f, BINARY, 2).model == reference
     assert find_model(f, BINARY, 2, prune=True).model == reference
+
+
+def test_search_depth_is_not_bounded_by_the_interpreter_stack():
+    # one cell per symbol at size 1; far more cells than stack frames
+    vocab = Vocabulary({f"P{i}": 1 for i in range(1200)})
+    report = find_model(parse_formula("A x. P999(x)"), vocab, 1, cell_limit=5000)
+    assert report.found
+    assert report.model.relations["P999"] == {("e0",)}
+    assert not any(report.model.relations[f"P{i}"] for i in range(1200) if i != 999)

@@ -9,7 +9,9 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      infer_vocabulary, parse_formula, print_formula,
                      validate_formula)
 from unifrag.fragments import FragmentId
-from unifrag.syntax import MAX_NESTING
+from unifrag.dl import parse_concept
+from unifrag.dlr import parse_dlr_concept
+from unifrag.syntax import MAX_ARITY, MAX_DIGITS, MAX_NESTING, _tokenize
 
 from strategies import VOCAB, gen_any_formula, gen_formula
 
@@ -27,6 +29,9 @@ def test_parse_true_is_top():
 def test_parse_counting():
     f = parse_formula("E[>=3] x. P(x)")
     assert f == CountExists(">=", 3, "x", Atom("P", ("x",)))
+    assert parse_formula("E[=12] x. P(x)") == CountExists("=", 12, "x", Atom("P", ("x",)))
+    bound = int("9" * MAX_DIGITS)
+    assert parse_formula(f"E[<={bound}] x. P(x)").bound == bound
 
 
 def test_print_top_and_equality():
@@ -96,11 +101,19 @@ def test_infer_vocabulary_consistency():
 
 
 def test_vocabulary_invariants():
-    from unifrag import VocabularyError
+    from unifrag import StructureError, VocabularyError, parse_structure
     with pytest.raises(VocabularyError):
         Vocabulary({"=": 2})
     with pytest.raises(VocabularyError):
         Vocabulary({"R": 0})
+    Vocabulary({"R": MAX_ARITY})
+    with pytest.raises(VocabularyError, match="exceeds the limit"):
+        Vocabulary({"R": MAX_ARITY + 1})
+    wide = f"R({','.join(f'x{i}' for i in range(MAX_ARITY + 1))})"
+    with pytest.raises(VocabularyError, match="exceeds the limit"):
+        infer_vocabulary(parse_formula(wide))
+    with pytest.raises(StructureError, match="exceeds the limit"):
+        parse_structure('{"domain": ["a"], "arities": {"R": %d}}' % (MAX_ARITY + 1))
 
 
 def test_block_needs_variables():
@@ -126,3 +139,32 @@ def test_round_trip_fragment_formulas(seed):
     f = gen_formula(rng, frag, depth=3)
     assert parse_formula(print_formula(f), VOCAB) == f
     validate_formula(f, VOCAB)
+
+
+def test_token_positions_across_lines_tabs_and_unicode_spaces():
+    text = "E y.\n\t(P(y)\u00a0&\r\n\u3000 Q(y))"  # a no-break and an ideographic space
+    toks = [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    assert toks == [
+        ("NAME", "E", 1, 1), ("NAME", "y", 1, 3), ("DOT", ".", 1, 4),
+        ("LPAREN", "(", 2, 2), ("NAME", "P", 2, 3), ("LPAREN", "(", 2, 4),
+        ("NAME", "y", 2, 5), ("RPAREN", ")", 2, 6), ("AMP", "&", 2, 8),
+        ("NAME", "Q", 3, 3), ("LPAREN", "(", 3, 4), ("NAME", "y", 3, 5),
+        ("RPAREN", ")", 3, 6), ("RPAREN", ")", 3, 7), ("EOF", "", 3, 8)]
+    with pytest.raises(ParseError, match="2:3: unexpected character 'é'"):
+        _tokenize("P(x)\n\t(é")
+
+
+LONG = "1" + "0" * MAX_DIGITS  # one digit more than the bound
+
+
+@pytest.mark.parametrize("parse, text, column", [
+    (parse_formula, f"E[>={LONG}] x. P(x)", 5),
+    (parse_concept, f"exists perm[1,{LONG}]R.(A)", 15),
+    (parse_dlr_concept, f"exists[${LONG}] R", 9),
+    (parse_dlr_concept, f"(<={LONG} [$1] R)", 4),
+    (parse_dlr_concept, f"exists R|$1,${LONG} . A", 14),
+    (parse_dlr_concept, f"exists[$1] top{LONG}", 15),
+])
+def test_integer_literals_past_the_digit_bound_are_parse_errors(parse, text, column):
+    with pytest.raises(ParseError, match=f"1:{column}: integer literal longer than"):
+        parse(text)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (FragmentGateError, Vocabulary, make_structure,
-                     parse_formula, print_formula, satisfaction_set)
+from unifrag import (ArityError, FragmentGateError, Vocabulary, VocabularyError,
+                     make_structure, parse_formula, print_formula, satisfaction_set)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.syntax import And, Atom, Equals, ExistsBlock, Top
@@ -302,3 +302,41 @@ def test_explicit_top_mode_emits_top_atoms():
         s = make_structure(base.domain, dict(vocab.symbols), rels)
         assert (satisfaction_set(s, f).elements
                 == dlr.dlr_concept_extension(s, c, topn="explicit"))
+
+
+@pytest.mark.parametrize("c", [
+    dlr.ExistsProj(3, dlr.AtomicRole("R")),
+    dlr.ExistsE(dlr.Proj(dlr.AtomicRole("R"), 1, 3), dlr.AtomicConcept("A")),
+    dlr.ExistsE(dlr.Proj(dlr.NotR(dlr.AtomicRole("R")), 3, 3), dlr.Top1()),
+])
+def test_dlr_arity_errors_agree_between_extension_and_translation(c):
+    # one rule for positions: the extension and the translation refuse the
+    # same concept with the same error
+    vocab = Vocabulary({"R": 2, "A": 1})
+    s = make_structure(("a",), dict(vocab.symbols), {})
+    with pytest.raises(ArityError) as from_extension:
+        dlr.dlr_concept_extension(s, c)
+    with pytest.raises(ArityError) as from_translation:
+        dlr0_to_fu1(c, vocab)
+    assert str(from_translation.value) == str(from_extension.value)
+    assert "out of range for a role of arity 2" in str(from_extension.value)
+
+
+@pytest.mark.parametrize("c", [
+    dl.AtomicConcept("R"),
+    dl.NotC(dl.AndC(dl.AtomicConcept("A"), dl.AtomicConcept("R"))),
+])
+def test_binary_symbol_as_concept_errors_agree(c):
+    # dl and dlr share the concept core, so one concept object serves both
+    vocab = Vocabulary({"R": 2, "A": 1})
+    s = make_structure(("a",), dict(vocab.symbols), {})
+    for refuse in (lambda: dl.concept_extension(s, c), lambda: dl_to_fu1(c, vocab),
+                   lambda: dlr.dlr_concept_extension(s, c), lambda: dlr0_to_fu1(c, vocab)):
+        with pytest.raises(VocabularyError, match="'R' has arity 2; atomic concepts must be unary"):
+            refuse()
+
+
+def test_dlr_shares_the_dl_concept_core():
+    for name in ("AtomicRole", "AtomicConcept", "NotC", "AndC"):
+        assert getattr(dlr, name) is getattr(dl, name)
+    assert dlr.or_dlr is dl.or_concept
