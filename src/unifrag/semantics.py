@@ -9,17 +9,23 @@ so there the core is two-valued; :mod:`unifrag.modelfind` compiles with
 atoms that read a partial interpretation.  ``evaluate_naive`` enumerates
 every branch with its own plain recursion and serves as the reference the
 compiled evaluator is tested against.
+
+``evaluate`` and ``satisfaction_set`` validate and compile a formula once
+per vocabulary and reuse the result across structures: the last formula
+prepared stays in a one-entry cache, keyed on the formula object and an
+equal vocabulary, until a call asks for another.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EvalError
 from .structures import Structure
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Not, Or, Top,
+                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
                      free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
@@ -39,11 +45,15 @@ class SatisfactionSet:
 
 def _check_inputs(s: Structure, a: Assignment, f: Formula):
     validate_formula(f, s.vocabulary)
+    _check_assignment(s, a, free_variables(f))
+
+
+def _check_assignment(s: Structure, a: Assignment, free: frozenset[str]):
     dom = set(s.domain)
     for var, val in a.items():
         if val not in dom:
             raise EvalError(f"assignment maps {var!r} to {val!r}, not a domain element")
-    unbound = free_variables(f) - a.keys()
+    unbound = free - a.keys()
     if unbound:
         raise EvalError(f"unbound free variables: {', '.join(sorted(unbound))}")
 
@@ -51,19 +61,72 @@ def _check_inputs(s: Structure, a: Assignment, f: Formula):
 def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
     """Standard satisfaction; quantifier blocks are iterated quantification
     and E[cmp k] x. f counts the witnesses for x."""
-    _check_inputs(s, a, f)
-    return _compile_on_structure(s, f, dict(a))()
+    p = _take(f, s) or _Prepared(f, s.vocabulary)
+    try:
+        _check_assignment(s, a, p.free)
+        p.bind(s, a)
+        return p.test()
+    finally:
+        p.release()
 
 
-def _compile_on_structure(s: Structure, f: Formula, asg: dict[str, str]) -> Closure:
-    """``f`` compiled over a total structure: atoms test tuple membership,
-    so every closure answers True or False."""
+class _Prepared:
+    """``formula`` validated against ``vocabulary`` and compiled once.
 
-    def atom(g: Atom) -> Closure:
-        rel, args = s.relations[g.rel], g.args
-        return lambda: tuple([asg[v] for v in args]) in rel
+    The closures quantify over ``domain``, look atoms up in ``relations``
+    and read variables from ``asg``.  ``bind`` fills the three from one
+    structure over the vocabulary and one assignment for the length of a
+    call.  ``release`` empties them again, so that no structure outlives
+    its call, and puts the record back in the cache.
+    """
 
-    return compile_formula(f, s.domain, atom, asg)
+    __slots__ = ("formula", "vocabulary", "free", "domain", "relations", "asg", "test")
+
+    def __init__(self, f: Formula, vocabulary: Vocabulary,
+                 free: Optional[frozenset[str]] = None):
+        validate_formula(f, vocabulary)
+        self.formula, self.vocabulary = f, vocabulary
+        self.free = free_variables(f) if free is None else free
+        self.domain: list[str] = []
+        self.relations: dict[str, frozenset[tuple[str, ...]]] = {}
+        self.asg: dict[str, str] = {}
+        relations, asg = self.relations, self.asg
+
+        def atom(g: Atom) -> Closure:
+            name, args = g.rel, g.args
+            return lambda: tuple([asg[v] for v in args]) in relations[name]
+
+        self.test = compile_formula(f, self.domain, atom, asg)
+
+    def bind(self, s: Structure, a: Assignment) -> None:
+        self.domain[:] = s.domain
+        self.relations.update(s.relations)
+        self.asg.update(a)
+
+    def release(self) -> None:
+        self.domain.clear()
+        self.relations.clear()
+        self.asg.clear()
+        _slot.append(self)
+
+
+# The one cached record.  A call takes it out while it runs and releases it
+# (or its own) back afterwards, so concurrent or re-entrant calls never
+# share a record's bindings.  Holding the formula keeps its id from being
+# reused while it is cached.
+_slot: deque[_Prepared] = deque(maxlen=1)
+
+
+def _take(f: Formula, s: Structure) -> Optional[_Prepared]:
+    """The cached record when it was prepared for ``f`` over a vocabulary
+    equal to that of ``s``; the slot is left empty either way."""
+    try:
+        p = _slot.pop()
+    except IndexError:
+        return None
+    if p.formula is f and (p.vocabulary is s.vocabulary or p.vocabulary == s.vocabulary):
+        return p
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +317,22 @@ def _ev_naive(s, a, f) -> bool:
 def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     """All domain elements satisfying a formula with at most one free
     variable; a sentence yields the full domain or the empty set."""
-    fv = free_variables(f)
+    p = _take(f, s)
+    fv = free_variables(f) if p is None else p.free
     if len(fv) > 1:
         raise EvalError(
             f"satisfaction_set needs at most one free variable, got {sorted(fv)}")
-    validate_formula(f, s.vocabulary)
-    asg: dict[str, str] = {}
-    test = _compile_on_structure(s, f, asg)
-    if not fv:
-        return SatisfactionSet(f, frozenset(s.domain) if test() else frozenset())
-    (x,) = fv
-    elements = []
-    for d in s.domain:
-        asg[x] = d
-        if test():
-            elements.append(d)
-    return SatisfactionSet(f, frozenset(elements))
+    p = p or _Prepared(f, s.vocabulary, fv)
+    try:
+        p.bind(s, {})
+        if not fv:
+            return SatisfactionSet(f, frozenset(s.domain) if p.test() else frozenset())
+        (x,) = fv
+        asg, test, elements = p.asg, p.test, []
+        for d in s.domain:
+            asg[x] = d
+            if test():
+                elements.append(d)
+        return SatisfactionSet(f, frozenset(elements))
+    finally:
+        p.release()

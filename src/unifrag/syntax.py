@@ -60,7 +60,7 @@ class Vocabulary:
         for name, arity in self.symbols.items():
             if name == "=":
                 raise VocabularyError("'=' is reserved for built-in equality")
-            if not isinstance(arity, int) or arity < 1:
+            if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
                 raise VocabularyError(f"arity of {name!r} must be a positive integer, got {arity!r}")
             if arity > MAX_ARITY:
                 raise VocabularyError(

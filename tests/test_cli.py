@@ -206,6 +206,8 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
     # 1,200 interpretation cells: model search must not recurse per cell
     (["sat", "--max-size", "1", "--cell-limit", "5000", "--vocab", "MANY",
       "-e", "A x. P999(x)"], 0),
+    # a JSON true where an arity belongs
+    (["parse", "--vocab", "BOOL", "-e", "P(x)"], 2),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"
@@ -217,7 +219,10 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     big.write_text(json.dumps({"R": 200000}))
     many = tmp_path / "many.json"
     many.write_text(json.dumps({f"P{i}": 1 for i in range(1200)}))
-    files = {"VOCAB": str(vocab), "MODEL": str(model), "BIG": str(big), "MANY": str(many)}
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"P": True}))
+    files = {"VOCAB": str(vocab), "MODEL": str(model), "BIG": str(big), "MANY": str(many),
+             "BOOL": str(boolean)}
     argv = [files.get(a, a) for a in argv]
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == expected

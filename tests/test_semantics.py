@@ -1,12 +1,17 @@
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (EvalError, disjoint_union, evaluate, evaluate_naive,
-                     make_structure, parse_formula, satisfaction_set)
+from unifrag import (EvalError, Vocabulary, disjoint_union, evaluate,
+                     evaluate_naive, make_structure, parse_formula,
+                     satisfaction_set)
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Implies, Not, Or, Top)
@@ -122,6 +127,122 @@ def test_satisfaction_set_rejects_two_free_variables():
 
 
 # ---------------------------------------------------------------------------
+# The prepared-formula cache: reuse must never skip a check or share state
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """What a call answers, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+
+
+def _naive_set(s, f):
+    """``satisfaction_set`` of a formula free in at most ``x``, from the
+    reference evaluator (validation errors are those of ``evaluate_naive``)."""
+    answers = [_outcome(evaluate_naive, s, {"x": d}, f) for d in s.domain]
+    errors = [r for r in answers if not isinstance(r, bool)]
+    if errors:
+        return errors[0]
+    return frozenset(d for d, r in zip(s.domain, answers) if r)
+
+
+def _set_outcome(s, f):
+    r = _outcome(satisfaction_set, s, f)
+    return r if isinstance(r, tuple) else r.elements
+
+
+def test_one_formula_over_differing_vocabularies():
+    f = parse_formula("E y. (R(x,y) & Q(y))")
+    structures = [
+        make_structure(["a", "b"], {"R": 2, "Q": 1}, {"R": {("a", "b")}, "Q": {("b",)}}),
+        make_structure(["a", "b"], {"R": 2}, {"R": {("a", "b")}}),          # lacks Q
+        make_structure(["a", "b"], {"R": 3, "Q": 1}, {"Q": {("b",)}}),     # R is ternary
+    ]
+    for order in itertools.permutations(structures):
+        for s in order:
+            for _ in range(2):  # a repeated call may be served from the cache
+                assert (_outcome(evaluate, s, {"x": "a"}, f)
+                        == _outcome(evaluate_naive, s, {"x": "a"}, f))
+                assert _set_outcome(s, f) == _naive_set(s, f)
+
+
+def test_satisfaction_set_free_variable_error_comes_first():
+    s = make_structure(["a"], {"R": 2})
+    message = r"at most one free variable, got \['x', 'y'\]"
+    with pytest.raises(EvalError, match=message):
+        satisfaction_set(s, parse_formula("(R(x,y) & W(x))"))
+    g = parse_formula("R(x,y)")
+    assert evaluate(s, {"x": "a", "y": "a"}, g) is False  # caches g
+    with pytest.raises(EvalError, match=message):
+        satisfaction_set(s, g)
+
+
+def test_assignment_checks_survive_a_cache_hit():
+    s = make_structure(["a"], {"P": 1}, {"P": {("a",)}})
+    f = parse_formula("P(x)")
+    assert evaluate(s, {"x": "a"}, f) is True
+    assert evaluate(s, {"x": "a"}, f) is True
+    with pytest.raises(EvalError, match="not a domain element"):
+        evaluate(s, {"x": "zz"}, f)
+    with pytest.raises(EvalError, match="unbound"):
+        evaluate(s, {}, f)
+    with pytest.raises(EvalError, match="unbound"):
+        evaluate(s, {"y": "a"}, f)
+
+
+def test_no_structure_outlives_its_call():
+    f = parse_formula("E y. R(x,y)")
+    calls = (lambda s: evaluate(s, {"x": "a"}, f),
+             lambda s: satisfaction_set(s, f),
+             lambda s: _outcome(evaluate, s, {"x": "zz"}, f))
+    for call in calls:
+        s = make_structure(["a", "b"], {"R": 2}, {"R": {("a", "b")}})
+        refs = [weakref.ref(s), weakref.ref(s.relations["R"])]
+        call(s)
+        del s
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+
+def test_threads_never_share_a_prepared_formula():
+    f = parse_formula("E y. (R(x,y) & ~E z. (R(y,z) & ~z = x))")
+    structures = []
+    for i in range(4):
+        rng = random.Random(i)
+        dom = [f"t{i}e{j}" for j in range(3 + i)]
+        edges = {(u, v) for u in dom for v in dom if rng.random() < 0.4}
+        structures.append(make_structure(dom, {"R": 2}, {"R": edges}))
+    expected = [[evaluate_naive(s, {"x": d}, f) for d in s.domain] for s in structures]
+    got: dict[int, list] = {}
+
+    def work(i):
+        s, answers = structures[i], []
+        try:
+            for _ in range(150):
+                answers.append([evaluate(s, {"x": d}, f) for d in s.domain])
+                answers.append([d in satisfaction_set(s, f).elements for d in s.domain])
+        except Exception as e:  # noqa: BLE001 - reported by the assertion below
+            answers.append(e)
+        got[i] = answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(4):
+        assert got[i] == [expected[i]] * 300
+
+
+# ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
@@ -133,15 +254,30 @@ def _case(seed, max_size=3):
     return rng, s, f, a
 
 
+# a second vocabulary: no Q or T, and R is ternary
+OTHER_VOCAB = Vocabulary({"R": 3, "P": 1})
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**9))
-def test_oracle_and_naive_agreement(seed):
+@given(st.integers(0, 10**9), st.integers(0, 10**9))
+def test_oracle_and_naive_agreement(seed, pool_seed):
     _, s, f, a = _case(seed)
     expected = oracle_eval(s, a, f)
     assert evaluate(s, a, f) == expected
     assert evaluate_naive(s, a, f) == expected
     assert satisfaction_set(s, f).elements == {d for d in s.domain
                                                if oracle_eval(s, {"x": d}, f)}
+    # a few formula objects in random order over structures of two
+    # vocabularies, so that cache hits and evictions interleave
+    rng = random.Random(pool_seed)
+    pool = [gen_any_formula(rng, depth=2, pool=("x",)) for _ in range(3)]
+    structures = [gen_structure(rng, rng.choice((VOCAB, OTHER_VOCAB)), max_size=3)
+                  for _ in range(3)]
+    for _ in range(12):
+        f, s = rng.choice(pool), rng.choice(structures)
+        a = {"x": rng.choice(s.domain)}
+        assert _outcome(evaluate, s, a, f) == _outcome(evaluate_naive, s, a, f)
+        assert _set_outcome(s, f) == _naive_set(s, f)
 
 
 @settings(max_examples=150, deadline=None)

@@ -114,6 +114,11 @@ def test_vocabulary_invariants():
         infer_vocabulary(parse_formula(wide))
     with pytest.raises(StructureError, match="exceeds the limit"):
         parse_structure('{"domain": ["a"], "arities": {"R": %d}}' % (MAX_ARITY + 1))
+    # a JSON true is an int to Python, but no arity
+    with pytest.raises(VocabularyError, match="positive integer"):
+        Vocabulary({"P": True})
+    with pytest.raises(StructureError, match="positive integer"):
+        parse_structure('{"domain": ["a"], "arities": {"P": true}}')
 
 
 def test_block_needs_variables():
