@@ -3,7 +3,11 @@ quantifiers.
 
 ``compile_formula`` is the one evaluator core: it compiles a formula into
 closures with three-valued (Kleene) connectives and quantifiers, leaving
-the atoms to a caller-supplied factory.  ``evaluate`` and
+the atoms to a caller-supplied factory.  A quantifier block does not test
+its whole body for every tuple of its variables: each conjunct under ``E``
+(disjunct under ``A``) is tested in the loop of the last block variable it
+mentions, which the strong Kleene tables allow without changing any
+answer (see ``compile_formula``).  ``evaluate`` and
 ``satisfaction_set`` compile with atoms that look tuples up in a structure,
 so there the core is two-valued; :mod:`unifrag.modelfind` compiles with
 atoms that read a partial interpretation.  ``evaluate_naive`` enumerates
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EvalError
@@ -93,8 +98,12 @@ class _Prepared:
         relations, asg = self.relations, self.asg
 
         def atom(g: Atom) -> Closure:
-            name, args = g.rel, g.args
-            return lambda: tuple([asg[v] for v in args]) in relations[name]
+            name = g.rel
+            if len(g.args) == 1:
+                (v,) = g.args
+                return lambda: (asg[v],) in relations[name]
+            key = itemgetter(*g.args)  # a tuple, also for R(x,x)
+            return lambda: key(asg) in relations[name]
 
         self.test = compile_formula(f, self.domain, atom, asg)
 
@@ -143,129 +152,183 @@ def compile_formula(f: Formula, domain: Sequence, atom: Callable[[Atom], Closure
     strong Kleene tables, so a definite answer never changes however the
     undetermined atoms are later decided.  When no atom answers None the
     evaluation is ordinary two-valued satisfaction.
+
+    A quantifier block tests each part of its body in the loop of the last
+    block variable the part mentions.  The parts are the conjuncts under
+    ``E`` and the disjuncts under ``A``, where ``a -> b`` gives ``~a`` and
+    the parts of ``b``; a part without a block variable is tested before the
+    block's loops.  Each loop joins its parts, in text order, with the next
+    loop inwards.  This rests on Ez(p & q) = p & Ez q and Az(p | q) = p |
+    Az q for z not free in p, which hold in the strong Kleene tables (a De
+    Morgan algebra), so every answer, None included, is the one the whole
+    body tested in the innermost loop would give.
     """
-    if isinstance(f, Top):
-        return lambda: True
-    if isinstance(f, Bottom):
-        return lambda: False
-    if isinstance(f, Atom):
-        return atom(f)
-    if isinstance(f, Equals):
-        left, right = f.left, f.right
-        return lambda: asg[left] == asg[right]
-    if isinstance(f, Not):
-        g = compile_formula(f.body, domain, atom, asg)
+    def comp(f: Formula) -> tuple[Closure, frozenset[str]]:
+        """The closure of ``f`` and the free variables of ``f``."""
+        if isinstance(f, Atom):
+            return atom(f), frozenset(f.args)
+        if isinstance(f, Not):
+            g, free = comp(f.body)
+            return _not(g), free
+        if isinstance(f, (And, Or, Implies)):
+            (gl, fl), (gr, fr) = comp(f.left), comp(f.right)
+            if isinstance(f, Implies):
+                gl = _not(gl)
+            return _join([gl, gr], not isinstance(f, And)), fl | fr
+        if isinstance(f, (ExistsBlock, ForallBlock)):
+            return block(f.vars, f.body, isinstance(f, ExistsBlock))
+        if isinstance(f, Equals):
+            left, right = f.left, f.right
+            return (lambda: asg[left] == asg[right]), frozenset((left, right))
+        if isinstance(f, Top):
+            return (lambda: True), frozenset()
+        if isinstance(f, Bottom):
+            return (lambda: False), frozenset()
+        if isinstance(f, CountExists):
+            body, free = comp(f.body)
+            return _count(f.cmp, f.bound, f.var, body, domain, asg), free - {f.var}
+        raise TypeError(f"not a formula: {f!r}")
 
-        def ev_not():
-            v = g()
-            return None if v is None else not v
+    def split(f: Formula, exists: bool, parts: list) -> None:
+        """Append the compiled parts of the body ``f`` of an ``E`` (``exists``)
+        or ``A`` block to ``parts``."""
+        if isinstance(f, And if exists else Or):
+            split(f.left, exists, parts)
+            split(f.right, exists, parts)
+        elif not exists and isinstance(f, Implies):
+            g, free = comp(f.left)
+            parts.append((_not(g), free))
+            split(f.right, exists, parts)
+        else:
+            parts.append(comp(f))
 
-        return ev_not
-    if isinstance(f, (And, Or, Implies)):
-        gl = compile_formula(f.left, domain, atom, asg)
-        gr = compile_formula(f.right, domain, atom, asg)
-        if isinstance(f, And):
-            def ev_and():
-                a = gl()
-                if a is False:
-                    return False
-                b = gr()
-                if b is False:
-                    return False
-                return True if (a and b) else None
+    def block(vars: tuple[str, ...], body: Formula,
+              exists: bool) -> tuple[Closure, frozenset[str]]:
+        parts: list[tuple[Closure, frozenset[str]]] = []
+        split(body, exists, parts)
+        # levels[0] is tested outside the loops, levels[i] in the loop of vars[i-1]
+        n = len(vars)
+        levels: list[list[Closure]] = [[] for _ in range(n + 1)]
+        free: set[str] = set()
+        for g, part_free in parts:
+            i = n
+            while i and vars[i - 1] not in part_free:
+                i -= 1
+            levels[i].append(g)
+            free |= part_free
+        zero = not exists  # the value that decides a conjunction (E) or disjunction (A)
+        g = _join(levels[n], zero)
+        for i in range(n - 1, -1, -1):
+            levels[i].append(_loop(vars[i], g, exists, domain, asg))
+            g = _join(levels[i], zero)
+        free.difference_update(vars)
+        return g, frozenset(free)
 
-            return ev_and
-        if isinstance(f, Or):
-            def ev_or():
-                a = gl()
-                if a is True:
-                    return True
-                b = gr()
-                if b is True:
-                    return True
-                return False if (a is False and b is False) else None
+    return comp(f)[0]
 
-            return ev_or
 
-        def ev_implies():
+def _not(g: Closure) -> Closure:
+    def ev_not():
+        v = g()
+        return None if v is None else not v
+
+    return ev_not
+
+
+def _join(gs: list[Closure], zero: bool) -> Closure:
+    """The strong Kleene conjunction (``zero`` False) or disjunction
+    (``zero`` True) of ``gs``, testing them in order until one is ``zero``."""
+    if len(gs) == 1:
+        return gs[0]
+    unit = not zero
+    if not gs:
+        return lambda: unit
+    if len(gs) == 2:
+        gl, gr = gs
+
+        def ev_join2():
             a = gl()
-            if a is False:
-                return True
+            if a is zero:
+                return zero
             b = gr()
-            if b is True:
-                return True
-            if a is True and b is False:
-                return False
-            return None
+            if b is zero:
+                return zero
+            return None if a is None or b is None else unit
 
-        return ev_implies
-    if isinstance(f, (ExistsBlock, ForallBlock)):
-        body = compile_formula(f.body, domain, atom, asg)
-        exists = isinstance(f, ExistsBlock)
+        return ev_join2
 
-        def make(vars: tuple[str, ...]) -> Closure:
-            if not vars:
-                return body
-            inner = make(vars[1:])
-            var = vars[0]
+    gs = tuple(gs)
 
-            def ev_quant():
-                saw_unknown = False
-                saved = asg.get(var, _MISSING)
-                try:
-                    for d in domain:
-                        asg[var] = d
-                        r = inner()
-                        if r is exists:
-                            return exists
-                        if r is None:
-                            saw_unknown = True
-                finally:
-                    if saved is _MISSING:
-                        del asg[var]
-                    else:
-                        asg[var] = saved
-                return None if saw_unknown else (not exists)
+    def ev_join():
+        unknown = False
+        for g in gs:
+            v = g()
+            if v is zero:
+                return zero
+            if v is None:
+                unknown = True
+        return None if unknown else unit
 
-            return ev_quant
+    return ev_join
 
-        return make(f.vars)
-    if isinstance(f, CountExists):
-        body = compile_formula(f.body, domain, atom, asg)
-        var, bound, cmp = f.var, f.bound, f.cmp
 
-        def ev_count():
-            true_count = unknown = 0
-            saved = asg.get(var, _MISSING)
-            try:
-                for d in domain:
-                    asg[var] = d
-                    r = body()
-                    if r is True:
-                        true_count += 1
-                    elif r is None:
-                        unknown += 1
-                    if cmp == ">=" and true_count >= bound:
-                        return True
-                    if cmp != ">=" and true_count > bound:
-                        return False
-            finally:
-                if saved is _MISSING:
-                    del asg[var]
-                else:
-                    asg[var] = saved
-            if cmp == ">=":
-                return False if true_count + unknown < bound else None
-            if cmp == "<=":
-                return True if true_count + unknown <= bound else None
-            if true_count + unknown < bound:
-                return False
-            if true_count == bound and unknown == 0:
-                return True
-            return None
+def _loop(var: str, body: Closure, exists: bool, domain: Sequence, asg: dict) -> Closure:
+    """``E var. body`` when ``exists``, else ``A var. body``."""
+    def ev_quant():
+        saw_unknown = False
+        saved = asg.get(var, _MISSING)
+        try:
+            for d in domain:
+                asg[var] = d
+                r = body()
+                if r is exists:
+                    return exists
+                if r is None:
+                    saw_unknown = True
+        finally:
+            if saved is _MISSING:
+                del asg[var]
+            else:
+                asg[var] = saved
+        return None if saw_unknown else (not exists)
 
-        return ev_count
-    raise TypeError(f"not a formula: {f!r}")
+    return ev_quant
+
+
+def _count(cmp: str, bound: int, var: str, body: Closure, domain: Sequence,
+           asg: dict) -> Closure:
+    """``E[cmp bound] var. body``."""
+    def ev_count():
+        true_count = unknown = 0
+        saved = asg.get(var, _MISSING)
+        try:
+            for d in domain:
+                asg[var] = d
+                r = body()
+                if r is True:
+                    true_count += 1
+                elif r is None:
+                    unknown += 1
+                if cmp == ">=" and true_count >= bound:
+                    return True
+                if cmp != ">=" and true_count > bound:
+                    return False
+        finally:
+            if saved is _MISSING:
+                del asg[var]
+            else:
+                asg[var] = saved
+        if cmp == ">=":
+            return False if true_count + unknown < bound else None
+        if cmp == "<=":
+            return True if true_count + unknown <= bound else None
+        if true_count + unknown < bound:
+            return False
+        if true_count == bound and unknown == 0:
+            return True
+        return None
+
+    return ev_count
 
 
 def evaluate_naive(s: Structure, a: Assignment, f: Formula) -> bool:

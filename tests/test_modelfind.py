@@ -18,6 +18,9 @@ WITNESS = parse_formula(
     "((A x. E y. S(x,y)) & (E x. A y. ~S(y,x)) & (A x. E[<=1] y. S(y,x)))")
 WITNESS_RELAXED = parse_formula("((A x. E y. S(x,y)) & (E x. A y. ~S(y,x)))")
 THREE_DISTINCT = parse_formula("E x y z. (~(x = y) & ~(x = z) & ~(y = z))")
+# a strict order without a greatest element: no finite model
+UNBOUNDED_ORDER = parse_formula(
+    "((A x y z. ((R(x,y) & R(y,z)) -> R(x,z))) & (A x. ~R(x,x)) & (A x. E y. R(x,y)))")
 
 
 def test_three_distinct_elements_need_size_three():
@@ -43,6 +46,10 @@ def test_infinity_axioms_have_no_small_model():
     # the search order is fixed, and so is the number of nodes it visits
     assert find_model(WITNESS, BINARY, 5).nodes_examined == 8103
     assert find_model(WITNESS, BINARY, 5, prune=True).nodes_examined == 832
+    # a multi-variable block, whose parts are tested in separate loops
+    report = find_model(UNBOUNDED_ORDER, Vocabulary({"R": 2}), 4)
+    assert not report.found and report.nodes_examined == 512
+    assert find_model(UNBOUNDED_ORDER, Vocabulary({"R": 2}), 4, prune=True).nodes_examined == 169
 
 
 def test_relaxed_witness_finds_size_two():

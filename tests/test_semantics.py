@@ -13,11 +13,13 @@ from unifrag import (EvalError, Vocabulary, disjoint_union, evaluate,
                      evaluate_naive, make_structure, parse_formula,
                      satisfaction_set)
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
+from unifrag.semantics import compile_formula
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
-                            ExistsBlock, ForallBlock, Implies, Not, Or, Top)
+                            ExistsBlock, ForallBlock, Implies, Not, Or, Top,
+                            free_variables)
 
-from strategies import (VOCAB, alpha_rename_once, gen_any_formula,
-                        gen_structure)
+from strategies import (VOCAB, alpha_rename_once, enum_structures,
+                        gen_any_formula, gen_structure)
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +343,145 @@ def test_triangle_locality_over_disjoint_unions(seed):
     lhs = evaluate(u, {}, TRIANGLE)
     rhs = evaluate(s1, {}, TRIANGLE) or evaluate(s2, {}, TRIANGLE)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Quantifier blocks test each part of their body in the loop of its last
+# block variable; these shapes cover every case of that rule
+# ---------------------------------------------------------------------------
+
+BLOCK_SHAPES = [
+    "E x y. P(x)",                                          # vacuous y
+    "A x y. R(y,y)",                                        # vacuous x
+    "E y. (P(x) & R(x,y))",                                 # a part without y
+    "A y. (P(x) | R(x,y) | P(y))",
+    "E x y. (true & R(x,y))",
+    "E y z. (R(y,z) & false)",
+    "A x y. (false | R(x,y) | P(y))",
+    "A x y. (true | R(x,y))",
+    "A x y z. ((R(x,y) & R(y,z)) -> R(x,z))",
+    "A y z. (R(x,y) -> (P(z) | R(y,z)))",                   # a disjunction under A
+    "A y z. (R(y,z) | P(y) | ~(x = z))",
+    "E x. A y z. (R(y,z) -> (x = y | x = z))",              # equality parts
+    "E y z. (~(y = z) & R(x,y) & x = z)",
+    "E x y. (R(x,y) & A z. (R(y,z) -> P(z)))",              # a block inside a part
+    "A y. (P(y) -> E z w. (R(y,z) & R(z,w) & ~(w = x)))",
+    "E y z. (R(x,y) & E z. (R(z,y) & P(z)) & ~R(y,z))",     # an inner block rebinds z
+]
+
+_CYCLES = disjoint_copies(gen_directed_cycle(4), 3)
+SCHEDULING_STRUCTURES = list(enum_structures({"R": 2, "P": 1}, 2)) + [
+    make_structure(_CYCLES.domain, {"R": 2, "P": 1},
+                   {"R": _CYCLES.relations["R"], "P": {(d,) for d in _CYCLES.domain[::3]}})]
+
+
+@pytest.mark.parametrize("text", BLOCK_SHAPES)
+def test_block_scheduling_against_the_oracle(text):
+    f = parse_formula(text)
+    for s in SCHEDULING_STRUCTURES:
+        if not free_variables(f):
+            expected = oracle_eval(s, {}, f)
+            assert evaluate(s, {}, f) == expected
+            assert satisfaction_set(s, f).elements == (frozenset(s.domain) if expected
+                                                       else frozenset())
+        else:
+            expected = {d for d in s.domain if oracle_eval(s, {"x": d}, f)}
+            assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected
+            assert satisfaction_set(s, f).elements == expected
+
+
+# ---------------------------------------------------------------------------
+# Three-valued answers: the compiled core against a strong Kleene reference
+# over partial atom tables (model search prunes on these answers)
+# ---------------------------------------------------------------------------
+
+def _kleene_and(values):
+    values = list(values)
+    return False if False in values else (None if None in values else True)
+
+
+def _kleene_not(v):
+    return None if v is None else not v
+
+
+def _kleene_or(values):
+    return _kleene_not(_kleene_and(_kleene_not(v) for v in values))
+
+
+def kleene_eval(table, domain, a, f):
+    """Strong Kleene value of ``f``; ``table`` maps (relation, tuple) to
+    True, False or None (undetermined)."""
+    def ev(a, f):
+        if isinstance(f, Top):
+            return True
+        if isinstance(f, Bottom):
+            return False
+        if isinstance(f, Atom):
+            return table[f.rel, tuple(a[v] for v in f.args)]
+        if isinstance(f, Equals):
+            return a[f.left] == a[f.right]
+        if isinstance(f, Not):
+            return _kleene_not(ev(a, f.body))
+        if isinstance(f, And):
+            return _kleene_and([ev(a, f.left), ev(a, f.right)])
+        if isinstance(f, Or):
+            return _kleene_or([ev(a, f.left), ev(a, f.right)])
+        if isinstance(f, Implies):
+            return _kleene_or([_kleene_not(ev(a, f.left)), ev(a, f.right)])
+        if isinstance(f, (ExistsBlock, ForallBlock)):
+            values = [ev({**a, **dict(zip(f.vars, tup))}, f.body)
+                      for tup in itertools.product(domain, repeat=len(f.vars))]
+            return (_kleene_or if isinstance(f, ExistsBlock) else _kleene_and)(values)
+        if isinstance(f, CountExists):
+            values = [ev({**a, f.var: d}, f.body) for d in domain]
+            low, high = values.count(True), len(values) - values.count(False)
+            if f.cmp == ">=":
+                return True if low >= f.bound else (False if high < f.bound else None)
+            if f.cmp == "<=":
+                return True if high <= f.bound else (False if low > f.bound else None)
+            if low == high == f.bound:
+                return True
+            return False if low > f.bound or high < f.bound else None
+        raise TypeError(f)
+
+    return ev(a, f)
+
+
+def _blocky_formula(rng, depth, pool):
+    """A quantifier block of two or three variables over two to four
+    generated parts, joined by random connectives; parts may nest blocks."""
+    vars = tuple(rng.sample(("w1", "w2", "w3", "w4"), rng.randint(2, 3)))
+    inner = pool + vars
+    parts = [_blocky_formula(rng, depth - 1, inner) if depth > 0 and rng.random() < 0.3
+             else gen_any_formula(rng, 1, inner) for _ in range(rng.randint(2, 4))]
+    body = parts[0]
+    for part in parts[1:]:
+        body = rng.choice((And, Or, Implies))(body, part)
+    if rng.random() < 0.2:
+        body = Not(body)
+    return rng.choice((ExistsBlock, ForallBlock))(vars, body)
+
+
+def test_three_valued_answers_match_a_kleene_reference():
+    answers = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        domain = [f"e{i}" for i in range(rng.randint(1, 3))]
+        table = {(rel, t): rng.choice((True, False, None, None))
+                 for rel, arity in VOCAB.symbols.items()
+                 for t in itertools.product(domain, repeat=arity)}
+        f = _blocky_formula(rng, 1, ("x",))
+        asg = {}
+
+        def atom(g):
+            return lambda: table[g.rel, tuple(asg[v] for v in g.args)]
+
+        test = compile_formula(f, domain, atom, asg)
+        for d in domain:
+            asg["x"] = d
+            got = test()
+            assert got is kleene_eval(table, domain, {"x": d}, f), (seed, d)
+            assert asg == {"x": d}
+            answers.append(got)
+    # 127 None, 343 True and 301 False answers
+    assert min(answers.count(v) for v in (True, False, None)) >= 100
