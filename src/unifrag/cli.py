@@ -70,7 +70,10 @@ def _read_input(args) -> str:
 def _load_vocab(path: Optional[str]) -> Optional[Vocabulary]:
     if path is None:
         return None
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise LogicError("vocabulary file nests too deeply to decode") from None
     if not isinstance(raw, dict):
         raise LogicError("vocabulary file must be a JSON object of name: arity")
     return Vocabulary(raw)

@@ -13,7 +13,8 @@ Text grammar::
               | '(<=' k '[$' i ']' role ')'
 
 The built-in n-ary top relation admits two conventions, selected by the
-``topn`` argument of the extension functions:
+``topn`` argument of the extension functions and of
+:func:`unifrag.translate.dlr0_to_fu1`, each of which checks it on entry:
 
 * ``"delta"`` (default): the n-th power of the domain;
 * ``"explicit"``: a relation named ``top<n>`` read from the structure,
@@ -25,8 +26,11 @@ unlike the absolute role negation of the surjection-based logic in
 ``(<=k [$i] R)`` holds the elements occurring at most k times in position
 i over all tuples of R.
 
-Atomic roles and concepts, concept negation and conjunction are the node
-classes of :mod:`unifrag.dl`, checked by its vocabulary rules.
+Atomic roles and concepts, concept negation and conjunction, ``top1``
+(:class:`unifrag.dl.TopC`, the whole domain) and ``eps``
+(:class:`unifrag.dl.Epsilon`, the identity relation) are the node classes
+of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
+differ between the two grammars.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ from itertools import product
 from typing import Union
 
 from .dl import AndC, AtomicConcept, AtomicRole, NotC, atomic_role_arity, check_concept_name
-from .dl import or_concept as or_dlr
+from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
 from .syntax import MAX_ARITY, TokenParser, Vocabulary, nested
 
 TOPN_MODES = ("delta", "explicit")
+
+
+def check_topn_mode(topn: str) -> None:
+    if topn not in TOPN_MODES:
+        raise ValueError(f"topn mode must be one of {TOPN_MODES}, got {topn!r}")
 
 
 def topn_relation_name(n: int) -> str:
@@ -96,11 +105,6 @@ DlrRole = Union[TopN, AtomicRole, Sel, NotR, AndR]
 
 
 @dataclass(frozen=True)
-class Eps:
-    pass
-
-
-@dataclass(frozen=True)
 class Proj:
     """R|$i,$j: the pairs (t_i, t_j) over the tuples t of the role."""
 
@@ -131,11 +135,6 @@ class Star:
 
 
 DlrBinRel = Union[Eps, Proj, Comp, UnionE, Star]
-
-
-@dataclass(frozen=True)
-class Top1:
-    pass
 
 
 @dataclass(frozen=True)
@@ -208,23 +207,22 @@ def role_arity_covering(r: DlrRole, vocab: Vocabulary, what: str, *positions: in
 def _topn_extension(s: Structure, n: int, topn: str) -> frozenset[tuple[str, ...]]:
     if topn == "delta":
         return frozenset(product(s.domain, repeat=n))
-    if topn == "explicit":
-        name = topn_relation_name(n)
-        if name not in s.vocabulary:
+    name = topn_relation_name(n)
+    if name not in s.vocabulary:
+        raise StructureError(
+            f"explicit top mode needs a declared relation {name!r}")
+    if s.vocabulary.arity(name) != n:
+        raise StructureError(f"{name!r} must have arity {n}")
+    ext = s.relations[name]
+    for rel, arity in s.vocabulary.symbols.items():
+        if arity == n and rel != name and not s.relations[rel] <= ext:
             raise StructureError(
-                f"explicit top mode needs a declared relation {name!r}")
-        if s.vocabulary.arity(name) != n:
-            raise StructureError(f"{name!r} must have arity {n}")
-        ext = s.relations[name]
-        for rel, arity in s.vocabulary.symbols.items():
-            if arity == n and rel != name and not s.relations[rel] <= ext:
-                raise StructureError(
-                    f"{name!r} does not cover relation {rel!r}")
-        return ext
-    raise ValueError(f"topn mode must be one of {TOPN_MODES}, got {topn!r}")
+                f"{name!r} does not cover relation {rel!r}")
+    return ext
 
 
 def dlr_role_extension(s: Structure, r: DlrRole, topn: str = "delta") -> frozenset[tuple[str, ...]]:
+    check_topn_mode(topn)
     return _role_tuples(s, r, dlr_role_arity(r, s.vocabulary), topn)
 
 
@@ -244,6 +242,7 @@ def _role_tuples(s: Structure, r: DlrRole, n: int, topn: str) -> frozenset[tuple
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:
+    check_topn_mode(topn)
     if isinstance(e, Eps):
         return frozenset((d, d) for d in s.domain)
     if isinstance(e, Proj):
@@ -269,6 +268,7 @@ def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> fro
 
 
 def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> frozenset[str]:
+    check_topn_mode(topn)
     if isinstance(c, Top1):
         return frozenset(s.domain)
     if isinstance(c, AtomicConcept):

@@ -116,7 +116,7 @@ class _Checker:
                           f"atom {f.rel} over two or more distinct variables may only "
                           f"occur inside a quantifier block")
             else:
-                shared.add_atom(varset, path, f.rel)
+                shared.atoms.append((varset, path, f.rel))
             return
         if isinstance(f, Equals):
             self.check_equality_leaf(f, path, shared)
@@ -159,7 +159,7 @@ class _Checker:
                           "equality between distinct variables may only stand where "
                           "a binary atom could (inside a quantifier block)")
             else:
-                shared.add_equality(frozenset((f.left, f.right)), path)
+                shared.equalities.append((frozenset((f.left, f.right)), path))
 
     # -- clause 4 ------------------------------------------------------------
 
@@ -188,12 +188,6 @@ class _SharedX:
     def __init__(self):
         self.atoms: list[tuple[frozenset[str], tuple[int, ...], str]] = []
         self.equalities: list[tuple[frozenset[str], tuple[int, ...]]] = []
-
-    def add_atom(self, varset, path, rel):
-        self.atoms.append((varset, path, rel))
-
-    def add_equality(self, varset, path):
-        self.equalities.append((varset, path))
 
     def report(self, checker: _Checker):
         counts = Counter(v for v, _, _ in self.atoms)

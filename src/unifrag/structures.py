@@ -73,7 +73,7 @@ def parse_structure(text: str) -> Structure:
     """Parse and fully validate a structure document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nesting too deep
         raise StructureError(f"malformed structure document: {e}") from None
     return structure_from_doc(doc)
 

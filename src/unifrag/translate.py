@@ -118,7 +118,7 @@ def _dnf(f: Formula, positive: bool) -> list[list[tuple[bool, Formula]]]:
     return [[(positive, f)]]
 
 
-def _classify(conj: list[tuple[bool, Formula]], block_vars: frozenset[str]) -> Disjunct:
+def _classify(conj: list[tuple[bool, Formula]]) -> Disjunct:
     rel_lits: list[Literal] = []
     eq_lits: list[Literal] = []
     chis: list[tuple[Optional[str], Formula]] = []
@@ -166,7 +166,7 @@ def to_dnf_block(f: Formula) -> DnfBlock:
     _check_dnf_size(len(conjs))
     disjuncts = []
     for conj in conjs:
-        d = _classify(conj, frozenset(f.vars))
+        d = _classify(conj)
         covered = {v for v, _ in d.unary_parts}
         padding = tuple((v, Top()) for v in sorted(d.uniform_variables() - covered))
         disjuncts.append(Disjunct(d.relation_literals, d.equality_literals,
@@ -222,7 +222,9 @@ def _literal_role(lit: Literal, ys: tuple[str, ...]) -> dl.RoleTerm:
 
 def fu1_to_dl(f: Formula) -> dl.Concept:
     """Translate a formula with at most one free variable into an
-    extension-equal concept.  The input must pass the FU1 checker."""
+    extension-equal concept.  The two checks below are the only fragment
+    refusals; the construction assumes them and refuses nothing but a
+    normal form over ``DNF_LIMIT``."""
     diag = check_fragment(f, FragmentId.FU1)
     if not diag.verdict:
         first = diag.violations[0]
@@ -239,18 +241,14 @@ def _concept_of(f: Formula) -> dl.Concept:
         return dl.TopC()
     if isinstance(f, Bottom):
         return _FALSE_C
-    if isinstance(f, Atom):
-        if len(set(f.args)) != 1:
-            raise FragmentGateError("higher-arity atom outside a quantifier block")
-        if len(f.args) == 1:
-            return dl.AtomicConcept(f.rel)
+    if isinstance(f, Atom) and len(f.args) == 1:
+        return dl.AtomicConcept(f.rel)
+    if isinstance(f, Atom) and len(set(f.args)) == 1:
         # R(x,...,x): the diagonal, via the identity role
         sigma = dl.Surjection((1,) + (2,) * (len(f.args) - 1))
         diag_role = dl.AndRole(dl.Epsilon(), dl.Apply(sigma, dl.AtomicRole(f.rel)))
         return dl.ExistsRole(diag_role, (dl.TopC(),))
-    if isinstance(f, Equals):
-        if f.left != f.right:
-            raise FragmentGateError("free-standing equality is not an FU1 formula")
+    if isinstance(f, Equals) and f.left == f.right:
         return dl.TopC()
     if isinstance(f, Not):
         return dl.NotC(_concept_of(f.body))
@@ -266,7 +264,7 @@ def _concept_of(f: Formula) -> dl.Concept:
         return _block_concept(f)
     if isinstance(f, ForallBlock):
         return dl.NotC(_block_concept(ExistsBlock(f.vars, Not(f.body))))
-    raise FragmentGateError("counting quantifiers have no concept translation")
+    raise TypeError(f"not an FU1 formula: {f!r}")
 
 
 def _block_concept(f: ExistsBlock) -> dl.Concept:
@@ -287,11 +285,7 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
     conjuncts: list[dl.Concept] = []
     covered: set[Optional[str]] = set()
     if uniform:
-        sets = {_leaf_vars(l.atom) for l in uniform}
-        if len(sets) != 1:
-            raise FragmentGateError(
-                "equality literals do not match the block's uniform variable set")
-        (xset,) = sets
+        xset = d.uniform_variables()
         if x0 is not None and x0 in xset:
             ys = (x0,) + tuple(sorted(xset - {x0}))
         else:
@@ -439,8 +433,7 @@ def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Fo
     the free variable x.  Under the default convention the built-in top
     relations are the domain powers and translate to true(); in explicit
     mode they translate to atoms over the declared top<n> relations."""
-    if topn not in dlr.TOPN_MODES:
-        raise ValueError(f"topn mode must be one of {dlr.TOPN_MODES}, got {topn!r}")
+    dlr.check_topn_mode(topn)
     simple = eliminate_comp_union(c)
     return _dlr_T(simple, "x", count(1), vocab, topn)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 from importlib import resources
@@ -5,8 +7,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from unifrag import dl
+from unifrag import dl, dlr
 from unifrag.cli import run
 
 
@@ -299,3 +303,125 @@ def test_json_mode_is_byte_identical(capsys):
                            "-e", "A x. E y. S(x,y)", "--format", "json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under fuzzing
+# ---------------------------------------------------------------------------
+
+FORMULAS = ("E y. (R(x,y) & P(y))", "A x. E y z. (T(x,y,z) | ~(y = z))",
+            "E[>=2] x. P(x)", "A x y. (R(x,y) -> R(y,x))", "~R(x,x)", "true")
+DL_CONCEPTS = ("exists R.(P)", "~exists ~R.(P)", "(P & exists perm[2,1]R.(top))",
+               "exists T.(P, ~Q)", "exists (R & eps).(top)")
+DLR_CONCEPTS = ("exists[$1] R", "exists R|$1,$2 . A", "exists (R|$1,$2 o eps) . top1",
+                "(<=1 [$2] R)", "exists ($1/2:A)|$1,$2 . ~B", "exists eps* . A",
+                "exists[$2] ~(R & top2)")
+ARITIES = {"R": 2, "T": 3, "P": 1, "Q": 1, "A": 1, "B": 1, "top2": 2}
+VOCAB_DOCS = (json.dumps(ARITIES),)
+STRUCTURE_DOCS = (json.dumps({"domain": ["a", "b"], "arities": ARITIES,
+                              "relations": {"R": [["a", "b"]], "P": [["b"]],
+                                            "top2": [["a", "b"], ["b", "a"]]}}),)
+FUZZ_ALPHABET = "()[]{},.:&|~-><=$/*\"0123456789 xyzPRTAEeopstu\n"
+# (opening, closing, depths): quantifier prefixes stay shallow or go past
+# the parsers' depth limit, since evaluating a depth-k prefix can cost domain^k
+NESTINGS = (("(", ")", (2, 150, 3000)), ("~", "", (2, 150, 3000)),
+            ("[", "]", (2, 3000)), ('{"a":', "}", (2, 3000)),
+            ("E x. ", "", (2, 300)), ("exists eps . ", "", (2, 300)))
+
+
+@st.composite
+def fuzzed_text(draw, seeds):
+    """A seed input after up to three truncations, edits or nestings, or
+    random text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(FUZZ_ALPHABET, max_size=40))
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("truncate", "insert", "delete", "nest")))
+        i = draw(st.integers(0, len(text)))
+        if op == "truncate":
+            text = text[:i]
+        elif op == "insert":
+            text = text[:i] + draw(st.text(FUZZ_ALPHABET, min_size=1, max_size=4)) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            opening, closing, depths = draw(st.sampled_from(NESTINGS))
+            n = draw(st.sampled_from(depths))
+            text = opening * n + text + closing * n
+    return text
+
+
+@st.composite
+def fuzzed_request(draw, workdir):
+    vocab, model, source = workdir / "vocab.json", workdir / "model.json", workdir / "input"
+    # the files are left intact half of the time, so that most requests
+    # get as far as their text input
+    vocab.write_text(draw(st.one_of(st.sampled_from(VOCAB_DOCS), fuzzed_text(VOCAB_DOCS))))
+    model.write_text(draw(st.one_of(st.sampled_from(STRUCTURE_DOCS),
+                                    fuzzed_text(STRUCTURE_DOCS))))
+    command = draw(st.sampled_from(("parse", "check", "eval", "fu1-dl", "dl-fu1",
+                                    "dlr0-fu1", "sat", "lab-run", "lab-dump")))
+    vocab_opt = ["--vocab", str(vocab)]
+    if command not in ("dl-fu1", "dlr0-fu1"):  # the two that need one
+        vocab_opt = draw(st.sampled_from(([], vocab_opt)))
+    seeds = {"dl-fu1": DL_CONCEPTS, "dlr0-fu1": DLR_CONCEPTS}.get(command, FORMULAS)
+    text = draw(fuzzed_text(seeds))
+    if draw(st.booleans()):
+        source.write_text(text)
+        io_opts = [str(source)]
+    else:
+        io_opts = [f"--expr={text}"]
+    if command == "parse":
+        argv = ["parse"] + vocab_opt
+    elif command == "check":
+        fragment = draw(st.sampled_from(("u1woeq", "fu1", "u1", "uc1", "fo2")))
+        argv = ["check", "--fragment", fragment] + vocab_opt
+    elif command == "eval":
+        assign = draw(st.sampled_from(("", "x=a", "x=b,y=a", "x=zz", "x", "=")))
+        argv = ["eval", "--model", str(model), f"--assign={assign}"]
+    elif command == "sat":
+        argv = ["sat", "--max-size", str(draw(st.integers(-1, 2))),
+                "--cell-limit", str(draw(st.sampled_from((0, 4, 8))))] + vocab_opt
+        argv += draw(st.sampled_from(([], ["--prune"])))
+    elif command == "lab-run":
+        names = ("prop2-disjoint-copies", "cycles-triangle", "clique-edge-cover")
+        name = draw(st.one_of(st.sampled_from(names), fuzzed_text(names)))
+        io_opts, argv = [], ["lab", "run", f"--name={name}"]
+    elif command == "lab-dump":
+        out = draw(st.sampled_from((workdir / "dump", vocab / "dump")))  # under a file
+        io_opts, argv = [], ["lab", "dump", "--out", str(out)]
+    else:
+        source_name, target = command.split("-")
+        argv = ["translate", "--from", source_name, "--to", target] + vocab_opt
+        argv += ["--topn-mode", draw(st.sampled_from(dlr.TOPN_MODES))]
+    return argv + io_opts + ["--format", draw(st.sampled_from(("json", "json", "human")))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_exit_code_contract_under_fuzzing(fuzz_dir, data):
+    argv = data.draw(fuzzed_request(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as e:  # argparse refuses a malformed command line
+            code = e.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if argv[-1] == "human":
+        return
+    doc = json.loads(out.getvalue())
+    if code >= 2:
+        check_schema(doc, "error.schema.json")
+        assert doc["error"]["kind"] != "internal", (argv, doc)
+    else:
+        command = f"lab-{argv[1]}" if argv[0] == "lab" else argv[0]
+        check_schema(doc, f"{command}.schema.json")

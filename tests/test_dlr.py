@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unifrag import (ArityError, ParseError, StructureError, disjoint_union,
-                     make_structure)
+                     dl, make_structure)
 from unifrag.dlr import (AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
@@ -244,6 +244,10 @@ def test_parse_print_round_trip():
     for text in texts:
         c = parse_dlr_concept(text)
         assert parse_dlr_concept(print_dlr_concept(c)) == c
+    # top1 and eps are the dl node classes, spelt in this grammar's words
+    shared = ExistsE(dl.Epsilon(), dl.TopC())
+    assert parse_dlr_concept("exists eps . top1") == shared
+    assert print_dlr_concept(shared) == "exists eps . top1"
 
 
 def test_parse_star_postfix():

@@ -337,6 +337,29 @@ def test_binary_symbol_as_concept_errors_agree(c):
 
 
 def test_dlr_shares_the_dl_concept_core():
-    for name in ("AtomicRole", "AtomicConcept", "NotC", "AndC"):
-        assert getattr(dlr, name) is getattr(dl, name)
+    for dlr_name, dl_name in (("AtomicRole", "AtomicRole"), ("AtomicConcept", "AtomicConcept"),
+                              ("NotC", "NotC"), ("AndC", "AndC"),
+                              ("Top1", "TopC"), ("Eps", "Epsilon")):
+        assert getattr(dlr, dlr_name) is getattr(dl, dl_name)
     assert dlr.or_dlr is dl.or_concept
+
+
+_BOGUS_MODE = "topn mode must be one of ('delta', 'explicit'), got 'bogus'"
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda s, vocab: dlr.dlr_concept_extension(s, dlr.AtomicConcept("A"), "bogus"),
+    lambda s, vocab: dlr.dlr_concept_extension(s, dlr.ExistsProj(1, dlr.AtomicRole("R")), "bogus"),
+    lambda s, vocab: dlr.dlr_binrel_extension(s, dlr.Eps(), "bogus"),
+    lambda s, vocab: dlr.dlr_role_extension(s, dlr.AtomicRole("R"), "bogus"),
+    lambda s, vocab: dlr0_to_fu1(dlr.AtomicConcept("A"), vocab, "bogus"),
+    lambda s, vocab: dlr0_to_fu1(dlr.ExistsProj(1, dlr.AtomicRole("R")), vocab, "bogus"),
+], ids=["concept", "concept-exists-proj", "binrel", "role", "dlr0_to_fu1",
+        "dlr0_to_fu1-exists-proj"])
+def test_unknown_top_mode_is_refused_on_entry(refuse):
+    # even where no node reads the top relation, every entry checks the mode
+    vocab = Vocabulary({"R": 2, "A": 1})
+    s = make_structure(("a",), dict(vocab.symbols), {"A": {("a",)}})
+    with pytest.raises(ValueError) as refused:
+        refuse(s, vocab)
+    assert str(refused.value) == _BOGUS_MODE
