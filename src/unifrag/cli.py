@@ -13,7 +13,10 @@ pipelines can branch on them:
 With ``--format json`` every command writes one JSON document to stdout;
 identical invocations produce byte-identical output (timing statistics are
 deliberately left out of the JSON reports).  Errors always print a single
-diagnostic line to stderr, plus a JSON body on stdout in json mode.
+diagnostic line to stderr, plus a JSON body on stdout in json mode; a
+command line that argparse refuses is an error of kind ``"usage"`` (exit
+2), in json mode when it asks for ``--format json``.  The argument parser
+is built once per process.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -241,8 +245,15 @@ def _add_io(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("human", "json"), default="human")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # reported by ``run``, not by exiting
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    """A new parser; the subcommands name their function, which ``run``
+    looks up when it dispatches."""
+    top = _Parser(
         prog="unifrag",
         description="Toolkit for the uniform one-dimensional fragment and "
                     "its description-logic relatives.")
@@ -251,19 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a formula and print it back")
     _add_io(p)
     p.add_argument("--vocab", help="JSON vocabulary file (name: arity)")
-    p.set_defaults(fn=_cmd_parse)
+    p.set_defaults(fn="_cmd_parse")
 
     p = sub.add_parser("check", help="fragment membership with diagnostics")
     _add_io(p)
     p.add_argument("--fragment", choices=sorted(FRAGMENTS), required=True)
     p.add_argument("--vocab", help="JSON vocabulary file (adds arity checks)")
-    p.set_defaults(fn=_cmd_check)
+    p.set_defaults(fn="_cmd_check")
 
     p = sub.add_parser("eval", help="evaluate a formula on a structure")
     _add_io(p)
     p.add_argument("--model", required=True, help="structure document (JSON)")
     p.add_argument("--assign", help="assignment, e.g. x=a,y=b")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn="_cmd_eval")
 
     p = sub.add_parser("translate", help="translate between formalisms")
     _add_io(p)
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", choices=("fu1", "dl"), required=True)
     p.add_argument("--vocab", help="JSON vocabulary file")
     p.add_argument("--topn-mode", choices=dlr.TOPN_MODES, default="delta")
-    p.set_defaults(fn=_cmd_translate)
+    p.set_defaults(fn="_cmd_translate")
 
     p = sub.add_parser("sat", help="bounded model search for a sentence")
     _add_io(p)
@@ -280,27 +291,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip isomorphic candidates (never changes outcomes)")
     p.add_argument("--cell-limit", type=int, default=DEFAULT_CELL_LIMIT)
     p.add_argument("--vocab", help="JSON vocabulary file (default: inferred)")
-    p.set_defaults(fn=_cmd_sat)
+    p.set_defaults(fn="_cmd_sat")
 
     p = sub.add_parser("lab", help="expressivity separation experiments")
     lab_sub = p.add_subparsers(dest="lab_command", required=True)
     q = lab_sub.add_parser("run", help="run experiments, print pass/fail")
     q.add_argument("--name", help="run a single experiment by name")
     q.add_argument("--format", choices=("human", "json"), default="human")
-    q.set_defaults(fn=_cmd_lab_run)
+    q.set_defaults(fn="_cmd_lab_run")
     q = lab_sub.add_parser("dump", help="write all lab structures as JSON")
     q.add_argument("--out", default="lab-structures")
     q.add_argument("--format", choices=("human", "json"), default="human")
-    q.set_defaults(fn=_cmd_lab_dump)
+    q.set_defaults(fn="_cmd_lab_dump")
 
     return top
 
 
+_parser = cache(build_parser)  # the one ``run`` uses, built once per process
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parser().parse_args(argv)
+    except argparse.ArgumentError as e:  # no namespace: json if the line asks for it
+        # as argparse reads it: --format json, --format=json, or a prefix from --fo
+        pairs = [a.split("=", 1) if "=" in a else [a, b] for a, b in zip(argv, [*argv[1:], ""])]
+        asks = any(len(k) > 3 and "--format".startswith(k) and v == "json" for k, v in pairs)
+        _Reporter("json" if asks else "human").error("usage", str(e))
+        return EXIT_INPUT_ERROR
     rep = _Reporter(args.format)
     try:
-        return args.fn(args, rep)
+        return globals()[args.fn](args, rep)
     except FragmentGateError as e:
         rep.error("fragment-gate", str(e))
         return EXIT_GATE

@@ -26,6 +26,13 @@ excluded tuples that start there.  Each node therefore costs time linear
 in the size of the relations and the domain, O(|relations| + |domain|),
 never domain^n; only :func:`role_extension` of a complemented role, asked
 for the tuples themselves, enumerates domain^n.
+
+A concept or role is compiled once per vocabulary into closures that do
+only this set work: names, arities, argument counts and coordinate maps
+are checked and settled at compile time.  The last term compiled is kept
+in a one-entry cache (same object, equal vocabulary), so a concept checked
+on many structures is compiled once.  A check that fails raises when the
+evaluation reaches its node, as a walk of the term would.
 """
 
 from __future__ import annotations
@@ -35,9 +42,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Union
+from typing import Callable, Union
 
-from .errors import VocabularyError
+from .errors import LogicError, VocabularyError
 from .structures import Structure
 from .syntax import TokenParser, Vocabulary, nested
 
@@ -188,48 +195,106 @@ def check_existential_args(n: int, args: tuple) -> None:
 
 def role_arity(r: RoleTerm, vocab: Vocabulary) -> int:
     """Arity of a role term; mismatches collapse to the empty binary relation."""
-    if isinstance(r, AtomicRole):
-        return atomic_role_arity(r.name, vocab)
-    if isinstance(r, Epsilon):
-        return 2
-    if isinstance(r, NotRole):
-        return role_arity(r.role, vocab)
-    if isinstance(r, AndRole):
-        a1 = role_arity(r.left, vocab)
-        a2 = role_arity(r.right, vocab)
-        return a1 if a1 == a2 else 2
-    if isinstance(r, Apply):
-        return r.srj.target if r.srj.source == role_arity(r.role, vocab) else 2
-    raise TypeError(f"not a role term: {r!r}")
+    return _compile_role(r, vocab)[0]
 
 
-def _role_literal(s: Structure, r: RoleTerm) -> tuple[int, bool, frozenset]:
-    """``(arity, negated, tuples)``: the extension of ``r`` is ``tuples``,
-    or its complement in domain^arity when ``negated``.  Every rule costs
-    time linear in the tuple sets it combines; none builds a complement."""
+# A compiled term: the closure ``f(s, dom)`` that gives its extension on a
+# structure ``s`` over its vocabulary with the domain ``dom`` as a frozenset.
+Compiled = Callable[[Structure, frozenset], frozenset]
+
+_head = itemgetter(0)
+
+
+def _nothing(s: Structure, dom: frozenset) -> frozenset:
+    return frozenset()
+
+
+def identity(s: Structure, dom: frozenset) -> frozenset:
+    return frozenset((d, d) for d in s.domain)
+
+
+def failing(e: Exception) -> Compiled:
+    """A closure that raises a fresh copy of ``e`` whenever it is reached."""
+    kind, args = type(e), e.args
+
+    def fail(s: Structure, dom: frozenset) -> frozenset:
+        raise kind(*args)
+    return fail
+
+
+def compiled(slot: list, build: Callable, term, vocab: Vocabulary, *extra):
+    """``build(term, vocab, *extra)``, kept in the one-entry cache ``slot``.
+    A hit needs the same ``build``, the same term object (held, so that its
+    id is not reused), equal ``extra`` arguments and an equal vocabulary."""
+    b, t, v, e, out = slot
+    if b is build and t is term and e == extra and (v is vocab or v == vocab):
+        return out
+    out = build(term, vocab, *extra)
+    slot[:] = build, term, vocab, extra, out
+    return out
+
+
+_slot: list = [None] * 5  # the last term compiled
+
+
+def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Compiled]:
+    """The compiler of concepts over ``vocab``, shared with :mod:`unifrag.dlr`:
+    it compiles the four node kinds of both logics and leaves the others to
+    ``own(c, comp)``.  A node that fails a vocabulary check, or is no node,
+    compiles to a closure that raises the same error when it is reached, so
+    errors come in walk order, after those an earlier node raises on the
+    structure."""
+    def comp(c) -> Compiled:
+        try:
+            if isinstance(c, TopC):
+                return lambda s, dom: dom
+            if isinstance(c, AtomicConcept):
+                check_concept_name(c.name, vocab)
+                name = c.name
+                return lambda s, dom: frozenset(map(_head, s.relations[name]))
+            if isinstance(c, NotC):
+                body = comp(c.body)
+                return lambda s, dom: dom - body(s, dom)
+            if isinstance(c, AndC):
+                left, right = comp(c.left), comp(c.right)
+                return lambda s, dom: left(s, dom) & right(s, dom)
+            return own(c, comp)
+        except (LogicError, TypeError) as e:
+            return failing(e)
+    return comp
+
+
+def _compile_role(r: RoleTerm, vocab: Vocabulary) -> tuple[int, bool, Compiled]:
+    """``(arity, negated, tuples)``: the extension of ``r`` is
+    ``tuples(s, dom)``, or its complement in domain^arity when ``negated``.
+    Every rule costs time linear in the tuple sets it combines; none builds
+    a complement."""
     if isinstance(r, AtomicRole):
-        return atomic_role_arity(r.name, s.vocabulary), False, s.relations[r.name]
+        name = r.name
+        return atomic_role_arity(name, vocab), False, lambda s, dom: s.relations[name]
     if isinstance(r, Epsilon):
-        return 2, False, frozenset((d, d) for d in s.domain)
+        return 2, False, identity
     if isinstance(r, NotRole):
-        n, negated, tuples = _role_literal(s, r.role)
+        n, negated, tuples = _compile_role(r.role, vocab)
         return n, not negated, tuples
     if isinstance(r, AndRole):
-        n, neg1, t1 = _role_literal(s, r.left)
-        n2, neg2, t2 = _role_literal(s, r.right)
+        n, neg1, t1 = _compile_role(r.left, vocab)
+        n2, neg2, t2 = _compile_role(r.right, vocab)
         if n != n2:
-            return 2, False, frozenset()
+            return 2, False, _nothing
+        if t1 is t2:  # one closure, so one tuple set, as for eps & ~eps
+            return (n, neg1, t1) if neg1 == neg2 else (n, False, _nothing)
         if neg1 and neg2:
-            return n, True, t1 | t2  # ~t1 & ~t2 = ~(t1 | t2)
+            return n, True, lambda s, dom: t1(s, dom) | t2(s, dom)  # ~t1 & ~t2 = ~(t1 | t2)
         if neg1:
-            return n, False, t2 - t1
+            return n, False, lambda s, dom: t2(s, dom) - t1(s, dom)
         if neg2:
-            return n, False, t1 - t2
-        return n, False, t1 & t2
+            return n, False, lambda s, dom: t1(s, dom) - t2(s, dom)
+        return n, False, lambda s, dom: t1(s, dom) & t2(s, dom)
     if isinstance(r, Apply):
-        k, negated, tuples = _role_literal(s, r.role)
+        k, negated, inner = _compile_role(r.role, vocab)
         if r.srj.source != k:
-            return 2, False, frozenset()
+            return 2, False, _nothing
         # t is in the result iff lift(t) = (t[map[j]-1])_j is in the inner
         # relation.  lift is injective, so it commutes with complement, and
         # the only candidate preimage of an inner tuple u is pick(u), whose
@@ -237,42 +302,50 @@ def _role_literal(s: Structure, r: RoleTerm) -> tuple[int, bool, frozenset]:
         images = r.srj.map
         pick = itemgetter(*(images.index(i) for i in range(1, r.srj.target + 1)))
         lift = itemgetter(*(i - 1 for i in images))
-        return r.srj.target, negated, frozenset(
-            t for t in map(pick, tuples) if lift(t) in tuples)
+
+        def apply(s: Structure, dom: frozenset) -> frozenset:
+            tuples = inner(s, dom)
+            return frozenset(t for t in map(pick, tuples) if lift(t) in tuples)
+        return r.srj.target, negated, apply
     raise TypeError(f"not a role term: {r!r}")
 
 
+def _compile_concept(c: Concept, vocab: Vocabulary) -> Compiled:
+    def exists(c, comp) -> Compiled:
+        if not isinstance(c, ExistsRole):
+            raise TypeError(f"not a concept: {c!r}")
+        n, negated, tuples = _compile_role(c.role, vocab)
+        check_existential_args(n, c.args)
+        args = list(map(comp, c.args))
+
+        def extension(s: Structure, dom: frozenset) -> frozenset:
+            hits = tuples(s, dom)
+            exts = [a(s, dom) for a in args]
+            for i, ext in enumerate(exts, start=1):
+                hits = [t for t in hits if t[i] in ext]
+            if not negated:
+                return frozenset(map(_head, hits))
+            # d has a witness outside the tuples iff fewer than all
+            # prod |C_i| candidate tuples (d, c_1, ..., c_n-1) are among them
+            room = prod(map(len, exts))
+            if not hits:
+                return dom if room else frozenset()
+            per_head = Counter(map(_head, hits))
+            return frozenset(d for d in dom if per_head[d] < room)
+        return extension
+    return concept_compiler(vocab, exists)(c)
+
+
 def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
-    n, negated, tuples = _role_literal(s, r)
+    n, negated, tuples = compiled(_slot, _compile_role, r, s.vocabulary)
+    ext = tuples(s, frozenset(s.domain))
     if not negated:
-        return tuples
-    return frozenset(t for t in product(s.domain, repeat=n) if t not in tuples)
+        return ext
+    return frozenset(t for t in product(s.domain, repeat=n) if t not in ext)
 
 
 def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
-    if isinstance(c, TopC):
-        return frozenset(s.domain)
-    if isinstance(c, AtomicConcept):
-        check_concept_name(c.name, s.vocabulary)
-        return frozenset(t[0] for t in s.relations[c.name])
-    if isinstance(c, NotC):
-        return frozenset(s.domain) - concept_extension(s, c.body)
-    if isinstance(c, AndC):
-        return concept_extension(s, c.left) & concept_extension(s, c.right)
-    if isinstance(c, ExistsRole):
-        n, negated, tuples = _role_literal(s, c.role)
-        check_existential_args(n, c.args)
-        arg_exts = [concept_extension(s, a) for a in c.args]
-        hits = [t for t in tuples
-                if all(t[i] in ext for i, ext in enumerate(arg_exts, start=1))]
-        if not negated:
-            return frozenset(t[0] for t in hits)
-        # d has a witness outside the tuples iff fewer than all
-        # prod |C_i| candidate tuples (d, c_1, ..., c_n-1) are among them
-        room = prod(len(ext) for ext in arg_exts)
-        per_head = Counter(t[0] for t in hits)
-        return frozenset(d for d in s.domain if per_head[d] < room)
-    raise TypeError(f"not a concept: {c!r}")
+    return compiled(_slot, _compile_concept, c, s.vocabulary)(s, frozenset(s.domain))
 
 
 # ---------------------------------------------------------------------------

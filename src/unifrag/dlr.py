@@ -31,17 +31,26 @@ Atomic roles and concepts, concept negation and conjunction, ``top1``
 (:class:`unifrag.dl.Epsilon`, the identity relation) are the node classes
 of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
 differ between the two grammars.
+
+Concepts, binary relation terms and roles are compiled once per
+vocabulary and top mode, the shared nodes by the concept compiler of
+:mod:`unifrag.dl`, and the last one is cached as there.  Errors keep the
+order of a walk: in explicit mode a ``top<n>`` that the walk reaches
+first raises its structure error ahead of a vocabulary error after it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, is_dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Union
 
-from .dl import AndC, AtomicConcept, AtomicRole, NotC, atomic_role_arity, check_concept_name
+from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
+                 compiled, concept_compiler, failing, identity)
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
-from .errors import ArityError, ParseError, StructureError
+from .errors import ArityError, LogicError, ParseError, StructureError
 from .structures import Structure
 from .syntax import MAX_ARITY, TokenParser, Vocabulary, nested
 
@@ -221,77 +230,111 @@ def _topn_extension(s: Structure, n: int, topn: str) -> frozenset[tuple[str, ...
     return ext
 
 
-def dlr_role_extension(s: Structure, r: DlrRole, topn: str = "delta") -> frozenset[tuple[str, ...]]:
+def _compose(first, second) -> set:
+    return {(a, c) for a, b in first for b2, c in second if b == b2}
+
+
+def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
+    """``x`` compiled as a ``kind`` ("concept", "binrel" or "role") over
+    ``vocab`` in top mode ``topn``.  Concepts and binary relation terms
+    defer their errors to the closures, as
+    :func:`unifrag.dl.concept_compiler` does."""
+
+    def role(r: DlrRole, n: int) -> Compiled:
+        """A role that :func:`dlr_role_arity` has checked to have arity
+        ``n``; every role inside it has arity ``n`` too."""
+        if isinstance(r, TopN):
+            return lambda s, dom: _topn_extension(s, n, topn)
+        if isinstance(r, AtomicRole):
+            name = r.name
+            return lambda s, dom: s.relations[name]
+        if isinstance(r, Sel):
+            good, i = concept(r.concept), r.i - 1
+
+            def select(s: Structure, dom: frozenset) -> frozenset:
+                g = good(s, dom)
+                return frozenset(t for t in _topn_extension(s, n, topn) if t[i] in g)
+            return select
+        if isinstance(r, NotR):
+            inner = role(r.role, n)
+            return lambda s, dom: _topn_extension(s, n, topn) - inner(s, dom)
+        left, right = role(r.left, n), role(r.right, n)
+        return lambda s, dom: left(s, dom) & right(s, dom)
+
+    def binrel(e: DlrBinRel) -> Compiled:
+        try:
+            if isinstance(e, Eps):
+                return identity
+            if isinstance(e, Proj):
+                n = role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
+                tuples, pair = role(e.role, n), itemgetter(e.i - 1, e.j - 1)
+                return lambda s, dom: frozenset(map(pair, tuples(s, dom)))
+            if isinstance(e, Comp):
+                left, right = binrel(e.left), binrel(e.right)
+                return lambda s, dom: frozenset(_compose(left(s, dom), right(s, dom)))
+            if isinstance(e, UnionE):
+                left, right = binrel(e.left), binrel(e.right)
+                return lambda s, dom: left(s, dom) | right(s, dom)
+            if isinstance(e, Star):
+                body = binrel(e.body)
+
+                def star(s: Structure, dom: frozenset) -> frozenset:
+                    # least reflexive-transitive relation containing the body
+                    closure = set(identity(s, dom)) | body(s, dom)
+                    while not (step := _compose(closure, closure)) <= closure:
+                        closure |= step
+                    return frozenset(closure)
+                return star
+            raise TypeError(f"not a binary relation term: {e!r}")
+        except (LogicError, TypeError) as err:
+            return failing(err)
+
+    def own(c, comp) -> Compiled:
+        if isinstance(c, ExistsE):
+            rel, good = binrel(c.rel), comp(c.concept)
+
+            def exists(s: Structure, dom: frozenset) -> frozenset:
+                pairs = rel(s, dom)
+                g = good(s, dom)
+                return frozenset(u for u, v in pairs if v in g)
+            return exists
+        if isinstance(c, (ExistsProj, AtMost)):
+            n = role_arity_covering(c.role, vocab, "position ${}", c.i)
+            tuples, at = role(c.role, n), itemgetter(c.i - 1)
+            if isinstance(c, ExistsProj):
+                return lambda s, dom: frozenset(map(at, tuples(s, dom)))
+            k = c.k
+
+            def at_most(s: Structure, dom: frozenset) -> frozenset:
+                counts = Counter(map(at, tuples(s, dom)))
+                return frozenset(d for d in dom if counts[d] <= k)
+            return at_most
+        raise TypeError(f"not a concept: {c!r}")
+
+    concept = concept_compiler(vocab, own)
+    if kind == "role":
+        return role(x, dlr_role_arity(x, vocab))
+    return concept(x) if kind == "concept" else binrel(x)
+
+
+_slot: list = [None] * 5  # the last term compiled, see dl.compiled
+
+
+def _extension(kind: str, x, s: Structure, topn: str) -> frozenset:
     check_topn_mode(topn)
-    return _role_tuples(s, r, dlr_role_arity(r, s.vocabulary), topn)
+    return compiled(_slot, _compile, x, s.vocabulary, topn, kind)(s, frozenset(s.domain))
 
 
-def _role_tuples(s: Structure, r: DlrRole, n: int, topn: str) -> frozenset[tuple[str, ...]]:
-    """Extension of a role that :func:`dlr_role_arity` has checked to have
-    arity ``n``; every role inside it has arity ``n`` too."""
-    if isinstance(r, TopN):
-        return _topn_extension(s, n, topn)
-    if isinstance(r, AtomicRole):
-        return s.relations[r.name]
-    if isinstance(r, Sel):
-        good = dlr_concept_extension(s, r.concept, topn)
-        return frozenset(t for t in _topn_extension(s, n, topn) if t[r.i - 1] in good)
-    if isinstance(r, NotR):
-        return _topn_extension(s, n, topn) - _role_tuples(s, r.role, n, topn)
-    return _role_tuples(s, r.left, n, topn) & _role_tuples(s, r.right, n, topn)
+def dlr_role_extension(s: Structure, r: DlrRole, topn: str = "delta") -> frozenset[tuple[str, ...]]:
+    return _extension("role", r, s, topn)
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:
-    check_topn_mode(topn)
-    if isinstance(e, Eps):
-        return frozenset((d, d) for d in s.domain)
-    if isinstance(e, Proj):
-        n = role_arity_covering(e.role, s.vocabulary, "projection |${},${}", e.i, e.j)
-        ext = _role_tuples(s, e.role, n, topn)
-        return frozenset((t[e.i - 1], t[e.j - 1]) for t in ext)
-    if isinstance(e, Comp):
-        left = dlr_binrel_extension(s, e.left, topn)
-        right = dlr_binrel_extension(s, e.right, topn)
-        return frozenset((a, c) for a, b in left for b2, c in right if b == b2)
-    if isinstance(e, UnionE):
-        return dlr_binrel_extension(s, e.left, topn) | dlr_binrel_extension(s, e.right, topn)
-    if isinstance(e, Star):
-        # least reflexive-transitive relation containing the body
-        closure = set((d, d) for d in s.domain)
-        closure |= dlr_binrel_extension(s, e.body, topn)
-        while True:
-            step = {(a, c) for a, b in closure for b2, c in closure if b == b2}
-            if step <= closure:
-                return frozenset(closure)
-            closure |= step
-    raise TypeError(f"not a binary relation term: {e!r}")
+    return _extension("binrel", e, s, topn)
 
 
 def dlr_concept_extension(s: Structure, c: DlrConcept, topn: str = "delta") -> frozenset[str]:
-    check_topn_mode(topn)
-    if isinstance(c, Top1):
-        return frozenset(s.domain)
-    if isinstance(c, AtomicConcept):
-        check_concept_name(c.name, s.vocabulary)
-        return frozenset(t[0] for t in s.relations[c.name])
-    if isinstance(c, NotC):
-        return frozenset(s.domain) - dlr_concept_extension(s, c.body, topn)
-    if isinstance(c, AndC):
-        return dlr_concept_extension(s, c.left, topn) & dlr_concept_extension(s, c.right, topn)
-    if isinstance(c, ExistsE):
-        ext = dlr_binrel_extension(s, c.rel, topn)
-        good = dlr_concept_extension(s, c.concept, topn)
-        return frozenset(u for u, v in ext if v in good)
-    if isinstance(c, ExistsProj):
-        n = role_arity_covering(c.role, s.vocabulary, "position ${}", c.i)
-        return frozenset(t[c.i - 1] for t in _role_tuples(s, c.role, n, topn))
-    if isinstance(c, AtMost):
-        n = role_arity_covering(c.role, s.vocabulary, "position ${}", c.i)
-        counts: dict[str, int] = {}
-        for t in _role_tuples(s, c.role, n, topn):
-            counts[t[c.i - 1]] = counts.get(t[c.i - 1], 0) + 1
-        return frozenset(d for d in s.domain if counts.get(d, 0) <= c.k)
-    raise TypeError(f"not a concept: {c!r}")
+    return _extension("concept", c, s, topn)
 
 
 def operators_used(c: DlrConcept) -> frozenset[type]:

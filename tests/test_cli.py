@@ -71,6 +71,41 @@ def test_parse_error_exit_two(capsys):
     check_schema(json.loads(out), "error.schema.json")
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("argv", [
+    ["sat", "--max-size", "x", "-e", "E x. P(x)"],
+    ["check", "-e", "P(x)"],
+    ["translate", "--from", "fu1", "--to", "fu2", "-e", "P(x)"],
+    ["frobnicate", "-e", "P(x)"],
+], ids=["non-integer", "missing-option", "bad-choice", "unknown-subcommand"])
+def test_argparse_refusals_follow_the_contract(capsys, argv, fmt):
+    code, out, err = invoke(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    if fmt == "human":
+        assert out == ""
+    else:
+        doc = json.loads(out)
+        check_schema(doc, "error.schema.json")
+        assert doc["error"] == {"kind": "usage", "message": err[len("error: "):-1]}
+
+
+def test_refusal_reads_format_as_argparse_does(capsys):
+    for spelling in (["--format=json"], ["--form", "json"], ["--fo=json"]):
+        code, out, _ = invoke(capsys, "sat", "--max-size", "x", *spelling, "-e", "P(x)")
+        assert code == 2 and json.loads(out)["error"]["kind"] == "usage"
+    for spelling in (["--format", "human"], ["--f", "json"], ["-e", "json"]):
+        code, out, _ = invoke(capsys, "sat", "--max-size", "x", *spelling)
+        assert code == 2 and out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(["sat", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: unifrag sat")
+
+
 def test_eval_command(tmp_path, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({

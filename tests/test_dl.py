@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from unifrag import (VocabularyError, disjoint_union, evaluate, make_structure,
                      satisfaction_set)
-from unifrag.dl import (AndRole, Apply, AtomicConcept, AtomicRole,
+from unifrag.dl import (AndC, AndRole, Apply, AtomicConcept, AtomicRole,
                         Epsilon, ExistsRole, NotC, NotRole, Surjection, TopC,
                         concept_extension, parse_concept, parse_role,
                         print_concept, print_role, role_arity, role_extension,
@@ -274,3 +275,45 @@ def test_universal_role_reaches_the_whole_of_a_large_domain():
     s = disjoint_copies(gen_clique(8), 9)
     assert s.size == 72
     assert concept_extension(s, ExistsRole(universal_role(), (TopC(),))) == frozenset(s.domain)
+
+
+# ---------------------------------------------------------------------------
+# The compiled-concept cache
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """What a call answers, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+
+
+def test_one_concept_over_differing_vocabularies():
+    c = parse_concept("(exists R.((A & exists perm[2,1]R.(top))) & ~exists (eps & ~eps).(A))")
+    r = parse_role("(R & ~perm[2,1]R)")
+    structures = [
+        make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("a", "b")}, "A": {("b",)}}),
+        make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("b", "a")}}),  # an equal vocabulary
+        make_structure(["a", "b"], {"R": 2}, {"R": {("a", "b")}}),          # lacks A
+        make_structure(["a", "b"], {"R": 3, "A": 1}, {"A": {("b",)}}),     # R is ternary
+        make_structure(["a"], {"R": 1, "A": 1}),                            # R is unary
+    ]
+    # every answer of a fresh copy first, so that the calls below keep one
+    # object cached across the structures
+    expected = [(_outcome(concept_extension, s, copy.deepcopy(c)),
+                 _outcome(role_extension, s, copy.deepcopy(r))) for s in structures]
+    assert {type(e[0]) for e in expected} == {frozenset, tuple}  # answers and errors
+    for order in itertools.permutations(range(len(structures))):
+        for fn, term, which in ((concept_extension, c, 0), (role_extension, r, 1)):
+            for i in order:
+                for _ in range(2):  # a repeated call is served from the cache
+                    assert _outcome(fn, structures[i], term) == expected[i][which]
+
+
+def test_a_failing_concept_fails_again_from_the_cache():
+    s = make_structure(["a"], {"R": 2, "A": 1})
+    c = AndC(AtomicConcept("A"), ExistsRole(AtomicRole("R"), (TopC(), TopC())))
+    for _ in range(3):
+        with pytest.raises(VocabularyError, match="needs 1 argument concepts, got 2"):
+            concept_extension(s, c)

@@ -1,13 +1,18 @@
+import copy
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (ArityError, ParseError, StructureError, disjoint_union,
-                     dl, make_structure)
-from unifrag.dlr import (AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
+from unifrag import (ArityError, ParseError, StructureError, VocabularyError,
+                     disjoint_union, dl, make_structure)
+from unifrag.dlr import (AndC, AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
                          dlr_concept_extension, dlr_role_extension,
@@ -275,3 +280,136 @@ def test_backtracking_reports_the_error_that_got_furthest():
         parse_dlr_concept("exists (R|$0,$1 o eps) . A")
     with pytest.raises(ParseError, match="1:23: projection indices are 1-based"):
         parse_dlr_concept("exists (R & ~R)|$1,$0 . A")
+
+
+# ---------------------------------------------------------------------------
+# The compiled-concept cache
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """What a call answers, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+
+
+_VOCAB_STRUCTURES = [
+    make_structure(["a", "b"], {"R": 2, "A": 1, "top2": 2},
+                   {"R": {("a", "b")}, "A": {("b",)}, "top2": {("a", "b"), ("b", "b")}}),
+    make_structure(["a", "b"], {"R": 2, "A": 1, "top2": 2},           # an equal vocabulary,
+                   {"R": {("a", "b")}, "top2": {("a", "a")}}),        # top2 not covering R
+    make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("b", "a")}}),  # no top2
+    make_structure(["a", "b"], {"R": 2}, {"R": {("a", "b")}}),          # lacks A
+    make_structure(["a", "b"], {"R": 3, "A": 1}, {"A": {("b",)}}),     # R is ternary
+]
+
+
+@pytest.mark.parametrize("mode", ["delta", "explicit"])
+def test_one_concept_over_differing_vocabularies(mode):
+    c = parse_dlr_concept("(exists (R|$1,$2 o ~R|$2,$1) . A & (<=0 [$2] ($1/2:A)))")
+    e = Comp(Proj(NotR(AtomicRole("R")), 1, 2), Proj(Sel(2, 2, AtomicConcept("A")), 2, 1))
+    r = AndR(NotR(AtomicRole("R")), Sel(1, 2, AtomicConcept("A")))
+    calls = ((dlr_concept_extension, c), (dlr_binrel_extension, e), (dlr_role_extension, r))
+    # every answer of a fresh copy first, so that the calls below keep one
+    # object cached across the structures
+    expected = [[_outcome(fn, s, copy.deepcopy(term), mode) for fn, term in calls]
+                for s in _VOCAB_STRUCTURES]
+    assert {type(x[0]) for x in expected} == {frozenset, tuple}  # answers and errors
+    for order in itertools.permutations(range(len(_VOCAB_STRUCTURES))):
+        for which, (fn, term) in enumerate(calls):
+            for i in order:
+                for _ in range(2):  # a repeated call is served from the cache
+                    assert _outcome(fn, _VOCAB_STRUCTURES[i], term, mode) == expected[i][which]
+
+
+def test_one_concept_alternating_top_modes():
+    s = _VOCAB_STRUCTURES[0]
+    c = ExistsProj(1, NotR(AtomicRole("R")))
+    answers = {"delta": {"a", "b"}, "explicit": {"b"}}
+    for mode in ["delta", "explicit"] * 3:
+        assert dlr_concept_extension(s, c, mode) == answers[mode]
+
+
+def test_explicit_mode_errors_come_in_walk_order():
+    # top2 does not cover R and Q is undeclared: an error on the structure
+    # that the walk meets first comes before the vocabulary error after it
+    s = _VOCAB_STRUCTURES[1]
+    top_first = [AndC(ExistsProj(1, TopN(2)), AtomicConcept("Q")),
+                 AndC(ExistsProj(1, NotR(AtomicRole("R"))), ExistsProj(3, AtomicRole("R"))),
+                 ExistsE(Comp(Proj(TopN(2), 1, 2), Proj(AtomicRole("R"), 1, 3)), Top1()),
+                 ExistsProj(1, AndR(Sel(1, 2, Top1()), Sel(2, 2, AtomicConcept("Q"))))]
+    name_first = [AndC(AtomicConcept("Q"), ExistsProj(1, TopN(2))),
+                  ExistsE(Comp(Proj(AtomicRole("R"), 1, 3), Proj(TopN(2), 1, 2)), Top1())]
+    for _ in range(2):  # the second time from the cache
+        for c in top_first:
+            with pytest.raises(StructureError, match="does not cover"):
+                dlr_concept_extension(s, c, "explicit")
+            # the delta mode reads no relation top2
+            with pytest.raises((ArityError, VocabularyError)):
+                dlr_concept_extension(s, c)
+        for c in name_first:
+            with pytest.raises((ArityError, VocabularyError)):
+                dlr_concept_extension(s, c, "explicit")
+
+
+def test_one_object_as_a_term_of_two_kinds():
+    s = _VOCAB_STRUCTURES[0]
+    eps = Eps()
+    for _ in range(2):  # each call finds the other kind in the cache
+        assert dlr_binrel_extension(s, eps) == {("a", "a"), ("b", "b")}
+        with pytest.raises(TypeError, match="not a concept"):
+            dlr_concept_extension(s, eps)
+
+
+def test_no_structure_outlives_its_call():
+    s = make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("a", "b")}})
+    refs = [weakref.ref(s), weakref.ref(s.relations["R"])]
+    assert dl.concept_extension(s, dl.parse_concept("exists ~R.(~A)")) == {"a", "b"}
+    assert dlr_concept_extension(s, parse_dlr_concept("exists R|$1,$2 . ~A")) == {"a"}
+    del s
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_threads_share_compiled_concepts_safely():
+    # each thread has its own vocabulary, so the threads keep evicting one
+    # another's compiled terms from the two caches
+    dl_c = dl.parse_concept("(exists R.(~A) & ~exists ~perm[2,1]R.(A))")
+    dlr_c = parse_dlr_concept("(exists (R|$1,$2 o R|$2,$1) . A & exists[$1] ~R)")
+    structures = []
+    for i in range(4):
+        rng = random.Random(i)
+        dom = [f"t{i}e{j}" for j in range(3 + i)]
+        edges = {(u, v) for u in dom for v in dom if rng.random() < 0.4}
+        vocab = {"R": 2, "A": 1, f"X{i}": 1, "top2": 2}
+        structures.append(make_structure(dom, vocab, {"R": edges, "A": {(dom[i % 3],)},
+                                                      "top2": edges | {(dom[0], dom[0])}}))
+    calls = [lambda s: dl.concept_extension(s, dl_c),
+             lambda s: dlr_concept_extension(s, dlr_c),
+             lambda s: dlr_concept_extension(s, dlr_c, "explicit")]
+    expected = [[_outcome(call, s) for call in calls] for s in structures]
+    got: dict[int, list] = {}
+
+    start = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        s, answers = structures[i], []
+        start.wait()
+        for _ in range(150):
+            answers.append([_outcome(call, s) for call in calls])
+        got[i] = answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(4):
+        assert got[i] == [expected[i]] * 150
