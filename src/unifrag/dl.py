@@ -17,6 +17,9 @@ nominal arity two.
 Atomic roles must be declared with arity at least two, atomic concepts
 with arity one.  ``top`` denotes the whole domain; it also lets the
 n-ary existential express "some tuple, no constraint" as exists R.(top,...).
+A chain of ``&`` is parsed as a balanced tree, and parsed terms are at
+most ``syntax.MAX_NESTING`` levels tall; a much taller term built in code
+may make the extensions, printers and translations raise RecursionError.
 
 Extensions are computed bottom-up without ever building a complement: a
 role term evaluates to a signed tuple set, the tuples of a relation or of
@@ -372,7 +375,7 @@ class _DlParser(TokenParser):
             self.next()
             return NotC(self.concept())
         if t.kind == "LPAREN":
-            return self.conjunction(self.concept, AndC)
+            return self.chain(self.concept, {"AMP": AndC})
         if t.kind == "NAME" and t.text == "exists":
             self.next()
             role = self.role()
@@ -396,7 +399,7 @@ class _DlParser(TokenParser):
             self.next()
             return NotRole(self.role())
         if t.kind == "LPAREN":
-            return self.conjunction(self.role, AndRole)
+            return self.chain(self.role, {"AMP": AndRole})
         if t.kind == "NAME" and t.text == "perm":
             self.next()
             self.expect("LBRACK")

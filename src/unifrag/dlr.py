@@ -32,6 +32,10 @@ Atomic roles and concepts, concept negation and conjunction, ``top1``
 of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
 differ between the two grammars.
 
+Parsed ``&`` chains are balanced trees, and parsed concepts at most
+``syntax.MAX_NESTING`` levels tall (a ``*`` counts one); a much taller
+concept built in code may make the walkers raise RecursionError.
+
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept compiler of
 :mod:`unifrag.dl`, and the last one is cached as there.  Errors keep the
@@ -360,12 +364,12 @@ class _DlrParser(TokenParser):
     def either(self, first, second):
         """``first()``, or on a ParseError ``second()`` from the same
         position; when both fail, the error that got further is raised."""
-        saved = self.pos
+        saved = self.pos, self.depth, self.height
         try:
             return first()
         except ParseError as e:
             first_error = e
-        self.pos = saved
+        self.pos, self.depth, self.height = saved
         try:
             return second()
         except ParseError as second_error:
@@ -406,7 +410,7 @@ class _DlrParser(TokenParser):
                 r = self.role()
                 self.expect("RPAREN")
                 return self.build(AtMost, k, i, r)
-            return self.conjunction(self.concept, AndC)
+            return self.chain(self.concept, {"AMP": AndC})
         if t.kind == "NAME" and t.text not in _RESERVED:
             self.next()
             return AtomicConcept(t.text)
@@ -418,6 +422,7 @@ class _DlrParser(TokenParser):
     def binrel(self) -> DlrBinRel:
         e = self.binrel_prim()
         while self.peek().kind == "STAR":
+            self.rise(self.height + 1)
             self.next()
             e = Star(e)
         return e
@@ -479,7 +484,7 @@ class _DlrParser(TokenParser):
                 c = self.concept()
                 self.expect("RPAREN")
                 return self.build(Sel, i, n, c)
-            return self.conjunction(self.role, AndR)
+            return self.chain(self.role, {"AMP": AndR})
         if t.kind == "NAME" and t.text not in _RESERVED:
             self.next()
             return AtomicRole(t.text)

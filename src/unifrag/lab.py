@@ -27,13 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from typing import Optional, Union
 
 from . import dl, dlr
 from .errors import LogicError
 from .semantics import evaluate
 from .structures import Structure, disjoint_union, make_structure
-from .syntax import (And, Atom, Equals, ExistsBlock, Formula, Not, Top,
+from .syntax import (And, Atom, Equals, ExistsBlock, Formula, Not, Top, fold,
                      parse_formula, print_formula)
 
 RELATION = "R"  # the binary relation all generated structures interpret
@@ -81,15 +82,9 @@ def counting_formula(predicate: str, cmp: str, k: int) -> Formula:
         if k == 0:
             return Top()
         vars = tuple(f"x{i}" for i in range(1, k + 1))
-        parts: list[Formula] = []
-        for i in range(len(vars)):
-            for j in range(i + 1, len(vars)):
-                parts.append(Not(Equals(vars[i], vars[j])))
-        parts.extend(Atom(predicate, (v,)) for v in vars)
-        body = parts[0]
-        for p in parts[1:]:
-            body = And(body, p)
-        return ExistsBlock(vars, body)
+        parts = [Not(Equals(a, b)) for a, b in combinations(vars, 2)]
+        parts += [Atom(predicate, (v,)) for v in vars]
+        return ExistsBlock(vars, fold(And, parts))
     if cmp == "<=":
         return Not(counting_formula(predicate, ">=", k + 1))
     if cmp == "=":

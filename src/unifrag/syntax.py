@@ -7,7 +7,7 @@ Formula grammar (UTF-8 text)::
         | var '=' var
         | '~' f
         | '(' f ')'                          -- grouping
-        | '(' f OP f (OP f)* ')'             -- one operator per group, left-assoc
+        | '(' f OP f (OP f)* ')'             -- one operator per group
         | ('E' | 'A') var+ '.' f             -- quantifier block
         | 'E[' ('>='|'<='|'=') INT ']' var '.' f
     OP ::= '&' | '|' | '->'
@@ -15,7 +15,12 @@ Formula grammar (UTF-8 text)::
 
 ``true``, ``false``, ``E`` and ``A`` are reserved words and cannot be used
 as relation or variable names.  Quantifier blocks are whitespace-separated
-variable lists and bind as far to the right as possible.
+variable lists and bind as far to the right as possible.  ``&`` and
+``|`` chains are balanced trees (:func:`fold`), ``->`` chains nest to the
+left.  The parsers here and in :mod:`unifrag.dl` and :mod:`unifrag.dlr`
+build trees at most ``MAX_NESTING`` levels tall, which every walker of the
+package handles; a much taller tree built in code may make one raise
+RecursionError.
 
 Variables are plain strings; distinct names denote distinct variables.
 All AST nodes are immutable and safe to share across threads.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from typing import Iterator, Mapping, Union
 
 from .errors import ArityError, ParseError, VocabularyError
@@ -184,13 +189,26 @@ Formula = Union[Top, Bottom, Atom, Equals, Not, And, Or, Implies,
                 ExistsBlock, ForallBlock, CountExists]
 
 
+def fold(op, parts: list, unit=None):
+    """Combine ``parts`` with the associative binary constructor ``op`` as a
+    balanced tree, ⌈log2 n⌉ levels deep for n parts; up to three parts nest
+    as a left-deep chain.  Given ``unit``, op's identity, parts equal to it
+    are left out and no parts give ``unit``."""
+    if unit is not None:
+        parts = [p for p in parts if p != unit]
+        if not parts:
+            return unit
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return op(fold(op, parts[:mid]), fold(op, parts[mid:]))
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     """Subformulas of f in child-index order (used for diagnostic paths)."""
-    if isinstance(f, Not):
-        return (f.body,)
     if isinstance(f, (And, Or, Implies)):
         return (f.left, f.right)
-    if isinstance(f, (ExistsBlock, ForallBlock, CountExists)):
+    if isinstance(f, (Not, ExistsBlock, ForallBlock, CountExists)):
         return (f.body,)
     return ()
 
@@ -262,6 +280,9 @@ _PUNCT = {"->": "ARROW", ">=": "GE", "<=": "LE", "(": "LPAREN", ")": "RPAREN",
           "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ".": "DOT", "=": "EQ",
           "~": "TILDE", "&": "AMP", "|": "PIPE",
           "$": "DOLLAR", "/": "SLASH", ":": "COLON", "*": "STAR"}
+_SPELLING = {kind: lit for lit, kind in _PUNCT.items()}
+_CONNECTIVES = {"AMP": And, "PIPE": Or, "ARROW": Implies}  # by operator token
+_SYMBOLS = {ctor: _SPELLING[kind] for kind, ctor in _CONNECTIVES.items()}
 
 # One alternation, tried in order at each offset; the name of the matching
 # group is the token kind.  NL and WS make no token, BAD is an error.
@@ -286,26 +307,31 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-# Deepest nesting of the recursive productions a parser accepts.  Each
-# level costs at most three interpreter frames, so inputs at the limit
-# stay well inside Python's default recursion limit of 1000.
+# Deepest nesting a parser accepts, of the recursive productions in the
+# text (at most three frames a level, well inside Python's recursion limit
+# of 1000) and of the tree built: a chain counts its levels, a block one
+# per variable (the evaluator loops over each in its own frame), a ``*`` one.
 MAX_NESTING = 200
+_TOO_DEEP = f"input nests deeper than {MAX_NESTING} levels"
 
 
 def nested(production):
-    """Count one nesting level around a recursive parser production, and
-    refuse input that nests deeper than ``MAX_NESTING`` with a ParseError
-    instead of exhausting the interpreter stack."""
+    """Count one nesting level around a recursive parser production and one
+    tree level above the tallest part it builds, refusing input past
+    ``MAX_NESTING`` with a ParseError.  A caller that recovers from a
+    ParseError restores ``depth`` and ``height`` with the position."""
 
     @wraps(production)
     def guarded(self, *args):
         if self.depth >= MAX_NESTING:
-            raise self.error(f"input nests deeper than {MAX_NESTING} levels")
+            raise self.error(_TOO_DEEP)
         self.depth += 1
-        try:
-            return production(self, *args)
-        finally:
-            self.depth -= 1
+        outer, self.height = self.height, 0
+        node = production(self, *args)
+        self.depth -= 1
+        height, self.height = self.height + 1, outer
+        self.rise(height)
+        return node
 
     return guarded
 
@@ -315,14 +341,14 @@ class TokenParser:
     (here), DL concepts (:mod:`unifrag.dl`) and DLR concepts
     (:mod:`unifrag.dlr`).  Every cycle of recursive productions passes
     through a method decorated with :func:`nested`, and a cycle of more
-    than three frames through two of them.  :meth:`conjunction` is the
-    one ``'(' item ('&' item)* ')'`` production of the DL and DLR
-    concepts and roles."""
+    than three frames through two of them.  :meth:`chain` is the one
+    production of parenthesised operator chains in all three grammars."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.depth = 0
+        self.depth = 0   # nested productions open at the current token
+        self.height = 0  # tallest part the innermost of them has built
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -343,6 +369,14 @@ class TokenParser:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
 
+    def rise(self, height: int) -> None:
+        """Record a part of ``height`` tree levels built by the innermost
+        open production, refusing one taller than ``MAX_NESTING``."""
+        if height > MAX_NESTING:
+            raise self.error(_TOO_DEEP)
+        if height > self.height:
+            self.height = height
+
     def integer(self, token: _Token | None = None, skip: int = 0) -> int:
         """The next INT token's value or, given ``token``, that of its text
         after ``skip`` characters (``top<n>``); at most ``MAX_DIGITS`` digits."""
@@ -361,16 +395,32 @@ class TokenParser:
         except ValueError as e:
             raise self.error(str(e)) from None
 
-    def conjunction(self, item, ctor):
-        """``'(' item ('&' item)* ')'``, the items folded to the left with
-        the binary constructor ``ctor``."""
+    def chain(self, item, ops: dict):
+        """``'(' item (OP item)* ')'``, one operator OP per group, ``ops``
+        mapping the token kinds allowed to binary constructors.  n operands
+        nest ⌈log2 n⌉ levels deep (:func:`fold`), or n - 1 under ``->``,
+        which is not associative and nests to the left."""
         self.expect("LPAREN")
-        result = item()
-        while self.peek().kind == "AMP":
+        outer, tallest, parts, op = self.height, 0, [], None
+        while True:
+            self.height = 0
+            parts.append(item())
+            tallest, n, self.height = max(tallest, self.height), len(parts), outer
+            # the enclosing production counts the chain's top level
+            self.rise(tallest + (n - 1 if op == "ARROW" else (n - 1).bit_length()) - 1)
+            t = self.peek()
+            if op is None and t.kind in ops:
+                op = t.kind
+            if t.kind != op:
+                break
             self.next()
-            result = ctor(result, item())
+        if t.kind in ops:
+            raise self.error("mixed operators in one group need explicit parentheses")
+        if op is None and t.kind != "RPAREN":
+            choices = ", ".join(repr(_SPELLING[kind]) for kind in ops)
+            raise self.error(f"expected {choices} or ')', found {t.text or 'end of input'!r}")
         self.expect("RPAREN")
-        return result
+        return reduce(ops[op], parts) if op == "ARROW" else fold(ops.get(op), parts)
 
     def finish(self, result):
         """``result``, once the whole input has been consumed."""
@@ -396,7 +446,7 @@ class _FormulaParser(TokenParser):
             self.next()
             return Not(self.formula())
         if t.kind == "LPAREN":
-            return self.group()
+            return self.chain(self.formula, _CONNECTIVES)
         if t.kind == "NAME":
             if t.text == "true":
                 self.next()
@@ -411,26 +461,6 @@ class _FormulaParser(TokenParser):
             return self.atom_or_equality()
         raise self.error(f"expected a formula, found {t.text or 'end of input'!r}")
 
-    def group(self) -> Formula:
-        self.expect("LPAREN")
-        f = self.formula()
-        t = self.peek()
-        if t.kind == "RPAREN":
-            self.next()
-            return f
-        op = t.kind
-        if op not in ("AMP", "PIPE", "ARROW"):
-            raise self.error(f"expected '&', '|', '->' or ')', found {t.text!r}")
-        ctor = {"AMP": And, "PIPE": Or, "ARROW": Implies}[op]
-        while self.peek().kind == op:
-            self.next()
-            f = ctor(f, self.formula())
-        t = self.peek()
-        if t.kind in ("AMP", "PIPE", "ARROW"):
-            raise self.error("mixed operators in one group need explicit parentheses")
-        self.expect("RPAREN")
-        return f
-
     def block(self) -> Formula:
         quant = self.next().text
         variables = []
@@ -444,6 +474,7 @@ class _FormulaParser(TokenParser):
             raise self.error("quantifier block needs at least one variable")
         self.expect("DOT")
         body = self.formula()
+        self.rise(self.height + len(variables))
         node = ExistsBlock if quant == "E" else ForallBlock
         return node(tuple(variables), body)
 
@@ -505,12 +536,8 @@ def print_formula(f: Formula) -> str:
         if isinstance(f.body, Equals):
             body = f"({body})"
         return f"~{body}"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({print_formula(f.left)} -> {print_formula(f.right)})"
+    if isinstance(f, (And, Or, Implies)):
+        return f"({print_formula(f.left)} {_SYMBOLS[type(f)]} {print_formula(f.right)})"
     if isinstance(f, ExistsBlock):
         return f"E {' '.join(f.vars)}. {print_formula(f.body)}"
     if isinstance(f, ForallBlock):

@@ -26,7 +26,7 @@ from . import dl, dlr
 from .errors import DnfLimitError, FragmentGateError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
-                     Formula, Implies, Not, Or, Top, Vocabulary,
+                     Formula, Implies, Not, Or, Top, Vocabulary, fold,
                      free_variables)
 
 # ---------------------------------------------------------------------------
@@ -174,37 +174,11 @@ def to_dnf_block(f: Formula) -> DnfBlock:
     return DnfBlock(f.vars, free_var, tuple(disjuncts))
 
 
-def _fold(op, parts: list, unit, drop_units: bool = True):
-    """Combine ``parts`` with the binary constructor ``op`` as a balanced
-    tree, so that nesting depth grows with the logarithm of their number
-    (a left-deep chain of 2^10 DNF disjuncts overflows the recursive
-    printer).  A binary tree over the same parts has the same number of
-    nodes whatever its shape, so the printed size does not depend on it.
-    No parts give ``unit``, op's identity; parts equal to it are left out
-    unless ``drop_units`` is false (disjunctions keep their false parts)."""
-    if drop_units:
-        parts = [p for p in parts if p != unit]
-    if not parts:
-        return unit
-
-    def tree(lo: int, hi: int):
-        if hi - lo == 1:
-            return parts[lo]
-        mid = (lo + hi + 1) // 2  # up to three parts nest as a left-deep chain
-        return op(tree(lo, mid), tree(mid, hi))
-
-    return tree(0, len(parts))
-
-
 # ---------------------------------------------------------------------------
 # FU1  ->  DL
 # ---------------------------------------------------------------------------
 
 _FALSE_C = dl.NotC(dl.TopC())
-
-
-def _identity_map(k: int) -> tuple[int, ...]:
-    return tuple(range(1, k + 1))
 
 
 def _literal_role(lit: Literal, ys: tuple[str, ...]) -> dl.RoleTerm:
@@ -213,7 +187,7 @@ def _literal_role(lit: Literal, ys: tuple[str, ...]) -> dl.RoleTerm:
         role: dl.RoleTerm = dl.Epsilon()
     else:
         sigma = tuple(ys.index(v) + 1 for v in atom.args)
-        if sigma == _identity_map(len(ys)):
+        if sigma == tuple(range(1, len(ys) + 1)):  # the identity map
             role = dl.AtomicRole(atom.rel)
         else:
             role = dl.Apply(dl.Surjection(sigma), dl.AtomicRole(atom.rel))
@@ -253,13 +227,11 @@ def _concept_of(f: Formula) -> dl.Concept:
     if isinstance(f, Not):
         return dl.NotC(_concept_of(f.body))
     if isinstance(f, And):
-        return _fold(dl.AndC, [_concept_of(f.left), _concept_of(f.right)], dl.TopC())
+        return fold(dl.AndC, [_concept_of(f.left), _concept_of(f.right)], dl.TopC())
     if isinstance(f, Or):
-        return _fold(dl.or_concept, [_concept_of(f.left), _concept_of(f.right)],
-                     _FALSE_C, drop_units=False)
+        return fold(dl.or_concept, [_concept_of(f.left), _concept_of(f.right)], _FALSE_C)
     if isinstance(f, Implies):
-        return _fold(dl.or_concept, [dl.NotC(_concept_of(f.left)), _concept_of(f.right)],
-                     _FALSE_C, drop_units=False)
+        return fold(dl.or_concept, [dl.NotC(_concept_of(f.left)), _concept_of(f.right)], _FALSE_C)
     if isinstance(f, ExistsBlock):
         return _block_concept(f)
     if isinstance(f, ForallBlock):
@@ -269,8 +241,8 @@ def _concept_of(f: Formula) -> dl.Concept:
 
 def _block_concept(f: ExistsBlock) -> dl.Concept:
     block = to_dnf_block(f)
-    return _fold(dl.or_concept, [_disjunct_concept(d, block.free_var) for d in block.disjuncts],
-                 _FALSE_C, drop_units=False)
+    return fold(dl.or_concept, [_disjunct_concept(d, block.free_var) for d in block.disjuncts],
+                _FALSE_C)
 
 
 def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
@@ -280,7 +252,7 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
         chis.setdefault(var, []).append(chi)
 
     def chi_concept(var: Optional[str]) -> dl.Concept:
-        return _fold(dl.AndC, [_concept_of(g) for g in chis.get(var, [])], dl.TopC())
+        return fold(dl.AndC, [_concept_of(g) for g in chis.get(var, [])], dl.TopC())
 
     conjuncts: list[dl.Concept] = []
     covered: set[Optional[str]] = set()
@@ -290,13 +262,10 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
             ys = (x0,) + tuple(sorted(xset - {x0}))
         else:
             ys = tuple(sorted(xset))
-        role = None
-        for lit in uniform:
-            piece = _literal_role(lit, ys)
-            role = piece if role is None else dl.AndRole(role, piece)
-        head = _fold(dl.AndC, [chi_concept(ys[0]),
-                               dl.ExistsRole(role, tuple(chi_concept(y) for y in ys[1:]))],
-                     dl.TopC())
+        role = fold(dl.AndRole, [_literal_role(lit, ys) for lit in uniform])
+        head = fold(dl.AndC, [chi_concept(ys[0]),
+                              dl.ExistsRole(role, tuple(chi_concept(y) for y in ys[1:]))],
+                    dl.TopC())
         covered.update(ys)
         if x0 is not None and x0 in xset:
             conjuncts.append(head)
@@ -310,7 +279,7 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
             conjuncts.append(c)
         else:
             conjuncts.append(dl.ExistsRole(dl.universal_role(), (c,)))
-    return _fold(dl.AndC, conjuncts, dl.TopC())
+    return fold(dl.AndC, conjuncts, dl.TopC())
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +309,7 @@ def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) ->
         ys = tuple(f"y{next(ctr)}" for _ in range(n - 1))
         parts = [_role_formula(c.role, (x,) + ys, vocab)]
         parts += [_formula_of(arg, y, ctr, vocab) for arg, y in zip(c.args, ys)]
-        return ExistsBlock(ys, _fold(And, parts, Top()))
+        return ExistsBlock(ys, fold(And, parts, Top()))
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -400,7 +369,7 @@ def _elim_concept(c: dlr.DlrConcept) -> dlr.DlrConcept:
             for step in reversed(chain):
                 out = dlr.ExistsE(step, out)
             alternatives.append(out)
-        return _fold(dlr.or_dlr, alternatives, dlr.NotC(dlr.Top1()), drop_units=False)
+        return fold(dlr.or_dlr, alternatives, dlr.NotC(dlr.Top1()))
     raise TypeError(f"unexpected concept in composition elimination: {c!r}")
 
 
@@ -471,9 +440,9 @@ def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
             # (u,v) with u = v = t_i for some tuple t: an equality guard plus
             # the nested membership block of exists[$i] keeps the block uniform
             member = _dlr_T(dlr.ExistsProj(e.i, e.role), x, ctr, vocab, topn)
-            return ExistsBlock((y,), _fold(And, [Equals(x, y), member, inner], Top()))
+            return ExistsBlock((y,), fold(And, [Equals(x, y), member, inner], Top()))
         tup, zs = _fresh_tuple(n, {e.i: x, e.j: y}, ctr)
-        body = _fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
+        body = fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
         return ExistsBlock((y,) + zs, body)
     raise TypeError(f"untranslatable term (was composition elimination run?): {e!r}")
 
@@ -495,11 +464,11 @@ def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formu
     if isinstance(r, dlr.AtomicRole):
         return Atom(r.name, tup)
     if isinstance(r, dlr.Sel):
-        return _fold(And, [_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
-                           _topn_formula(r.n, tup, topn)], Top())
+        return fold(And, [_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
+                          _topn_formula(r.n, tup, topn)], Top())
     if isinstance(r, dlr.NotR):
-        return _fold(And, [_topn_formula(len(tup), tup, topn),
-                           Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
+        return fold(And, [_topn_formula(len(tup), tup, topn),
+                          Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
     return And(_dlr_s(r.left, tup, ctr, vocab, topn),
                _dlr_s(r.right, tup, ctr, vocab, topn))
 

@@ -277,6 +277,67 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
 
 
+def _chain(leaf, op, n=3000):
+    return "(" + f" {op} ".join([leaf] * n) + ")"
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+@pytest.mark.parametrize("argv, leaf", [
+    (["parse", "-e", "CHAIN"], "P(x)"),
+    (["check", "--fragment", "fu1", "-e", "CHAIN"], "P(x)"),
+    (["eval", "--model", "MODEL", "--assign", "x=a", "-e", "CHAIN"], "P(x)"),
+    (["sat", "--max-size", "1", "-e", "E x. CHAIN"], "P(x)"),
+    (["translate", "--from", "fu1", "--to", "dl", "-e", "CHAIN"], "P(x)"),
+    (DL_FU1 + ["CHAIN"], "A"),
+    (DLR0_FU1 + ["CHAIN"], "A"),
+    (DLR0_FU1 + ["exists[$1] CHAIN"], "R"),
+])
+def test_long_chains_keep_the_exit_code_contract(capsys, tmp_path, argv, leaf, op):
+    """3,000-operand chains nest about 12 levels deep and are answered."""
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"R": 2, "A": 1}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"domain": ["a"], "arities": {"P": 1},
+                                 "relations": {"P": [["a"]]}}))
+    files = {"VOCAB": str(vocab), "MODEL": str(model)}
+    argv = [files.get(a, a.replace("CHAIN", _chain(leaf, op))) for a in argv]
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert "Traceback" not in err
+    if op == "|" and leaf != "P(x)":  # '|' has no place in the DL and DLR grammars
+        assert code == 2 and json.loads(out)["error"]["kind"] == "parse"
+    else:
+        assert code == 0, out
+
+
+def _nested_chains(depth=190, n=33):
+    text = "P(x)"
+    for _ in range(depth):
+        text = "(" + " & ".join([text] + ["P(x)"] * (n - 1)) + ")"
+    return text
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "eval", "sat", "translate"])
+@pytest.mark.parametrize("text", [_chain("P(x)", "->"),
+                                  "E " + " ".join(f"x{i}" for i in range(1000)) + ". P(x0)",
+                                  _nested_chains()],
+                         ids=["arrow-chain", "wide-block", "nested-chains"])
+def test_inputs_past_the_nesting_bound_are_parse_errors(capsys, tmp_path, command, text):
+    """'->' is not associative, so its chains nest one level per operand;
+    the evaluator loops over each block variable in a frame of its own; and
+    a chain of 33 operands nests 6 levels deep, so 190 nested ones make a
+    tree over 1,000 levels tall."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"domain": ["a"], "arities": {"P": 1}, "relations": {}}))
+    argv = {"check": ["check", "--fragment", "fu1"], "eval": ["eval", "--model", str(model)],
+            "sat": ["sat", "--max-size", "1"],
+            "translate": ["translate", "--from", "fu1", "--to", "dl"]}.get(command, [command])
+    code, out, err = invoke(capsys, *argv, "-e", text, "--format", "json")
+    assert code == 2 and "Traceback" not in err
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc["error"]["kind"] == "parse" and "deeper than" in doc["error"]["message"]
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     import unifrag.cli
 
@@ -364,13 +425,22 @@ NESTINGS = (("(", ")", (2, 150, 3000)), ("~", "", (2, 150, 3000)),
             ("E x. ", "", (2, 300)), ("exists eps . ", "", (2, 300)))
 
 
+# operand counts of a chain of seeds (1: the seed alone): short ones, and
+# long ones that a left-deep tree could not walk without overflowing the
+# stack; 1000 comes early, where the fuzzer draws it often enough to matter
+CHAIN_LENGTHS = (1, 1000, 1, 2, 4, 5, 3000, 1, 5000)
+
+
 @st.composite
 def fuzzed_text(draw, seeds):
-    """A seed input after up to three truncations, edits or nestings, or
-    random text."""
+    """A seed input, or a chain of copies of it under one operator, after
+    up to three truncations, edits or nestings; or random text."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.text(FUZZ_ALPHABET, max_size=40))
     text = draw(st.sampled_from(seeds))
+    n = draw(st.sampled_from(CHAIN_LENGTHS))
+    if n > 1:
+        text = "(" + f" {draw(st.sampled_from(('&', '|', '->')))} ".join([text] * n) + ")"
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(("truncate", "insert", "delete", "nest")))
         i = draw(st.integers(0, len(text)))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      infer_vocabulary, parse_formula, print_formula,
                      validate_formula)
 from unifrag.fragments import FragmentId
-from unifrag.dl import parse_concept
-from unifrag.dlr import parse_dlr_concept
-from unifrag.syntax import MAX_ARITY, MAX_DIGITS, MAX_NESTING, _tokenize
+from unifrag.dl import parse_concept, print_concept
+from unifrag.dlr import parse_dlr_concept, print_dlr_concept
+from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies,
+                            _tokenize, fold)
 
 from strategies import VOCAB, gen_any_formula, gen_formula
 
@@ -50,6 +52,25 @@ def test_chained_operators_parse_left_associated():
     assert f == g
 
 
+def test_chains_of_four_or_more_operands_are_balanced():
+    p = [Atom("P", (f"x{i}",)) for i in range(5)]
+    assert fold(And, p[:4]) == And(And(p[0], p[1]), And(p[2], p[3]))
+    assert fold(And, p) == And(And(And(p[0], p[1]), p[2]), And(p[3], p[4]))
+    text = "(P(x0) & P(x1) & P(x2) & P(x3) & P(x4))"
+    assert parse_formula(text) == fold(And, p)
+    # '->' is not associative and keeps nesting to the left
+    assert parse_formula(text.replace("&", "->")) == Implies(
+        Implies(Implies(Implies(p[0], p[1]), p[2]), p[3]), p[4])
+
+
+def test_fold_leaves_out_units_only_when_given_one():
+    p, q = Atom("P", ("x",)), Atom("Q", ("x",))
+    assert fold(And, [Top(), p, Top(), q], Top()) == And(p, q)
+    assert fold(And, [Top(), Top()], Top()) == Top()
+    assert fold(And, [], Top()) == Top()
+    assert fold(And, [Top(), p]) == And(Top(), p)
+
+
 def test_mixed_chain_rejected():
     with pytest.raises(ParseError):
         parse_formula("(P(x) & Q(x) | P(x))")
@@ -67,6 +88,22 @@ def test_nesting_limit_is_a_positioned_parse_error():
     assert print_formula(parse_formula(deepest)) == deepest
     with pytest.raises(ParseError, match=f"1:{MAX_NESTING + 1}: .*deeper than"):
         parse_formula("~" + deepest)
+
+
+def test_arrow_chains_block_variables_and_stars_count_against_the_bound():
+    arrows = " -> ".join(["P(x)"] * 3000)
+    # refused at the arrow after the first operand that makes it too tall
+    with pytest.raises(ParseError, match=f"1:{7 + 8 * (MAX_NESTING + 1)}: .*deeper than"):
+        parse_formula(f"({arrows})")
+    parse_formula("(" + " -> ".join(["P(x)"] * MAX_NESTING) + ")")
+    variables = " ".join(f"x{i}" for i in range(1000))
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_formula(f"E {variables}. P(x0)")
+    variables = " ".join(f"x{i}" for i in range(MAX_NESTING - 2))
+    parse_formula(f"E {variables}. P(x0)")
+    with pytest.raises(ParseError, match=f"1:{15 + MAX_NESTING - 1}: .*deeper than"):
+        parse_dlr_concept("exists R|$1,$2" + "*" * 1000 + " . A")
+    parse_dlr_concept("exists R|$1,$2" + "*" * (MAX_NESTING - 3) + " . A")
 
 
 def test_duplicate_block_variable_rejected():
@@ -173,3 +210,72 @@ LONG = "1" + "0" * MAX_DIGITS  # one digit more than the bound
 def test_integer_literals_past_the_digit_bound_are_parse_errors(parse, text, column):
     with pytest.raises(ParseError, match=f"1:{column}: integer literal longer than"):
         parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Tree height of parsed input
+# ---------------------------------------------------------------------------
+
+def tree_height(node) -> int:
+    """Levels of AST nodes on the longest root-to-leaf path."""
+    parts = [getattr(node, f.name) for f in fields(node)]
+    parts = [q for p in parts for q in (p if isinstance(p, tuple) else (p,))]
+    return 1 + max((tree_height(p) for p in parts if is_dataclass(p)), default=0)
+
+
+def _chain_levels(op: str, n: int) -> int:
+    return n - 1 if op == "->" else (n - 1).bit_length()
+
+
+def _chain(rng, spine: tuple[str, int], leaf: str, ops: str) -> tuple[str, int]:
+    op, n = rng.choice(ops.split()), rng.choice((2, 3, 4, 5, 8, 9, 33, rng.randint(2, 300)))
+    parts = [leaf] * n
+    parts[rng.randrange(n)] = spine[0]
+    return f"({f' {op} '.join(parts)})", spine[1] + _chain_levels(op, n)
+
+
+def _wrap(rng, grammar: str, spine: tuple[str, int]) -> tuple[str, int]:
+    """``spine`` (a text and the tree height the parser counts for it)
+    inside one more construct of ``grammar``."""
+    text, h = spine
+    kind = rng.choice(("not", "chain", "chain", "bind"))
+    if kind == "not":
+        return "~" + text, h + 1
+    if kind == "chain":
+        leaf = {"fo": "P(x)", "dl": "A", "dlr": "A"}[grammar]
+        return _chain(rng, spine, leaf, "& | ->" if grammar == "fo" else "&")
+    if grammar == "fo":
+        k = rng.choice((1, 2, rng.randint(1, 60)))
+        return f"E {' '.join(f'x{i}' for i in range(k))}. {text}", 1 + k + h
+    if grammar == "dl":
+        role = _chain(rng, ("R", 1), "R", "&") if rng.random() < 0.3 else ("R", 1)
+        return f"exists {role[0]}.({text})", 1 + max(role[1], h)
+    stars = rng.choice((0, 1, rng.randint(0, 60)))
+    return f"exists R|$1,$2{'*' * stars} . {text}", 1 + max(2 + stars, h)
+
+
+GRAMMARS = {"fo": (parse_formula, print_formula), "dl": (parse_concept, print_concept),
+            "dlr": (parse_dlr_concept, print_dlr_concept)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GRAMMARS)), st.integers(0, 10**9))
+def test_parsed_trees_are_as_tall_as_the_parser_counts(grammar, seed):
+    """Each construct adds the levels the parser counts for it: one, one
+    per block variable or ``*``, and ⌈log2 n⌉ for a chain of n ``&`` or
+    ``|`` operands (n - 1 for ``->``).  Input is accepted exactly when the
+    count stays within ``MAX_NESTING``, and its tree is no taller."""
+    rng = random.Random(seed)
+    parse, show = GRAMMARS[grammar]
+    spine = ("P(x)" if grammar == "fo" else "A", 1)
+    for _ in range(rng.choice((1, 5, 50, rng.randint(1, 200)))):
+        spine = _wrap(rng, grammar, spine)
+    text, counted = spine
+    try:
+        tree = parse(text)
+    except ParseError as e:
+        assert "deeper than" in str(e) and counted > MAX_NESTING
+        return
+    assert counted <= MAX_NESTING
+    assert tree_height(tree) <= counted
+    assert parse(show(tree)) == tree

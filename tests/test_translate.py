@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (ArityError, FragmentGateError, Vocabulary, VocabularyError,
-                     make_structure, parse_formula, print_formula, satisfaction_set)
+from unifrag import (ArityError, FragmentGateError, ParseError, Vocabulary,
+                     VocabularyError, evaluate, make_structure, parse_formula,
+                     print_formula, satisfaction_set)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.syntax import And, Atom, Equals, ExistsBlock, Top
@@ -113,6 +114,11 @@ def test_sentence_embeds_via_universal_role():
     two = make_structure(["a", "b"], {"R": 2}, {"R": {("a", "a"), ("b", "b")}})
     assert dl.concept_extension(loop, c) == frozenset()
     assert dl.concept_extension(two, c) == {"a", "b"}
+
+
+def test_a_false_disjunct_is_left_out():
+    assert fu1_to_dl(parse_formula("(P(x) | false)")) == dl.AtomicConcept("P")
+    assert fu1_to_dl(parse_formula("(false | false)")) == dl.NotC(dl.TopC())
 
 
 def test_fu1_gate_rejects_violations():
@@ -363,3 +369,50 @@ def test_unknown_top_mode_is_refused_on_entry(refuse):
     with pytest.raises(ValueError) as refused:
         refuse(s, vocab)
     assert str(refused.value) == _BOGUS_MODE
+
+
+# ---------------------------------------------------------------------------
+# The deepest input each grammar accepts
+# ---------------------------------------------------------------------------
+
+def _deepest(make, parse):
+    """``make(k)`` for the largest k whose text ``parse`` accepts."""
+    k = 1
+    while True:
+        try:
+            parse(make(k + 1))
+        except ParseError as e:
+            assert "deeper than" in str(e)
+            return make(k)
+        k += 1
+
+
+_DEEP_STRUCTURE = make_structure(["a", "b"], {"R": 2, "P": 1, "A": 1},
+                                 {"R": {("a", "b"), ("b", "b")}, "P": {("a",)}, "A": {("b",)}})
+
+
+def _through_the_fo_layers(f):
+    # a translation may be too tall for the parser to read back
+    assert print_formula(f)
+    assert check_fragment(f, FragmentId.FU1).verdict
+    return satisfaction_set(_DEEP_STRUCTURE, f).elements
+
+
+def test_the_deepest_accepted_input_runs_through_every_layer():
+    s, vocab = _DEEP_STRUCTURE, _DEEP_STRUCTURE.vocabulary
+    f = parse_formula(_deepest(lambda k: "~" * k + "P(x)", parse_formula))
+    c = fu1_to_dl(f)
+    assert _through_the_fo_layers(f) == dl.concept_extension(s, c) == {"b"}
+    assert parse_formula(print_formula(f)) == f
+    assert dl.parse_concept(dl.print_concept(c)) == c
+
+    c = dl.parse_concept(_deepest(lambda k: "exists R.(" * k + "A" + ")" * k, dl.parse_concept))
+    assert dl.parse_concept(dl.print_concept(c)) == c
+    assert _through_the_fo_layers(dl_to_fu1(c, vocab)) == dl.concept_extension(s, c) == {"a", "b"}
+
+    c = dlr.parse_dlr_concept(_deepest(lambda k: "exists R|$1,$2 . " * k + "A",
+                                       dlr.parse_dlr_concept))
+    assert dlr.parse_dlr_concept(dlr.print_dlr_concept(c)) == c
+    f = dlr0_to_fu1(c, vocab)
+    assert _through_the_fo_layers(f) == dlr.dlr_concept_extension(s, c) == {"a", "b"}
+    assert evaluate(s, {"x": "a"}, f)
