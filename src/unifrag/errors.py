@@ -42,5 +42,5 @@ class CellLimitError(LogicError):
 
 
 class DnfLimitError(LogicError):
-    """Translation refused: the disjunctive normal form of a quantifier
-    block would exceed the fixed disjunct budget."""
+    """Translation refused: the absorbed disjunctive normal form of a
+    quantifier block would exceed the fixed disjunct budget."""

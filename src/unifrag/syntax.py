@@ -13,14 +13,14 @@ Formula grammar (UTF-8 text)::
     OP ::= '&' | '|' | '->'
     NAME, var ::= [A-Za-z][A-Za-z0-9_]*
 
-``true``, ``false``, ``E`` and ``A`` are reserved words and cannot be used
-as relation or variable names.  Quantifier blocks are whitespace-separated
-variable lists and bind as far to the right as possible.  ``&`` and
-``|`` chains are balanced trees (:func:`fold`), ``->`` chains nest to the
-left.  The parsers here and in :mod:`unifrag.dl` and :mod:`unifrag.dlr`
-build trees at most ``MAX_NESTING`` levels tall, which every walker of the
-package handles; a much taller tree built in code may make one raise
-RecursionError.
+``true``, ``false``, ``E`` and ``A`` are reserved words: they name no
+variable, and a relation only directly before ``(``.  Quantifier blocks
+are whitespace-separated variable lists and bind as far to the right as
+possible.  ``&`` and ``|`` chains are balanced trees (:func:`fold`), ``->``
+chains nest to the left.  The parsers here and in :mod:`unifrag.dl` and
+:mod:`unifrag.dlr` build trees at most ``MAX_NESTING`` levels tall, which
+every walker of the package handles; a taller tree built in code, such as
+a translation, may make one raise RecursionError and its text unparsable.
 
 Variables are plain strings; distinct names denote distinct variables.
 All AST nodes are immutable and safe to share across threads.
@@ -70,8 +70,8 @@ class Vocabulary:
             if arity > MAX_ARITY:
                 raise VocabularyError(
                     f"arity {arity} of {name!r} exceeds the limit of {MAX_ARITY}")
-            # E/A/true/false stay usable as symbols of the data model even
-            # though the formula text grammar cannot reference them
+            # E/A/true/false are names too: the formula grammar reads one
+            # followed by '(' as a relation
             if not NAME_RE.fullmatch(name):
                 raise VocabularyError(f"invalid relation name {name!r}")
 
@@ -435,7 +435,8 @@ class _FormulaParser(TokenParser):
         t = self.peek()
         if t.kind != "NAME":
             raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
-        if t.text in RESERVED_WORDS:
+        # before '(' a reserved word names a relation; nothing else goes there
+        if t.text in RESERVED_WORDS and self.peek(1).kind != "LPAREN":
             raise self.error(f"{t.text!r} is a reserved word and cannot name a {what}")
         return self.next()
 
@@ -447,6 +448,8 @@ class _FormulaParser(TokenParser):
             return Not(self.formula())
         if t.kind == "LPAREN":
             return self.chain(self.formula, _CONNECTIVES)
+        if t.kind == "NAME" and self.peek(1).kind == "LPAREN":
+            return self.atom_or_equality()
         if t.kind == "NAME":
             if t.text == "true":
                 self.next()

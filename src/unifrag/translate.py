@@ -19,7 +19,7 @@ oracles in the test suite; no rewrite is trusted on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, groupby
 from typing import Iterator, Optional, Union
 
 from . import dl, dlr
@@ -79,10 +79,15 @@ def _leaf_vars(a: LeafAtom) -> frozenset[str]:
     return frozenset((a.left, a.right))
 
 
-# Most disjuncts the normal form of one block may have.  A conjunction of
-# k two-way disjunctions has 2^k disjuncts; 2^11 print as about 100k
-# characters of DL concept, 2^13 as half a megabyte.
+# Most disjuncts the absorbed normal form of one block may have (see _dnf).
+# An irreducible conjunction of k two-way disjunctions has 2^k disjuncts;
+# 2^11 print as about 100k characters of DL concept, 2^13 as half a megabyte.
 DNF_LIMIT = 2048
+
+# One conjunction of the normal form: its signed leaves without repeats, in
+# text order, and the same leaves as a set.
+Conj = tuple[tuple[tuple[bool, Formula], ...], frozenset]
+_EMPTY: Conj = ((), frozenset())
 
 
 def _check_dnf_size(disjuncts: int) -> None:
@@ -92,42 +97,70 @@ def _check_dnf_size(disjuncts: int) -> None:
             f"more than the limit of {DNF_LIMIT}")
 
 
-def _product(left: list, right: list) -> list:
+def _shares_leaf(left: list[Conj], right: list[Conj]) -> bool:
+    """Whether some leaf occurs on both sides, with either sign."""
+    ls = frozenset().union(*(s for _, s in left))
+    rs = frozenset().union(*(s for _, s in right))
+    return not (ls.isdisjoint(rs) and ls.isdisjoint({(not p, leaf) for p, leaf in rs}))
+
+
+def _absorbed(conjs: list[Conj]) -> list[Conj]:
+    """Drop each conjunction that contains another (A | (A & B) = A) or
+    repeats an earlier one; the others keep their order."""
+    first: dict[frozenset, Conj] = {}
+    for c in conjs:
+        first.setdefault(c[1], c)
+    kept: set[frozenset] = set()
+    for _, same in groupby(sorted(first, key=len), len):  # shortest first
+        kept.update([s for s in same if not any(k <= s for k in kept)])
+    return [c for s, c in first.items() if s in kept]
+
+
+def _product(left: list[Conj], right: list[Conj]) -> list[Conj]:
     _check_dnf_size(len(left) * len(right))  # before building it
-    return [a + b for a in left for b in right]
+    if not _shares_leaf(left, right):
+        # each side is an antichain over its own leaves, so the product is one
+        return [(a + b, sa | sb) for a, sa in left for b, sb in right]
+    negated = [frozenset((not p, leaf) for p, leaf in b) for b, _ in right]
+    return _absorbed([(a + tuple(x for x in b if x not in sa), sa | sb)
+                      for a, sa in left for (b, sb), nb in zip(right, negated)
+                      if sa.isdisjoint(nb)])
 
 
-def _dnf(f: Formula, positive: bool) -> list[list[tuple[bool, Formula]]]:
+def _union(left: list[Conj], right: list[Conj]) -> list[Conj]:
+    if [_EMPTY] in (left, right) or _shares_leaf(left, right):
+        return _absorbed(left + right)
+    return left + right
+
+
+def _dnf(f: Formula, positive: bool) -> list[Conj]:
     """Disjunctive normal form over the Boolean skeleton; quantified
-    subformulas and atoms stay opaque leaves.  Returns a list of
-    conjunctions, each a list of signed leaves."""
+    subformulas and atoms stay opaque leaves.  The form is absorbed: no
+    conjunction holds a leaf with both signs, none contains or repeats
+    another, and the survivors keep the order of the full product."""
     if isinstance(f, Not):
         return _dnf(f.body, not positive)
     if isinstance(f, Top):
-        return [[]] if positive else []
+        return [_EMPTY] if positive else []
     if isinstance(f, Bottom):
-        return [] if positive else [[]]
+        return [] if positive else [_EMPTY]
     if isinstance(f, And) and positive or isinstance(f, Or) and not positive:
         return _product(_dnf(f.left, positive), _dnf(f.right, positive))
     if isinstance(f, Or) and positive or isinstance(f, And) and not positive:
-        return _dnf(f.left, positive) + _dnf(f.right, positive)
+        return _union(_dnf(f.left, positive), _dnf(f.right, positive))
     if isinstance(f, Implies):
         if positive:
-            return _dnf(f.left, False) + _dnf(f.right, True)
+            return _union(_dnf(f.left, False), _dnf(f.right, True))
         return _product(_dnf(f.left, True), _dnf(f.right, False))
-    return [[(positive, f)]]
+    leaf = (positive, f)
+    return [((leaf,), frozenset((leaf,)))]
 
 
-def _classify(conj: list[tuple[bool, Formula]]) -> Disjunct:
+def _classify(conj: tuple[tuple[bool, Formula], ...]) -> Disjunct:
     rel_lits: list[Literal] = []
     eq_lits: list[Literal] = []
     chis: list[tuple[Optional[str], Formula]] = []
-    seen = set()
     for positive, leaf in conj:
-        key = (positive, leaf)
-        if key in seen:
-            continue
-        seen.add(key)
         if isinstance(leaf, Atom) and len(set(leaf.args)) >= 2:
             rel_lits.append(Literal(positive, leaf))
         elif isinstance(leaf, Equals) and leaf.left != leaf.right:
@@ -149,9 +182,10 @@ def _classify(conj: list[tuple[bool, Formula]]) -> Disjunct:
 
 
 def to_dnf_block(f: Formula) -> DnfBlock:
-    """Distribute an existential block over the disjunctive normal form of
-    its body.  Each disjunct is saturated: every variable of the uniform
-    part carries at least one unary conjunct (true() when nothing else)."""
+    """Distribute an existential block over the absorbed disjunctive normal
+    form of its body (see ``_dnf``).  Each disjunct is saturated: every
+    variable of the uniform part carries at least one unary conjunct
+    (true() when nothing else)."""
     if not isinstance(f, ExistsBlock):
         raise FragmentGateError("to_dnf_block expects an existential block")
     leftover = free_variables(f)
@@ -165,7 +199,7 @@ def to_dnf_block(f: Formula) -> DnfBlock:
     # grow only with the size of the input, so the total is checked here
     _check_dnf_size(len(conjs))
     disjuncts = []
-    for conj in conjs:
+    for conj, _ in conjs:
         d = _classify(conj)
         covered = {v for v, _ in d.unary_parts}
         padding = tuple((v, Top()) for v in sorted(d.uniform_variables() - covered))

@@ -201,6 +201,12 @@ def _clauses(k):
     return " & ".join(f"(P{i}(y) | R(x,y))" for i in range(k))
 
 
+def _irreducible(k, p="P", q="Q", r="R"):
+    """k clauses over distinct leaves and one guard: 2^k disjuncts that
+    absorption cannot remove."""
+    return " & ".join(f"({p}{i}(y) | {q}{i}(y))" for i in range(k)) + f" & {r}(x,y)"
+
+
 DL_FU1 = ["translate", "--from", "dl", "--to", "fu1", "--vocab", "VOCAB", "-e"]
 DLR0_FU1 = ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "VOCAB", "-e"]
 DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
@@ -213,11 +219,13 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
     # 2^10 DNF disjuncts: the printed concept must stay shallow enough to
     # print and to parse back
     (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(10)})"], 0),
-    # 2^13 DNF disjuncts: refused by the disjunct budget instead of printed
-    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(13)})"], 2),
-    # 2 x 2^11 disjuncts, each product within the budget but not their union
+    # 2^13 irreducible DNF disjuncts: refused by the disjunct budget
+    # instead of printed
+    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_irreducible(13)})"], 2),
+    # 2 x 2^11 irreducible disjuncts, each product within the budget but not
+    # their union
     (["translate", "--from", "fu1", "--to", "dl", "-e",
-      f"E y. (({_clauses(11)}) | ({_clauses(11)}))"], 2),
+      f"E y. (({_irreducible(11)}) | ({_irreducible(11, 'S', 'T', 'U')}))"], 2),
     # nesting past the parsers' depth limit is a parse error, not a crash
     (["parse", "-e", "~" * 3000 + "P(x)"], 2),
     (["parse", "-e", "(" * 600 + "P(x)" + ")" * 600], 2),
@@ -247,6 +255,10 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
       "-e", "A x. P999(x)"], 0),
     # a JSON true where an arity belongs
     (["parse", "--vocab", "BOOL", "-e", "P(x)"], 2),
+    # 2^13 and 2 x 2^11 disjuncts before absorption, 2 after it: answered
+    (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(13)})"], 0),
+    (["translate", "--from", "fu1", "--to", "dl", "-e",
+      f"E y. (({_clauses(11)}) | ({_clauses(11)}))"], 0),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"
@@ -275,6 +287,26 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
         assert doc["found"] is True
     else:
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
+
+
+def test_a_translation_taller_than_the_parsers_accept_is_a_parse_error(capsys, tmp_path):
+    # dl_to_fu1 of the deepest DL concept is about 400 levels tall: it is
+    # printed, and reading it back is refused by the height bound
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"R": 2, "A": 1}))
+    deepest = "exists R.(" * 199 + "A" + ")" * 199
+    code, out, _ = invoke(capsys, "translate", "--from", "dl", "--to", "fu1", "--vocab", str(vocab),
+                          "-e", deepest, "--format", "json")
+    assert code == 0
+    text = json.loads(out)["output"]
+    for argv in (["parse"], ["translate", "--from", "fu1", "--to", "dl"]):
+        code, out, err = invoke(capsys, *argv, "-e", text, "--format", "json")
+        assert code == 2 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse" and "deeper than" in error["message"]
+    code, _, _ = invoke(capsys, "translate", "--from", "dl", "--to", "fu1", "--vocab", str(vocab),
+                        "-e", "exists R.(" + deepest + ")")
+    assert code == 2  # 199 is the deepest concept the DL parser accepts
 
 
 def _chain(leaf, op, n=3000):

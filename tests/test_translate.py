@@ -9,7 +9,8 @@ from unifrag import (ArityError, FragmentGateError, ParseError, Vocabulary,
                      print_formula, satisfaction_set)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
-from unifrag.syntax import And, Atom, Equals, ExistsBlock, Top
+from unifrag.syntax import (And, Atom, Equals, ExistsBlock, ForallBlock, Not, Top,
+                            walk)
 from unifrag.translate import (Disjunct, dl_to_fu1, dlr0_to_fu1,
                                eliminate_comp_union, fu1_to_dl, to_dnf_block)
 
@@ -86,6 +87,58 @@ def _eval_disjunct(s, block, d: Disjunct, x):
     return evaluate(s, {"x": x}, ExistsBlock(block.variables, body))
 
 
+def _clauses(k):
+    return " & ".join(f"(P{i}(y) | R(x,y))" for i in range(k))
+
+
+@pytest.mark.parametrize("k", [10, 30])
+def test_dnf_absorbs_subsumed_conjunctions(k):
+    # every mixed choice contains R(x,y), so E y. R(x,y) | E y. (P0(y) & ...)
+    block = to_dnf_block(parse_formula(f"E y. ({_clauses(k)})"))
+    assert [len(d.relation_literals) for d in block.disjuncts] == [0, 1]
+    assert [len(d.unary_parts) for d in block.disjuncts] == [k, 2]
+
+
+def test_dnf_drops_contradictory_conjunctions():
+    f = parse_formula("E y. (R(x,y) & ~R(x,y))")
+    assert to_dnf_block(f).disjuncts == ()
+    assert fu1_to_dl(f) == dl.NotC(dl.TopC())
+
+
+def _signed_leaves(d: Disjunct) -> frozenset:
+    """The conjunction a disjunct was built from, without the padding."""
+    out = {(lit.positive, lit.atom) for lit in d.relation_literals + d.equality_literals}
+    for _, chi in d.unary_parts:
+        if isinstance(chi, Not):
+            out.add((False, chi.body))
+        elif not isinstance(chi, Top):  # Top is never a leaf
+            out.add((True, chi))
+    return frozenset(out)
+
+
+ABSORB_VOCAB = {"R": 2, "P": 1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9))
+def test_dnf_is_absorbed_and_extension_equal(seed):
+    # a small vocabulary makes repeated and complementary leaves common
+    rng = random.Random(seed)
+    f = gen_formula(rng, FragmentId.FU1, depth=rng.randint(2, 4),
+                    vocab=Vocabulary(ABSORB_VOCAB))
+    for g in walk(f):
+        if isinstance(g, (ExistsBlock, ForallBlock)):
+            body = g.body if isinstance(g, ExistsBlock) else Not(g.body)
+            conjs = [_signed_leaves(d) for d in to_dnf_block(ExistsBlock(g.vars, body)).disjuncts]
+            for i, a in enumerate(conjs):
+                assert not any((not p, leaf) in a for p, leaf in a)
+                assert not any(b <= a for b in conjs[:i] + conjs[i + 1:])
+    c = fu1_to_dl(f)
+    for s in enum_structures(ABSORB_VOCAB, 3):
+        assert dl.concept_extension(s, c) == satisfaction_set(s, f).elements, \
+            (print_formula(f), dl.print_concept(c))
+
+
 # ---------------------------------------------------------------------------
 # FU1 -> DL
 # ---------------------------------------------------------------------------
@@ -160,7 +213,6 @@ def test_nary_existential_to_block():
 def test_negated_role_existential_shape():
     c = dl.NotC(dl.ExistsRole(dl.NotRole(dl.AtomicRole("R")), (dl.AtomicConcept("P"),)))
     f = dl_to_fu1(c, VOCAB)
-    from unifrag.syntax import Not
     assert f == Not(ExistsBlock(
         ("y1",), And(Not(Atom("R", ("x", "y1"))), Atom("P", ("y1",)))))
 
@@ -182,6 +234,23 @@ def test_round_trip_up_to_semantics(seed):
     for _ in range(10):
         s = gen_structure(rng, VOCAB, max_size=3)
         assert dl.concept_extension(s, c) == dl.concept_extension(s, c2)
+
+
+RESERVED_NAMES_VOCAB = Vocabulary({"R": 2, "T": 3, "A": 1, "E": 1, "true": 1, "false": 1})
+
+
+def test_translations_over_reserved_concept_names_parse_back():
+    # A(y1), E(x) or true(x) in a translation is an atom, not a block or a constant
+    rng = random.Random(29)
+    for _ in range(60):
+        c = gen_dl_concept(rng, rng.randint(1, 3), RESERVED_NAMES_VOCAB)
+        f = dl_to_fu1(c, RESERVED_NAMES_VOCAB)
+        assert parse_formula(print_formula(f)) == f, dl.print_concept(c)
+        c = gen_dlr_concept(rng, rng.randint(1, 3), RESERVED_NAMES_VOCAB, core_only=True)
+        f = dlr0_to_fu1(c, RESERVED_NAMES_VOCAB)
+        assert parse_formula(print_formula(f)) == f, dlr.print_dlr_concept(c)
+    assert parse_formula("E y1. (R(x,y1) & A(y1))") == ExistsBlock(
+        ("y1",), And(Atom("R", ("x", "y1")), Atom("A", ("y1",))))
 
 
 # ---------------------------------------------------------------------------
