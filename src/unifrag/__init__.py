@@ -4,9 +4,9 @@ finite model checking, logic-to-logic translation, bounded model search
 and executable expressivity separations.
 """
 
-from .errors import (ArityError, CellLimitError, DnfLimitError, EvalError,
-                     FragmentGateError, LogicError, ParseError, StructureError,
-                     VocabularyError)
+from .errors import (ArityError, CellLimitError, CircuitLimitError, DnfLimitError,
+                     EvalError, FragmentGateError, LogicError, ParseError,
+                     StructureError, VocabularyError)
 from .fragments import (Diagnostic, FragmentId, Violation, ViolationKind,
                         check_fo2, check_fragment)
 from .modelfind import SearchReport, find_model
@@ -23,7 +23,7 @@ from .translate import (DnfBlock, Disjunct, dl_to_fu1, dlr0_to_fu1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "ArityError", "Atom", "Bottom", "CellLimitError", "CountExists",
+    "And", "ArityError", "Atom", "Bottom", "CellLimitError", "CircuitLimitError", "CountExists",
     "Diagnostic", "Disjunct", "DnfBlock", "DnfLimitError", "Equals", "EvalError", "ExistsBlock",
     "ForallBlock", "Formula", "FragmentGateError", "FragmentId", "Implies",
     "LogicError", "Not", "Or", "ParseError", "SatisfactionSet", "SearchReport",

@@ -355,13 +355,13 @@ def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-_RESERVED = frozenset({"eps", "exists", "perm", "top"})
+RESERVED = frozenset({"eps", "exists", "perm", "top"})
 
 
 class _DlParser(TokenParser):
     def atom_name(self, what):
         t = self.peek()
-        if t.kind != "NAME" or t.text in _RESERVED:
+        if t.kind != "NAME" or t.text in RESERVED:
             raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
         return self.next().text
 

@@ -44,3 +44,8 @@ class CellLimitError(LogicError):
 class DnfLimitError(LogicError):
     """Translation refused: the absorbed disjunctive normal form of a
     quantifier block would exceed the fixed disjunct budget."""
+
+
+class CircuitLimitError(LogicError):
+    """Model search refused: the ground circuit of the sentence at the
+    requested domain size would exceed the fixed circuit budget."""

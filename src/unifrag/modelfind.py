@@ -5,14 +5,17 @@ over a fixed cell sequence (relations sorted by name, tuples in row-major
 order over the domain e0..e{n-1}).  The search walks these strings in
 increasing binary order, false first, so the reported model is always the
 lexicographically least satisfying interpretation of minimal domain size.
-Subtrees are cut with a three-valued evaluation of the sentence under the
-partial interpretation: the Kleene evaluator core of
-:mod:`unifrag.semantics` (``compile_formula``) runs with atoms that read
-the cell array, where an undecided cell is unknown.  A definite false
-prunes, a definite true is completed with all remaining cells false.  The
-pruning is conservative, so outcomes match an exhaustive enumeration
-exactly.  A model is re-checked on the built structure, through the
-structure's own tuples, before it is returned.
+
+At each size the sentence is grounded once into a ``Circuit`` of gates
+over the cells: ``A`` and ``E`` give AND and OR gates, ``E[>=k]`` a
+threshold gate, ``E[<=k]`` the negated ``>=k+1`` gate, ``E[=k]`` the AND
+of both, and equalities, ``true`` and ``false`` fold away.  Block parts
+are placed by :func:`unifrag.semantics.block_parts`, so a vacuous block
+variable does not multiply the circuit.  The root is required true; a
+conflict backtracks, a true root completes with every undecided cell
+false.  Forcing only removes non-models, so outcomes match an exhaustive
+enumeration exactly.  A model is re-checked on the built structure,
+through the structure's own tuples, before it is returned.
 
 NoModelUpTo is a bounded verdict only.  Sentences of the uniform fragment
 that are satisfiable at all have models of size exponentially bounded in
@@ -30,22 +33,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional, Union
 
-from .errors import CellLimitError, EvalError
-from .semantics import compile_formula, evaluate
+from .errors import CellLimitError, CircuitLimitError, EvalError
+from .semantics import block_parts, evaluate
 from .structures import Structure
-from .syntax import Atom, Formula, Vocabulary, free_variables, validate_formula
+from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
+                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
+                     free_variables, validate_formula)
 
 DEFAULT_CELL_LIMIT = 64
+# ground circuit nodes at the largest size searched, counted before folding
+CIRCUIT_LIMIT = 100_000
+
+# a gate input or root: (node, negated), or a constant folded while grounding
+Lit = Union[tuple[int, bool], bool]
 
 
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of a bounded search.  ``model`` is None when no structure of
     size up to ``bound`` satisfies the sentence.  ``nodes_examined`` counts
-    the partial interpretations evaluated."""
+    one node per domain size searched plus one per decision tried (a cell
+    set by branching, not by forcing)."""
 
     sentence: Formula
     bound: int
@@ -78,10 +91,14 @@ def find_model(f: Formula, vocab: Vocabulary, max_size: int,
         raise CellLimitError(
             f"{worst} interpretation cells at size {max_size} exceed the limit "
             f"of {cell_limit}; raise cell_limit explicitly to search anyway")
+    ground, nodes = grounder(f, max_size)
+    if nodes > CIRCUIT_LIMIT:
+        raise CircuitLimitError(f"the ground circuit at size {max_size} would exceed "
+                                f"the limit of {CIRCUIT_LIMIT} nodes")
     started = time.perf_counter()
     counter = [0]
     for size in range(1, max_size + 1):
-        model = _search_size(f, vocab, size, prune, counter)
+        model = _search_size(ground, vocab, size, prune, counter)
         if model is not None:
             if not evaluate(model, {}, f):  # soundness re-check before returning
                 raise AssertionError("search returned a non-model; this is a bug")
@@ -92,35 +109,202 @@ def find_model(f: Formula, vocab: Vocabulary, max_size: int,
 
 
 # ---------------------------------------------------------------------------
+# The ground circuit
+# ---------------------------------------------------------------------------
+
+class Circuit:
+    """The cells of ``vocab`` at domain ``size``, the gates grounding adds
+    above them, and the state of one partial interpretation.
+
+    Nodes ``0..len(cells)-1`` are the cells (``index`` maps a cell to its
+    node), later ones gates, each true when at least k of its (possibly
+    negated) inputs are.  ``gates[g]`` is ``[need False, need True,
+    required value, inputs]``: the gate takes value ``v`` once ``need v``
+    more inputs have (past 0 when a node is an input twice), which is its
+    strong Kleene value.  ``value`` holds each decided node's value, a
+    gate's once its counts decide it.  Deciding a cell updates only the
+    gates above it, and a required gate with no slack left forces its
+    undecided inputs.  ``trail`` lists each decided node ``x``, and ``~g``
+    for each gate given a required value, in order.
+    """
+
+    def __init__(self, vocab: Vocabulary, size: int):
+        self.size = size
+        self.cells = [(rel, t) for rel in sorted(vocab.symbols)
+                      for t in product(range(size), repeat=vocab.symbols[rel])]
+        self.index = {cell: i for i, cell in enumerate(self.cells)}
+        n = len(self.cells)
+        self.value: list[Optional[bool]] = [None] * n
+        self.gates: list[Optional[list]] = [None] * n
+        self.parents: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+        self.trail: list[int] = []
+
+    def gate(self, k: int, lits: list[Lit]) -> Lit:
+        """At least ``k`` of ``lits`` true, with the constants folded."""
+        if k == 1 and len(lits) == 1:
+            return lits[0]
+        ins = [lit for lit in lits if type(lit) is tuple]
+        k -= lits.count(True)
+        if k <= 0 or k > len(ins):
+            return k <= 0
+        if len(ins) == 1:
+            return ins[0]
+        g = len(self.value)
+        for node, neg in ins:
+            self.parents[node].append((g, neg))
+        self.value.append(None)
+        self.gates.append([len(ins) - k + 1, k, None, ins])
+        self.parents.append([])
+        return (g, False)
+
+    def propagate(self, node: int, v: bool) -> bool:
+        """Give ``node`` the value ``v`` (decide a cell, or require a gate)
+        and propagate: counts upwards, forced values downwards.  False on a
+        conflict, which leaves the state for ``undo`` to restore."""
+        value, gates, parents, trail = self.value, self.gates, self.parents, self.trail
+        stack = [(node, v)]
+        while stack:
+            x, v = stack.pop()
+            if value[x] is not None:
+                if value[x] is not v:
+                    return False
+                continue
+            gate = gates[x]
+            if gate:
+                if gate[2] is (not v) or gate[not v] <= 0:
+                    return False
+                if gate[v] > 0:  # undecided: required to become v
+                    if gate[2] is None:
+                        gate[2] = v
+                        trail.append(~x)
+                    if gate[not v] == 1:  # no slack: the undecided inputs are forced
+                        stack += ((c, v is not neg) for c, neg in gate[3] if value[c] is None)
+                    continue
+            value[x] = v
+            trail.append(x)
+            for p, neg in parents[x]:
+                if value[p] is None:
+                    u = v is not neg
+                    gate = gates[p]
+                    gate[u] -= 1
+                    if gate[u] == 0:
+                        stack.append((p, u))
+                    elif gate[u] == 1 and gate[2] is (not u):  # no slack left
+                        stack.append((p, not u))
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Restore the state to the moment the trail was ``mark`` long."""
+        value, gates, parents, trail = self.value, self.gates, self.parents, self.trail
+        while len(trail) > mark:
+            x = trail.pop()
+            if x < 0:
+                gates[~x][2] = None
+                continue
+            v, value[x] = value[x], None
+            for p, neg in parents[x]:
+                if value[p] is None:
+                    gates[p][v is not neg] += 1
+
+
+def _negate(lit: Lit) -> Lit:
+    return not lit if lit is True or lit is False else (lit[0], not lit[1])
+
+
+def grounder(f: Formula, max_size: int) -> tuple[Callable[..., tuple[Circuit, Lit]], int]:
+    """Compile ``f`` once into ``ground(vocab, size, asg={})``, which
+    builds the circuit at one domain size and returns it with the literal
+    of ``f`` under ``asg`` (variables to element indices).  Also returns
+    the number of nodes grounding makes at ``max_size`` before any folds:
+    one per gate and per gate input."""
+    asg: dict[str, int] = {}
+
+    def each(var: str, g: Callable, c: Circuit) -> list[Lit]:
+        """The literals of ``g`` for every value of ``var``."""
+        saved, lits = asg.get(var), []
+        for d in range(c.size):
+            asg[var] = d
+            lits.append(g(c))
+        asg[var] = saved  # None out of scope, where nothing reads it
+        return lits
+
+    def negate(compiled: tuple) -> tuple[Callable[[Circuit], Lit], int]:
+        g, nodes = compiled
+        return (lambda c: _negate(g(c))), nodes
+
+    def comp(f: Formula) -> tuple[tuple[Callable[[Circuit], Lit], int], frozenset[str]]:
+        """``(ground, nodes)`` of ``f``, and the free variables of ``f``."""
+        if isinstance(f, Atom):
+            rel, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
+            if len(f.args) == 1:
+                return ((lambda c: (c.index[rel, (key(asg),)], False)), 1), frozenset(f.args)
+            return ((lambda c: (c.index[rel, key(asg)], False)), 1), frozenset(f.args)
+        if isinstance(f, Not):
+            g, free = comp(f.body)
+            return negate(g), free
+        if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
+            vars, exists, levels, free = block_parts(f, comp, negate)
+            g, nodes = None, 0
+            for i in range(len(levels) - 1, -1, -1):
+                g = partial(level, [p for p, _ in levels[i]], vars[i] if g else None, g, exists)
+                # the level's gate, its parts, and a loop gate over the next level
+                nodes = 1 + sum(n for _, n in levels[i]) + (1 + max_size * nodes if nodes else 0)
+            return (g, nodes), free
+        if isinstance(f, Equals):
+            left, right = f.left, f.right
+            return ((lambda c: asg[left] == asg[right]), 1), frozenset((left, right))
+        if isinstance(f, (Top, Bottom)):
+            const = isinstance(f, Top)
+            return ((lambda c: const), 1), frozenset()
+        if isinstance(f, CountExists):
+            (body, nodes), free = comp(f.body)
+            var, cmp, k = f.var, f.cmp, f.bound
+
+            def count(c: Circuit) -> Lit:
+                lits = each(var, body, c)
+                if cmp == ">=":
+                    return c.gate(k, lits)
+                at_most = _negate(c.gate(k + 1, lits))
+                return at_most if cmp == "<=" else c.gate(2, [c.gate(k, lits), at_most])
+
+            return (count, 3 + max_size * nodes), free - {var}
+        raise TypeError(f"not a formula: {f!r}")
+
+    def level(parts: list, var: Optional[str], inner: Optional[Callable], exists: bool,
+              c: Circuit) -> Lit:
+        """The join of ``parts`` and of the loop of ``var`` over ``inner``."""
+        lits = [p(c) for p in parts]
+        if inner is not None:
+            loop = each(var, inner, c)
+            lits.append(c.gate(1 if exists else len(loop), loop))
+        return c.gate(len(lits) if exists else 1, lits)
+
+    (root, nodes), _ = comp(f)
+
+    def ground(vocab: Vocabulary, size: int, start: Optional[dict] = None):
+        asg.clear()
+        asg.update(start or {})
+        c = Circuit(vocab, size)
+        return c, root(c)
+
+    return ground, nodes
+
+
+# ---------------------------------------------------------------------------
 # One domain size
 # ---------------------------------------------------------------------------
 
-def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
+def _search_size(ground: Callable, vocab: Vocabulary, n: int, prune: bool,
                  counter: list[int]) -> Optional[Structure]:
-    rels = sorted(vocab.symbols)
-    offsets: dict[str, int] = {}
-    cells: list[tuple[str, tuple[int, ...]]] = []
-    for rel in rels:
-        offsets[rel] = len(cells)
-        arity = vocab.symbols[rel]
-        cells.extend((rel, t) for t in product(range(n), repeat=arity))
-    vals: list[Optional[bool]] = [None] * len(cells)
-    asg: dict[str, int] = {}
+    c, root = ground(vocab, n)
+    counter[0] += 1
+    if root is False or (root is not True and not c.propagate(root[0], not root[1])):
+        return None
+    vals = c.value  # the cells first, in search order
 
-    def atom(g: Atom):
-        base, args = offsets[g.rel], g.args
-
-        def ev_atom():
-            rank = 0
-            for v in args:
-                rank = rank * n + asg[v]
-            return vals[base + rank]
-
-        return ev_atom
-
-    root = compile_formula(f, range(n), atom, asg)
-
-    swaps = _transposition_maps(cells, offsets, n) if prune else []
+    # for each transposition of two domain elements, the image of every cell
+    swaps = [[c.index[rel, tuple(q if e == p else p if e == q else e for e in t)]
+              for rel, t in c.cells] for p in range(n) for q in range(p + 1, n)] if prune else []
 
     def lex_violates(depth: int) -> bool:
         # certified "assignment > transposed assignment" on the decided prefix
@@ -137,53 +321,30 @@ def _search_size(f: Formula, vocab: Vocabulary, n: int, prune: bool,
                 break
         return False
 
-    def build() -> Structure:
-        domain = tuple(f"e{i}" for i in range(n))
-        relations: dict[str, set] = {rel: set() for rel in rels}
-        for (rel, t), v in zip(cells, vals):
-            if v:
-                relations[rel].add(tuple(domain[i] for i in t))
-        return Structure(domain, relations, vocab)
-
-    i = 0  # depth of the node: the cells before i are decided
-    while True:
-        counter[0] += 1
-        verdict = root()
-        if verdict is True:
-            for j in range(i, len(vals)):
-                vals[j] = False
-            return build()
-        if verdict is None:
-            vals[i] = False
+    decisions: list[tuple[int, int, bool]] = []  # (cell, trail mark, value tried)
+    i = 0
+    while root is not True and vals[root[0]] is None:  # until the root is true
+        while vals[i] is not None:  # forced, or decided before
             i += 1
-            if not (prune and lex_violates(i - 1)):
-                continue
-        # backtrack to the deepest decided cell that can still turn True
+        v = False
         while True:
-            i -= 1
-            if i < 0:
-                return None
-            if vals[i] is False:
-                vals[i] = True
-                if not (prune and lex_violates(i)):
-                    i += 1
-                    break
-            vals[i] = None
+            mark = len(c.trail)
+            counter[0] += 1
+            if c.propagate(i, v) and not (prune and lex_violates(i)):
+                decisions.append((i, mark, v))
+                break
+            c.undo(mark)
+            while v:  # both values failed here: back to the last decision still at False
+                if not decisions:
+                    return None
+                i, mark, v = decisions.pop()
+                c.undo(mark)
+            v = True
 
-
-def _transposition_maps(cells: list[tuple[str, tuple[int, ...]]],
-                        offsets: dict[str, int], n: int) -> list[list[int]]:
-    """For each transposition of two domain elements, the index of the
-    image of every cell, in cell order."""
-    maps = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            swap = {p: q, q: p}
-            perm: list[int] = []
-            for rel, t in cells:
-                rank = 0
-                for i in t:
-                    rank = rank * n + swap.get(i, i)
-                perm.append(offsets[rel] + rank)
-            maps.append(perm)
-    return maps
+    # every undecided cell is false in the least completion
+    domain = tuple(f"e{i}" for i in range(n))
+    relations: dict[str, set] = {rel: set() for rel in vocab.symbols}
+    for (rel, t), v in zip(c.cells, vals):
+        if v:
+            relations[rel].add(tuple(domain[i] for i in t))
+    return Structure(domain, relations, vocab)

@@ -2,16 +2,13 @@
 quantifiers.
 
 ``compile_formula`` is the one evaluator core: it compiles a formula into
-closures with three-valued (Kleene) connectives and quantifiers, leaving
-the atoms to a caller-supplied factory.  A quantifier block does not test
-its whole body for every tuple of its variables: each conjunct under ``E``
-(disjunct under ``A``) is tested in the loop of the last block variable it
-mentions, which the strong Kleene tables allow without changing any
-answer (see ``compile_formula``).  ``evaluate`` and
-``satisfaction_set`` compile with atoms that look tuples up in a structure,
-so there the core is two-valued; :mod:`unifrag.modelfind` compiles with
-atoms that read a partial interpretation.  ``evaluate_naive`` enumerates
-every branch with its own plain recursion and serves as the reference the
+closures that look atoms up in a structure's relations.  A quantifier
+block does not test its whole body for every tuple of its variables: each
+conjunct under ``E`` (disjunct under ``A``) is tested in the loop of the
+last block variable it mentions (``block_parts``, which
+:mod:`unifrag.modelfind` shares to ground a sentence).  ``evaluate`` and
+``satisfaction_set`` run the core; ``evaluate_naive`` enumerates every
+branch with its own plain recursion and serves as the reference the
 compiled evaluator is tested against.
 
 ``evaluate`` and ``satisfaction_set`` validate and compile a formula once
@@ -34,9 +31,7 @@ from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
-Closure = Callable[[], Optional[bool]]
-
-_MISSING = object()
+Closure = Callable[[], bool]
 
 
 @dataclass(frozen=True)
@@ -95,17 +90,7 @@ class _Prepared:
         self.domain: list[str] = []
         self.relations: dict[str, frozenset[tuple[str, ...]]] = {}
         self.asg: dict[str, str] = {}
-        relations, asg = self.relations, self.asg
-
-        def atom(g: Atom) -> Closure:
-            name = g.rel
-            if len(g.args) == 1:
-                (v,) = g.args
-                return lambda: (asg[v],) in relations[name]
-            key = itemgetter(*g.args)  # a tuple, also for R(x,x)
-            return lambda: key(asg) in relations[name]
-
-        self.test = compile_formula(f, self.domain, atom, asg)
+        self.test = compile_formula(f, self.domain, self.relations, self.asg)
 
     def bind(self, s: Structure, a: Assignment) -> None:
         self.domain[:] = s.domain
@@ -139,44 +124,40 @@ def _take(f: Formula, s: Structure) -> Optional[_Prepared]:
 
 
 # ---------------------------------------------------------------------------
-# The evaluator core: three-valued (Kleene) evaluation compiled to closures
+# The evaluator core: two-valued evaluation compiled to closures
 # ---------------------------------------------------------------------------
 
-def compile_formula(f: Formula, domain: Sequence, atom: Callable[[Atom], Closure],
+def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozenset],
                     asg: dict) -> Closure:
     """Compile ``f`` into a closure reading the variable values in ``asg``.
 
-    Quantifiers range over ``domain``; ``atom`` builds the closure of each
-    atom.  A closure answers True, False, or None (not yet determined) when
-    an atom closure does, and the connectives and quantifiers follow the
-    strong Kleene tables, so a definite answer never changes however the
-    undetermined atoms are later decided.  When no atom answers None the
-    evaluation is ordinary two-valued satisfaction.
-
-    A quantifier block tests each part of its body in the loop of the last
-    block variable the part mentions.  The parts are the conjuncts under
-    ``E`` and the disjuncts under ``A``, where ``a -> b`` gives ``~a`` and
-    the parts of ``b``; a part without a block variable is tested before the
-    block's loops.  Each loop joins its parts, in text order, with the next
-    loop inwards.  This rests on Ez(p & q) = p & Ez q and Az(p | q) = p |
-    Az q for z not free in p, which hold in the strong Kleene tables (a De
-    Morgan algebra), so every answer, None included, is the one the whole
-    body tested in the innermost loop would give.
+    Quantifiers range over ``domain`` and atoms are looked up in
+    ``relations``.  A quantifier block tests each part of its body in the
+    loop of the last block variable the part mentions (see ``block_parts``).
+    Each loop joins its parts, in text order, with the next loop inwards.
+    This rests on Ez(p & q) = p & Ez q and Az(p | q) = p | Az q for z not
+    free in p, so every answer is the one the whole body tested in the
+    innermost loop would give.
     """
     def comp(f: Formula) -> tuple[Closure, frozenset[str]]:
         """The closure of ``f`` and the free variables of ``f``."""
         if isinstance(f, Atom):
-            return atom(f), frozenset(f.args)
+            name = f.rel
+            if len(f.args) == 1:
+                (v,) = f.args
+                return (lambda: (asg[v],) in relations[name]), frozenset(f.args)
+            key = itemgetter(*f.args)  # a tuple, also for R(x,x)
+            return (lambda: key(asg) in relations[name]), frozenset(f.args)
         if isinstance(f, Not):
             g, free = comp(f.body)
             return _not(g), free
-        if isinstance(f, (And, Or, Implies)):
-            (gl, fl), (gr, fr) = comp(f.left), comp(f.right)
-            if isinstance(f, Implies):
-                gl = _not(gl)
-            return _join([gl, gr], not isinstance(f, And)), fl | fr
-        if isinstance(f, (ExistsBlock, ForallBlock)):
-            return block(f.vars, f.body, isinstance(f, ExistsBlock))
+        if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
+            vars, exists, levels, free = block_parts(f, comp, _not)
+            g = _join(levels[-1], exists)
+            for i in range(len(levels) - 2, -1, -1):
+                levels[i].append(_loop(vars[i], g, exists, domain, asg))
+                g = _join(levels[i], exists)
+            return g, free
         if isinstance(f, Equals):
             left, right = f.left, f.right
             return (lambda: asg[left] == asg[right]), frozenset((left, right))
@@ -189,85 +170,78 @@ def compile_formula(f: Formula, domain: Sequence, atom: Callable[[Atom], Closure
             return _count(f.cmp, f.bound, f.var, body, domain, asg), free - {f.var}
         raise TypeError(f"not a formula: {f!r}")
 
-    def split(f: Formula, exists: bool, parts: list) -> None:
-        """Append the compiled parts of the body ``f`` of an ``E`` (``exists``)
-        or ``A`` block to ``parts``."""
-        if isinstance(f, And if exists else Or):
-            split(f.left, exists, parts)
-            split(f.right, exists, parts)
-        elif not exists and isinstance(f, Implies):
-            g, free = comp(f.left)
-            parts.append((_not(g), free))
-            split(f.right, exists, parts)
-        else:
-            parts.append(comp(f))
-
-    def block(vars: tuple[str, ...], body: Formula,
-              exists: bool) -> tuple[Closure, frozenset[str]]:
-        parts: list[tuple[Closure, frozenset[str]]] = []
-        split(body, exists, parts)
-        # levels[0] is tested outside the loops, levels[i] in the loop of vars[i-1]
-        n = len(vars)
-        levels: list[list[Closure]] = [[] for _ in range(n + 1)]
-        free: set[str] = set()
-        for g, part_free in parts:
-            i = n
-            while i and vars[i - 1] not in part_free:
-                i -= 1
-            levels[i].append(g)
-            free |= part_free
-        zero = not exists  # the value that decides a conjunction (E) or disjunction (A)
-        g = _join(levels[n], zero)
-        for i in range(n - 1, -1, -1):
-            levels[i].append(_loop(vars[i], g, exists, domain, asg))
-            g = _join(levels[i], zero)
-        free.difference_update(vars)
-        return g, frozenset(free)
-
     return comp(f)[0]
 
 
+def block_parts(f: Formula, comp: Callable,
+                negate: Callable) -> tuple[tuple[str, ...], bool, list[list], frozenset[str]]:
+    """The variables of the quantifier block ``f`` and whether it is an
+    ``E`` block, its compiled parts placed by the loop that tests them, and
+    its free variables.  A chain of ``&`` counts as an ``E`` block without
+    variables, a chain of ``|`` and ``->`` as an ``A`` block.
+
+    The parts are the conjuncts under ``E`` and the disjuncts under ``A``,
+    where ``a -> b`` gives ``negate`` of ``~a`` and the parts of ``b``;
+    ``comp`` returns a part's compiled form and free variables.  The
+    variables returned are those some part mentions: over a nonempty domain,
+    ``E z`` and ``A z`` of a formula without ``z`` are that formula.  Each
+    part goes to the last of them it mentions: ``levels[0]`` holds the parts
+    without a block variable, ``levels[i]`` those tested in the loop of
+    ``vars[i-1]``.
+    """
+    if isinstance(f, (ExistsBlock, ForallBlock)):
+        vars, exists, todo = f.vars, isinstance(f, ExistsBlock), [f.body]
+    else:
+        vars, exists, todo = (), isinstance(f, And), [f]
+    chain = And if exists else Or
+    parts: list = []
+    free: set[str] = set()
+    while todo:  # in text order, without a Python frame per operand
+        g = todo.pop()
+        if isinstance(g, chain):
+            todo += (g.right, g.left)
+            continue
+        if not exists and isinstance(g, Implies):
+            h, part_free = comp(g.left)
+            h = negate(h)
+            todo.append(g.right)
+        else:
+            h, part_free = comp(g)
+        parts.append((h, part_free))
+        free |= part_free
+    if not vars:
+        return vars, exists, [[h for h, _ in parts]], frozenset(free)
+    used = tuple([v for v in vars if v in free])
+    levels: list[list] = [[] for _ in range(len(used) + 1)]
+    for h, part_free in parts:
+        i = len(used)
+        while i and used[i - 1] not in part_free:
+            i -= 1
+        levels[i].append(h)
+    free.difference_update(vars)
+    return used, exists, levels, frozenset(free)
+
+
 def _not(g: Closure) -> Closure:
-    def ev_not():
-        v = g()
-        return None if v is None else not v
-
-    return ev_not
+    return lambda: not g()
 
 
-def _join(gs: list[Closure], zero: bool) -> Closure:
-    """The strong Kleene conjunction (``zero`` False) or disjunction
-    (``zero`` True) of ``gs``, testing them in order until one is ``zero``."""
+def _join(gs: list[Closure], conj: bool) -> Closure:
+    """The conjunction (``conj``) or disjunction of ``gs``, testing them in
+    order until one decides it."""
     if len(gs) == 1:
         return gs[0]
-    unit = not zero
-    if not gs:
-        return lambda: unit
     if len(gs) == 2:
         gl, gr = gs
-
-        def ev_join2():
-            a = gl()
-            if a is zero:
-                return zero
-            b = gr()
-            if b is zero:
-                return zero
-            return None if a is None or b is None else unit
-
-        return ev_join2
-
+        return (lambda: gl() and gr()) if conj else (lambda: gl() or gr())
     gs = tuple(gs)
+    zero = not conj
 
     def ev_join():
-        unknown = False
         for g in gs:
-            v = g()
-            if v is zero:
+            if g() is zero:
                 return zero
-            if v is None:
-                unknown = True
-        return None if unknown else unit
+        return conj
 
     return ev_join
 
@@ -275,58 +249,35 @@ def _join(gs: list[Closure], zero: bool) -> Closure:
 def _loop(var: str, body: Closure, exists: bool, domain: Sequence, asg: dict) -> Closure:
     """``E var. body`` when ``exists``, else ``A var. body``."""
     def ev_quant():
-        saw_unknown = False
-        saved = asg.get(var, _MISSING)
-        try:
-            for d in domain:
-                asg[var] = d
-                r = body()
-                if r is exists:
-                    return exists
-                if r is None:
-                    saw_unknown = True
-        finally:
-            if saved is _MISSING:
-                del asg[var]
-            else:
-                asg[var] = saved
-        return None if saw_unknown else (not exists)
+        saved, result = asg.get(var), not exists
+        for d in domain:
+            asg[var] = d
+            if body() is exists:
+                result = exists
+                break
+        asg[var] = saved  # None out of scope, where nothing reads it
+        return result
 
     return ev_quant
 
 
 def _count(cmp: str, bound: int, var: str, body: Closure, domain: Sequence,
            asg: dict) -> Closure:
-    """``E[cmp bound] var. body``."""
+    """``E[cmp bound] var. body``, counting until the answer is known."""
+    stop = bound if cmp == ">=" else bound + 1
+
     def ev_count():
-        true_count = unknown = 0
-        saved = asg.get(var, _MISSING)
-        try:
-            for d in domain:
-                asg[var] = d
-                r = body()
-                if r is True:
-                    true_count += 1
-                elif r is None:
-                    unknown += 1
-                if cmp == ">=" and true_count >= bound:
-                    return True
-                if cmp != ">=" and true_count > bound:
-                    return False
-        finally:
-            if saved is _MISSING:
-                del asg[var]
-            else:
-                asg[var] = saved
+        saved, count = asg.get(var), 0
+        for d in domain:
+            asg[var] = d
+            if body():
+                count += 1
+                if count >= stop:
+                    break
+        asg[var] = saved
         if cmp == ">=":
-            return False if true_count + unknown < bound else None
-        if cmp == "<=":
-            return True if true_count + unknown <= bound else None
-        if true_count + unknown < bound:
-            return False
-        if true_count == bound and unknown == 0:
-            return True
-        return None
+            return count >= bound
+        return count == bound if cmp == "=" else count <= bound
 
     return ev_count
 

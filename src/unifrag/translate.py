@@ -23,11 +23,11 @@ from itertools import count, groupby
 from typing import Iterator, Optional, Union
 
 from . import dl, dlr
-from .errors import DnfLimitError, FragmentGateError
+from .errors import DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
                      Formula, Implies, Not, Or, Top, Vocabulary, fold,
-                     free_variables)
+                     free_variables, walk)
 
 # ---------------------------------------------------------------------------
 # DNF blocks
@@ -231,8 +231,9 @@ def _literal_role(lit: Literal, ys: tuple[str, ...]) -> dl.RoleTerm:
 def fu1_to_dl(f: Formula) -> dl.Concept:
     """Translate a formula with at most one free variable into an
     extension-equal concept.  The two checks below are the only fragment
-    refusals; the construction assumes them and refuses nothing but a
-    normal form over ``DNF_LIMIT``."""
+    refusals, and a relation named by a DL keyword, which would print as
+    that keyword, the only vocabulary refusal; the construction assumes
+    them and refuses nothing but a normal form over ``DNF_LIMIT``."""
     diag = check_fragment(f, FragmentId.FU1)
     if not diag.verdict:
         first = diag.violations[0]
@@ -241,6 +242,10 @@ def fu1_to_dl(f: Formula) -> dl.Concept:
             f"{first.message}")
     if len(free_variables(f)) > 1:
         raise FragmentGateError("concept translation needs at most one free variable")
+    keywords = sorted({g.rel for g in walk(f) if isinstance(g, Atom)} & dl.RESERVED)
+    if keywords:
+        raise VocabularyError(f"{keywords[0]!r} is a DL keyword and cannot name a "
+                              f"concept or role")
     return _concept_of(f)
 
 

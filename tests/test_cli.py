@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -195,6 +196,36 @@ def test_sat_cell_limit_refusal(capsys):
     code, _, err = invoke(capsys, "sat", "--max-size", "6", "-e", "E x y. T(x,x,y)")
     assert code == 2
     assert "cell" in err or "limit" in err
+
+
+def test_sat_circuit_limit_refusal(capsys):
+    # a path of 8 variables: 196,602 ground nodes at size 4, refused before
+    # any gate is built
+    path = " & ".join(f"R(x{i},x{i + 1})" for i in range(1, 8))
+    code, out, _ = invoke(capsys, "sat", "--max-size", "4", "-e",
+                          f"E x1 x2 x3 x4 x5 x6 x7 x8. ({path})", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "CircuitLimitError"
+
+
+def test_sat_vacuous_block_variables_stay_out_of_the_circuit(capsys):
+    # x2..x40 occur in no part of the body, so no loop is grounded for them
+    text = "E " + " ".join(f"x{i}" for i in range(1, 41)) + ". (P(x1) & ~P(x1))"
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "sat", "--max-size", "2", "-e", text, "--format", "json")
+    assert code == 1 and json.loads(out)["found"] is False
+    assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("text", ["E y. (R(x,y) & top(y))", "eps(x)",
+                                  "E y. (exists(x,y) & P(y))"])
+def test_fu1_to_dl_refuses_dl_keywords_as_names(capsys, text):
+    # printed, such a name would read back as another concept, or as none
+    code, out, _ = invoke(capsys, "translate", "--from", "fu1", "--to", "dl",
+                          "-e", text, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "VocabularyError" and "DL keyword" in error["message"]
 
 
 def _clauses(k):

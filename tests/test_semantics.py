@@ -13,10 +13,10 @@ from unifrag import (EvalError, Vocabulary, disjoint_union, evaluate,
                      evaluate_naive, make_structure, parse_formula,
                      satisfaction_set)
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
-from unifrag.semantics import compile_formula
+from unifrag.modelfind import grounder
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Implies, Not, Or, Top,
-                            free_variables)
+                            free_variables, walk)
 
 from strategies import (VOCAB, alpha_rename_once, enum_structures,
                         gen_any_formula, gen_structure)
@@ -391,8 +391,8 @@ def test_block_scheduling_against_the_oracle(text):
 
 
 # ---------------------------------------------------------------------------
-# Three-valued answers: the compiled core against a strong Kleene reference
-# over partial atom tables (model search prunes on these answers)
+# Three-valued answers: model search's ground circuit against a strong
+# Kleene reference over partial atom tables (the search prunes on these)
 # ---------------------------------------------------------------------------
 
 def _kleene_and(values):
@@ -462,26 +462,50 @@ def _blocky_formula(rng, depth, pool):
     return rng.choice((ExistsBlock, ForallBlock))(vars, body)
 
 
+def _value(circuit, lit):
+    """The value of a literal of the circuit now: True, False or None."""
+    if type(lit) is bool:
+        return lit
+    v = circuit.value[lit[0]]
+    return None if v is None else v is not lit[1]
+
+
 def test_three_valued_answers_match_a_kleene_reference():
+    # decide the cells of a random partial table in random order, undoing
+    # some decisions on the way; the root must read the Kleene value after
+    # each of the first eight steps
     answers = []
-    for seed in range(400):
+    for seed in range(100):
         rng = random.Random(seed)
         domain = [f"e{i}" for i in range(rng.randint(1, 3))]
         table = {(rel, t): rng.choice((True, False, None, None))
                  for rel, arity in VOCAB.symbols.items()
                  for t in itertools.product(domain, repeat=arity)}
         f = _blocky_formula(rng, 1, ("x",))
-        asg = {}
-
-        def atom(g):
-            return lambda: table[g.rel, tuple(asg[v] for v in g.args)]
-
-        test = compile_formula(f, domain, atom, asg)
-        for d in domain:
-            asg["x"] = d
-            got = test()
-            assert got is kleene_eval(table, domain, {"x": d}, f), (seed, d)
-            assert asg == {"x": d}
-            answers.append(got)
-    # 127 None, 343 True and 301 False answers
+        rels = {g.rel for g in walk(f) if isinstance(g, Atom)}
+        ground, _ = grounder(f, len(domain))
+        for d in range(len(domain)):
+            circuit, root = ground(VOCAB, len(domain), {"x": d})
+            keys = [(rel, tuple(domain[i] for i in t)) for rel, t in circuit.cells]
+            pending = [i for i, key in enumerate(keys) if table[key] is not None and key[0] in rels]
+            rng.shuffle(pending)
+            partial = dict.fromkeys(table)
+            done = []  # (cell, trail mark) of the decisions in force
+            for _ in range(8):
+                got = _value(circuit, root)
+                assert got is kleene_eval(partial, domain, {"x": domain[d]}, f), (seed, d)
+                answers.append(got)
+                if done and rng.random() < 0.25:
+                    cell, mark = done.pop()
+                    circuit.undo(mark)
+                    partial[keys[cell]] = None
+                    pending.append(cell)
+                elif pending:
+                    cell = pending.pop()
+                    done.append((cell, len(circuit.trail)))
+                    assert circuit.propagate(cell, table[keys[cell]])
+                    partial[keys[cell]] = table[keys[cell]]
+                else:
+                    break
+    # 463 True, 289 False and 313 None answers
     assert min(answers.count(v) for v in (True, False, None)) >= 100
