@@ -90,8 +90,12 @@ def _parse_assignment(text: Optional[str]) -> dict[str, str]:
     for piece in text.split(","):
         if "=" not in piece:
             raise LogicError(f"assignment entries look like var=element, got {piece!r}")
-        var, val = piece.split("=", 1)
-        out[var.strip()] = val.strip()
+        var, val = (part.strip() for part in piece.split("=", 1))
+        if not var:
+            raise LogicError(f"assignment entry {piece!r} names no variable")
+        if var in out:
+            raise LogicError(f"variable {var!r} is assigned twice")
+        out[var] = val
     return out
 
 

@@ -359,58 +359,38 @@ RESERVED = frozenset({"eps", "exists", "perm", "top"})
 
 
 class _DlParser(TokenParser):
-    def atom_name(self, what):
-        t = self.peek()
-        if t.kind != "NAME" or t.text in RESERVED:
-            raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
-        return self.next().text
-
     @nested
     def concept(self) -> Concept:
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "top":
-            self.next()
+        if self.accept("NAME", "top"):
             return TopC()
-        if t.kind == "TILDE":
-            self.next()
+        if self.accept("TILDE"):
             return NotC(self.concept())
-        if t.kind == "LPAREN":
+        if self.peek().kind == "LPAREN":
             return self.chain(self.concept, {"AMP": AndC})
-        if t.kind == "NAME" and t.text == "exists":
-            self.next()
+        if self.accept("NAME", "exists"):
             role = self.role()
             self.expect("DOT")
             self.expect("LPAREN")
-            args = [self.concept()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.concept())
+            args = self.items(self.concept)
             self.expect("RPAREN")
             return ExistsRole(role, tuple(args))
-        return AtomicConcept(self.atom_name("concept name"))
+        return AtomicConcept(self.word("concept name", RESERVED))
 
     @nested
     def role(self) -> RoleTerm:
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "eps":
-            self.next()
+        if self.accept("NAME", "eps"):
             return Epsilon()
-        if t.kind == "TILDE":
-            self.next()
+        if self.accept("TILDE"):
             return NotRole(self.role())
-        if t.kind == "LPAREN":
+        if self.peek().kind == "LPAREN":
             return self.chain(self.role, {"AMP": AndRole})
-        if t.kind == "NAME" and t.text == "perm":
-            self.next()
+        if self.accept("NAME", "perm"):
             self.expect("LBRACK")
-            values = [self.integer()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                values.append(self.integer())
+            values = self.items(self.integer)
             self.expect("RBRACK")
             srj = self.build(Surjection, tuple(values))
             return Apply(srj, self.role())
-        return AtomicRole(self.atom_name("role name"))
+        return AtomicRole(self.word("role name", RESERVED))
 
 
 def parse_concept(text: str) -> Concept:

@@ -380,17 +380,12 @@ class _DlrParser(TokenParser):
 
     @nested
     def concept(self) -> DlrConcept:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.next()
+        if self.accept("TILDE"):
             return NotC(self.concept())
-        if t.kind == "NAME" and t.text == "top1":
-            self.next()
+        if self.accept("NAME", "top1"):
             return Top1()
-        if t.kind == "NAME" and t.text == "exists":
-            self.next()
-            if self.peek().kind == "LBRACK":
-                self.next()
+        if self.accept("NAME", "exists"):
+            if self.accept("LBRACK"):
                 self.expect("DOLLAR")
                 i = self.integer()
                 self.expect("RBRACK")
@@ -398,7 +393,7 @@ class _DlrParser(TokenParser):
             e = self.binrel()
             self.expect("DOT")
             return ExistsE(e, self.concept())
-        if t.kind == "LPAREN":
+        if self.peek().kind == "LPAREN":
             if self.peek(1).kind == "LE":
                 self.next()
                 self.next()
@@ -411,10 +406,7 @@ class _DlrParser(TokenParser):
                 self.expect("RPAREN")
                 return self.build(AtMost, k, i, r)
             return self.chain(self.concept, {"AMP": AndC})
-        if t.kind == "NAME" and t.text not in _RESERVED:
-            self.next()
-            return AtomicConcept(t.text)
-        raise self.error(f"expected a concept, found {t.text or 'end of input'!r}")
+        return AtomicConcept(self.word("a concept", _RESERVED))
 
     # binary relation terms ----------------------------------------------------
 
@@ -428,11 +420,9 @@ class _DlrParser(TokenParser):
         return e
 
     def binrel_prim(self) -> DlrBinRel:
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "eps":
-            self.next()
+        if self.accept("NAME", "eps"):
             return Eps()
-        if t.kind == "LPAREN":
+        if self.peek().kind == "LPAREN":
             return self.either(self.binrel_combo, self.projection)
         return self.projection()
 
@@ -441,12 +431,12 @@ class _DlrParser(TokenParser):
         self.expect("LPAREN")
         left = self.binrel()
         t = self.peek()
-        if t.kind == "NAME" and t.text in ("o", "u"):
-            self.next()
-            right = self.binrel()
-            self.expect("RPAREN")
-            return Comp(left, right) if t.text == "o" else UnionE(left, right)
-        raise self.error("expected 'o' or 'u'")
+        if t.kind != "NAME" or t.text not in ("o", "u"):
+            raise self.expected("'o' or 'u'")
+        self.next()
+        right = self.binrel()
+        self.expect("RPAREN")
+        return Comp(left, right) if t.text == "o" else UnionE(left, right)
 
     def projection(self) -> DlrBinRel:
         r = self.role()
@@ -462,10 +452,9 @@ class _DlrParser(TokenParser):
 
     @nested
     def role(self) -> DlrRole:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.next()
+        if self.accept("TILDE"):
             return NotR(self.role())
+        t = self.peek()
         if t.kind == "NAME" and t.text.startswith("top") and t.text[3:].isdigit():
             self.next()
             n = self.integer(t, 3)
@@ -485,10 +474,7 @@ class _DlrParser(TokenParser):
                 self.expect("RPAREN")
                 return self.build(Sel, i, n, c)
             return self.chain(self.role, {"AMP": AndR})
-        if t.kind == "NAME" and t.text not in _RESERVED:
-            self.next()
-            return AtomicRole(t.text)
-        raise self.error(f"expected a role, found {t.text or 'end of input'!r}")
+        return AtomicRole(self.word("a role", _RESERVED))
 
 
 def parse_dlr_concept(text: str) -> DlrConcept:

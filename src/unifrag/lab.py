@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from itertools import combinations
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from . import dl, dlr
 from .errors import LogicError
@@ -99,51 +100,30 @@ def counting_formula(predicate: str, cmp: str, k: int) -> Formula:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FoProbe:
-    """A first-order sentence with its expected truth value on each
-    structure; expected None means "the pair must agree"."""
+class Probe:
+    """A test of a structure pair: ``outcome`` reads one structure as text,
+    and ``expected`` is the pair's outcomes joined by '/', or None when
+    the pair must agree."""
 
-    formula: Formula
-    expected: Optional[tuple[bool, bool]]
-
-    @property
-    def label(self) -> str:
-        return print_formula(self.formula)
-
-    def outcome(self, s: Structure) -> str:
-        return str(evaluate(s, {}, self.formula))
+    label: str
+    outcome: Callable[[Structure], str]
+    expected: Optional[str]
 
 
-@dataclass(frozen=True)
-class DlProbe:
-    concept: dl.Concept
-    expected: tuple[str, str]  # "nonempty" | "empty"
-
-    @property
-    def label(self) -> str:
-        return dl.print_concept(self.concept)
-
-    def outcome(self, s: Structure) -> str:
-        return "nonempty" if dl.concept_extension(s, self.concept) else "empty"
+def _sentence(f: Formula, expected: Optional[str] = None) -> Probe:
+    """A probe of the truth value of the sentence f, 'True' or 'False'."""
+    return Probe(print_formula(f), lambda s: str(evaluate(s, {}, f)), expected)
 
 
-@dataclass(frozen=True)
-class DlrProbe:
-    concept: dlr.DlrConcept
-    expected: tuple[str, str]  # "full" | "empty"
-
-    @property
-    def label(self) -> str:
-        return dlr.print_dlr_concept(self.concept)
-
-    def outcome(self, s: Structure) -> str:
-        ext = dlr.dlr_concept_extension(s, self.concept)
-        if ext == frozenset(s.domain):
-            return "full"
-        return "empty" if not ext else "partial"
+def _nonempty(c: dl.Concept, s: Structure) -> str:
+    return "nonempty" if dl.concept_extension(s, c) else "empty"
 
 
-Probe = Union[FoProbe, DlProbe, DlrProbe]
+def _coverage(c: dlr.DlrConcept, s: Structure) -> str:
+    ext = dlr.dlr_concept_extension(s, c)
+    if ext == frozenset(s.domain):
+        return "full"
+    return "empty" if not ext else "partial"
 
 
 @dataclass(frozen=True)
@@ -179,7 +159,7 @@ def agreement_corpus() -> list[Formula]:
 
 
 def separation_experiments() -> list[Experiment]:
-    corpus = tuple(FoProbe(f, None) for f in agreement_corpus())
+    corpus = tuple(_sentence(f) for f in agreement_corpus())
 
     edge_cover = parse_formula("E x. A y z. (R(y,z) -> (x = y | x = z))")
     triangle = parse_formula("E x y z. (R(x,y) & R(y,z) & R(z,x))")
@@ -193,7 +173,7 @@ def separation_experiments() -> list[Experiment]:
             provenance="an element on every edge separates the 2-clique "
                        "from the 3-clique, though the two-pebble game cannot",
             structures=(gen_clique(2), gen_clique(3)),
-            probes=(FoProbe(edge_cover, (True, False)),),
+            probes=(_sentence(edge_cover, "True/False"),),
         ),
         Experiment(
             name="cycles-triangle",
@@ -202,18 +182,20 @@ def separation_experiments() -> list[Experiment]:
                        "agree on every uniform one-dimensional sentence",
             structures=(disjoint_copies(gen_directed_cycle(3), 4),
                         disjoint_copies(gen_directed_cycle(4), 3)),
-            probes=(FoProbe(triangle, (True, False)),) + corpus,
+            probes=(_sentence(triangle, "True/False"),) + corpus,
         ),
         Experiment(
             name="prop2-disjoint-copies",
             provenance="a reflexive point and its disjoint double: free role "
                        "negation is not closed under disjoint copies",
             structures=(loop, disjoint_union(loop, loop)),
-            probes=(FoProbe(some_non_edge, (False, True)),
-                    DlProbe(negated_role_witness, ("nonempty", "empty"))),
+            probes=(_sentence(some_non_edge, "False/True"),
+                    Probe(dl.print_concept(negated_role_witness),
+                          partial(_nonempty, negated_role_witness), "nonempty/empty")),
         ),
     ]
     for k in (2, 3):
+        restriction = dlr.AtMost(k - 1, 2, dlr.AtomicRole(RELATION))
         experiments.append(Experiment(
             name=f"cliques-count-k{k}",
             provenance=f"{k + 1} copies of the {k}-clique against {k} copies "
@@ -221,18 +203,17 @@ def separation_experiments() -> list[Experiment]:
                        f"separates them, uniform sentences are expected not to",
             structures=(disjoint_copies(gen_clique(k), k + 1),
                         disjoint_copies(gen_clique(k + 1), k)),
-            probes=(DlrProbe(dlr.AtMost(k - 1, 2, dlr.AtomicRole(RELATION)),
-                             ("full", "empty")),) + corpus,
+            probes=(Probe(dlr.print_dlr_concept(restriction), partial(_coverage, restriction),
+                          "full/empty"),) + corpus,
         ))
     return experiments
 
 
 def _run_probe(probe: Probe, structures: tuple[Structure, Structure]) -> ProbeResult:
-    actual = tuple(probe.outcome(s) for s in structures)
-    if probe.expected is None:  # the pair must agree
-        return ProbeResult(probe.label, "agree", "/".join(actual), actual[0] == actual[1])
-    expected = tuple(map(str, probe.expected))
-    return ProbeResult(probe.label, "/".join(expected), "/".join(actual), actual == expected)
+    left, right = (probe.outcome(s) for s in structures)
+    actual = f"{left}/{right}"
+    passed = left == right if probe.expected is None else actual == probe.expected
+    return ProbeResult(probe.label, probe.expected or "agree", actual, passed)
 
 
 def run_experiments(names: Optional[list[str]] = None) -> list[ExperimentResult]:

@@ -341,8 +341,13 @@ class TokenParser:
     (here), DL concepts (:mod:`unifrag.dl`) and DLR concepts
     (:mod:`unifrag.dlr`).  Every cycle of recursive productions passes
     through a method decorated with :func:`nested`, and a cycle of more
-    than three frames through two of them.  :meth:`chain` is the one
-    production of parenthesised operator chains in all three grammars."""
+    than three frames through two of them.
+
+    The token rules the grammars share: :meth:`accept` an optional token,
+    :meth:`expect` a required one, :meth:`word` a NAME outside a reserved
+    set, :meth:`items` a comma list, :meth:`integer` an INT and
+    :meth:`chain` a parenthesised operator chain.  They refuse a token with
+    :meth:`expected`: "expected X, found Y", Y being 'end of input' at EOF."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -359,15 +364,40 @@ class TokenParser:
             self.pos += 1
         return t
 
+    def accept(self, kind: str, text: str | None = None) -> _Token | None:
+        """The next token, consumed, if it is a ``kind`` (spelled ``text``), else None."""
+        t = self.toks[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            return self.next()
+        return None
+
     def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise self.error(f"expected {text or kind}, found {t.text or 'end of input'!r}")
-        return self.next()
+        t = self.accept(kind, text)
+        if t is None:
+            raise self.expected(text or kind)
+        return t
+
+    def word(self, what: str, reserved: frozenset = frozenset()) -> str:
+        """The text of the next token, a NAME not in ``reserved``."""
+        t = self.toks[self.pos]
+        if t.kind != "NAME" or t.text in reserved:
+            raise self.expected(what)
+        return self.next().text
+
+    def items(self, item) -> list:
+        """``item (',' item)*``: the values of the comma-separated items."""
+        values = [item()]
+        while self.accept("COMMA"):
+            values.append(item())
+        return values
 
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
+
+    def expected(self, what: str) -> ParseError:
+        """"expected ``what``, found" the next token, at its position."""
+        return self.error(f"expected {what}, found {self.peek().text or 'end of input'!r}")
 
     def rise(self, height: int) -> None:
         """Record a part of ``height`` tree levels built by the innermost
@@ -411,14 +441,13 @@ class TokenParser:
             t = self.peek()
             if op is None and t.kind in ops:
                 op = t.kind
-            if t.kind != op:
+            if not self.accept(op):  # no token is of kind None
                 break
-            self.next()
         if t.kind in ops:
             raise self.error("mixed operators in one group need explicit parentheses")
         if op is None and t.kind != "RPAREN":
             choices = ", ".join(repr(_SPELLING[kind]) for kind in ops)
-            raise self.error(f"expected {choices} or ')', found {t.text or 'end of input'!r}")
+            raise self.expected(f"{choices} or ')'")
         self.expect("RPAREN")
         return reduce(ops[op], parts) if op == "ARROW" else fold(ops.get(op), parts)
 
@@ -431,38 +460,33 @@ class TokenParser:
 
 
 class _FormulaParser(TokenParser):
-    def name(self, what: str) -> _Token:
+    def name(self, what: str) -> str:
         t = self.peek()
-        if t.kind != "NAME":
-            raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
         # before '(' a reserved word names a relation; nothing else goes there
         if t.text in RESERVED_WORDS and self.peek(1).kind != "LPAREN":
             raise self.error(f"{t.text!r} is a reserved word and cannot name a {what}")
-        return self.next()
+        return self.word(what)
 
     @nested
     def formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.next()
+        if self.accept("TILDE"):
             return Not(self.formula())
+        t = self.peek()
         if t.kind == "LPAREN":
             return self.chain(self.formula, _CONNECTIVES)
-        if t.kind == "NAME" and self.peek(1).kind == "LPAREN":
+        if t.kind != "NAME":
+            raise self.expected("a formula")
+        if self.peek(1).kind == "LPAREN":
             return self.atom_or_equality()
-        if t.kind == "NAME":
-            if t.text == "true":
-                self.next()
-                return Top()
-            if t.text == "false":
-                self.next()
-                return Bottom()
-            if t.text == "E" and self.peek(1).kind == "LBRACK":
-                return self.counting()
-            if t.text in ("E", "A"):
-                return self.block()
-            return self.atom_or_equality()
-        raise self.error(f"expected a formula, found {t.text or 'end of input'!r}")
+        if self.accept("NAME", "true"):
+            return Top()
+        if self.accept("NAME", "false"):
+            return Bottom()
+        if t.text == "E" and self.peek(1).kind == "LBRACK":
+            return self.counting()
+        if t.text in ("E", "A"):
+            return self.block()
+        return self.atom_or_equality()
 
     def block(self) -> Formula:
         quant = self.next().text
@@ -485,29 +509,23 @@ class _FormulaParser(TokenParser):
         self.next()  # E
         self.expect("LBRACK")
         if self.peek().text not in COUNT_COMPARATORS:
-            raise self.error(f"expected '>=', '<=' or '=', found {self.peek().text!r}")
+            raise self.expected("'>=', '<=' or '='")
         cmp = self.next().text
         bound = self.integer()
         self.expect("RBRACK")
-        var = self.name("variable").text
+        var = self.name("variable")
         self.expect("DOT")
         return CountExists(cmp, bound, var, self.formula())
 
     def atom_or_equality(self) -> Formula:
-        t = self.name("relation or variable")
-        if self.peek().kind == "LPAREN":
-            self.next()
-            args = [self.name("variable").text]
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.name("variable").text)
+        rel = self.name("relation or variable")
+        if self.accept("LPAREN"):
+            args = self.items(lambda: self.name("variable"))
             self.expect("RPAREN")
-            return Atom(t.text, tuple(args))
-        if self.peek().kind == "EQ":
-            self.next()
-            right = self.name("variable")
-            return Equals(t.text, right.text)
-        raise self.error(f"expected '(' or '=' after {t.text!r}")
+            return Atom(rel, tuple(args))
+        if self.accept("EQ"):
+            return Equals(rel, self.name("variable"))
+        raise self.error(f"expected '(' or '=' after {rel!r}")
 
 
 def parse_formula(text: str, vocab: Vocabulary | None = None) -> Formula:

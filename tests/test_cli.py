@@ -136,6 +136,22 @@ def test_eval_with_assignment(tmp_path, capsys):
     assert json.loads(out)["value"] is True
 
 
+@pytest.mark.parametrize("assign, message", [
+    ("x=a,x=c", "variable 'x' is assigned twice"),
+    ("x=a, x =c", "variable 'x' is assigned twice"),
+    ("x=a,=c", "assignment entry '=c' names no variable"),
+    (" =c", "assignment entry ' =c' names no variable"),
+])
+def test_eval_refuses_an_unnamed_or_repeated_variable(tmp_path, capsys, assign, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"domain": ["a", "c"], "arities": {"S": 2},
+                                 "relations": {"S": [["a", "c"]]}}))
+    code, out, _ = invoke(capsys, "eval", "--model", str(model), "-e", "E y. S(y,x)",
+                          "--assign", assign, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "LogicError", "message": message}
+
+
 def test_translate_round_and_gate(tmp_path, capsys):
     vocab = tmp_path / "v.json"
     vocab.write_text(json.dumps({"R": 2, "A": 1}))

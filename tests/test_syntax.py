@@ -212,6 +212,19 @@ def test_integer_literals_past_the_digit_bound_are_parse_errors(parse, text, col
         parse(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_formula, "E[", "1:3: expected '>=', '<=' or '=', found 'end of input'"),
+    (parse_dlr_concept, "exists (eps x eps) . A", "1:13: expected 'o' or 'u', found 'x'"),
+    (parse_dlr_concept, "exists (eps", "1:12: expected 'o' or 'u', found 'end of input'"),
+    (parse_formula, "P(x,", "1:5: expected variable, found 'end of input'"),
+    (parse_concept, "exists R.(A,", "1:13: expected concept name, found 'end of input'"),
+])
+def test_expected_errors_name_what_they_found(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Tree height of parsed input
 # ---------------------------------------------------------------------------
