@@ -113,7 +113,7 @@ def _cmd_parse(args, rep: _Reporter) -> int:
         "free_variables": sorted(free_variables(f)),
         "vocabulary": dict(sorted(effective.symbols.items())),
     }
-    rep.emit(doc, print_formula(f))
+    rep.emit(doc, doc["formula"])
     return EXIT_OK
 
 
@@ -124,7 +124,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
     diag = check_fragment(f, frag, vocab)
     doc = {"command": "check", "fragment": args.fragment,
            "formula": print_formula(f), **diag.to_doc()}
-    lines = [f"{'member of' if diag.verdict else 'NOT in'} {args.fragment}: {print_formula(f)}"]
+    lines = [f"{'member of' if diag.verdict else 'NOT in'} {args.fragment}: {doc['formula']}"]
     for v in diag.violations:
         lines.append(f"  {v.kind.value} at {list(v.path)}: {v.message}")
     rep.emit(doc, "\n".join(lines))

@@ -12,6 +12,10 @@ Text grammar::
               | 'exists' binrel '.' concept | 'exists[$' i ']' role
               | '(<=' k '[$' i ']' role ')'
 
+The parser never backtracks: a '(' that begins a binary relation term
+opens a composition or union if its top level holds 'o', 'u', 'eps', '|'
+or '*' and no '$' follows it, else the role of a projection.
+
 The built-in n-ary top relation admits two conventions, selected by the
 ``topn`` argument of the extension functions and of
 :func:`unifrag.translate.dlr0_to_fu1`, each of which checks it on entry:
@@ -354,27 +358,25 @@ def operators_used(c: DlrConcept) -> frozenset[type]:
 
 
 # ---------------------------------------------------------------------------
-# Parsing (backtracking recursive descent) and printing
+# Parsing (recursive descent, deciding from the tokens) and printing
 # ---------------------------------------------------------------------------
 
 _RESERVED = frozenset({"eps", "exists", "o", "u"})
 
 
 class _DlrParser(TokenParser):
-    def either(self, first, second):
-        """``first()``, or on a ParseError ``second()`` from the same
-        position; when both fail, the error that got further is raised."""
-        saved = self.pos, self.depth, self.height
-        try:
-            return first()
-        except ParseError as e:
-            first_error = e
-        self.pos, self.depth, self.height = saved
-        try:
-            return second()
-        except ParseError as second_error:
-            raise max(second_error, first_error,
-                      key=lambda err: (err.line, err.column)) from None
+    def __init__(self, text: str):
+        super().__init__(text)
+        # the positions of each '(' whose top level holds a token that no
+        # role group '(' role '&' role ')' holds there
+        self.marked, opened = set(), []
+        for i, t in enumerate(self.toks):
+            if t.kind == "LPAREN":
+                opened.append(i)
+            elif t.kind == "RPAREN" and opened:
+                opened.pop()
+            elif opened and t.text in ("o", "u", "eps", "|", "*"):
+                self.marked.add(opened[-1])
 
     # concepts ---------------------------------------------------------------
 
@@ -422,8 +424,8 @@ class _DlrParser(TokenParser):
     def binrel_prim(self) -> DlrBinRel:
         if self.accept("NAME", "eps"):
             return Eps()
-        if self.peek().kind == "LPAREN":
-            return self.either(self.binrel_combo, self.projection)
+        if self.pos in self.marked and self.peek(1).kind != "DOLLAR":
+            return self.binrel_combo()
         return self.projection()
 
     @nested

@@ -43,7 +43,8 @@ class CellLimitError(LogicError):
 
 class DnfLimitError(LogicError):
     """Translation refused: the absorbed disjunctive normal form of a
-    quantifier block would exceed the fixed disjunct budget."""
+    quantifier block or the composition chains of a DLR relation term would
+    exceed the fixed disjunct budget, or a DLR formula its variable budget."""
 
 
 class CircuitLimitError(LogicError):

@@ -318,8 +318,7 @@ _TOO_DEEP = f"input nests deeper than {MAX_NESTING} levels"
 def nested(production):
     """Count one nesting level around a recursive parser production and one
     tree level above the tallest part it builds, refusing input past
-    ``MAX_NESTING`` with a ParseError.  A caller that recovers from a
-    ParseError restores ``depth`` and ``height`` with the position."""
+    ``MAX_NESTING`` with a ParseError."""
 
     @wraps(production)
     def guarded(self, *args):

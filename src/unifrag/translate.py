@@ -327,28 +327,52 @@ def _disjunct_concept(d: Disjunct, x0: Optional[str]) -> dl.Concept:
 
 def dl_to_fu1(c: dl.Concept, vocab: Vocabulary) -> Formula:
     """Standard translation; the result has the single free variable x
-    (degenerate subterms denoting the empty relation may drop it)."""
-    return _formula_of(c, "x", count(1), vocab)
+    (degenerate subterms denoting the empty relation may drop it, and
+    ``top`` translates to true())."""
+    return _formula_of(c, "x", count(1), vocab, "delta")
 
 
-def _formula_of(c: dl.Concept, x: str, ctr: Iterator[int], vocab: Vocabulary) -> Formula:
+def _formula_of(c: Union[dl.Concept, dlr.DlrConcept], x: str, ctr: Iterator[int],
+                vocab: Vocabulary, topn: str) -> Formula:
+    """The standard translation at ``x`` of a DL concept, or of a DLR one
+    without composition or union in top mode ``topn``; fresh variables
+    are y<n> in the DL and x<n> in the DLR, numbered by ``ctr``."""
     if isinstance(c, dl.TopC):
-        return Equals(x, x)
+        return Top()
     if isinstance(c, dl.AtomicConcept):
         dl.check_concept_name(c.name, vocab)
         return Atom(c.name, (x,))
     if isinstance(c, dl.NotC):
-        return Not(_formula_of(c.body, x, ctr, vocab))
+        return Not(_formula_of(c.body, x, ctr, vocab, topn))
     if isinstance(c, dl.AndC):
-        return And(_formula_of(c.left, x, ctr, vocab),
-                   _formula_of(c.right, x, ctr, vocab))
+        return And(_formula_of(c.left, x, ctr, vocab, topn),
+                   _formula_of(c.right, x, ctr, vocab, topn))
     if isinstance(c, dl.ExistsRole):
         n = dl.role_arity(c.role, vocab)
         dl.check_existential_args(n, c.args)
         ys = tuple(f"y{next(ctr)}" for _ in range(n - 1))
         parts = [_role_formula(c.role, (x,) + ys, vocab)]
-        parts += [_formula_of(arg, y, ctr, vocab) for arg, y in zip(c.args, ys)]
+        parts += [_formula_of(arg, y, ctr, vocab, topn) for arg, y in zip(c.args, ys)]
         return ExistsBlock(ys, fold(And, parts, Top()))
+    if isinstance(c, dlr.ExistsE):
+        e, y = c.rel, f"x{next(ctr)}"
+        inner = _formula_of(c.concept, y, ctr, vocab, topn)
+        if isinstance(e, dlr.Eps):
+            return ExistsBlock((y,), And(Equals(x, y), inner))
+        if isinstance(e, dlr.Proj):
+            n = dlr.role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
+            if e.i == e.j:
+                # (u,v) with u = v = t_i for some tuple t: an equality guard plus
+                # the nested membership block of exists[$i] keeps the block uniform
+                member = _formula_of(dlr.ExistsProj(e.i, e.role), x, ctr, vocab, topn)
+                return ExistsBlock((y,), fold(And, [Equals(x, y), member, inner], Top()))
+            tup, zs = _fresh_tuple(n, {e.i: x, e.j: y}, ctr)
+            body = fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
+            return ExistsBlock((y,) + zs, body)
+    if isinstance(c, dlr.ExistsProj):
+        n = dlr.role_arity_covering(c.role, vocab, "position ${}", c.i)
+        tup, others = _fresh_tuple(n, {c.i: x}, ctr)
+        return ExistsBlock(others, _dlr_s(c.role, tup, ctr, vocab, topn))
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -430,10 +454,24 @@ def _union_of_chains(e: dlr.DlrBinRel) -> list[list[dlr.DlrBinRel]]:
     if isinstance(e, dlr.Proj):
         return [[dlr.Proj(_elim_role(e.role), e.i, e.j)]]
     if isinstance(e, dlr.Comp):
-        return [a + b for a in _union_of_chains(e.left) for b in _union_of_chains(e.right)]
+        left, right = _union_of_chains(e.left), _union_of_chains(e.right)
+        _check_dnf_size(len(left) * len(right))  # before building it
+        return [a + b for a in left for b in right]
     if isinstance(e, dlr.UnionE):
-        return _union_of_chains(e.left) + _union_of_chains(e.right)
+        left, right = _union_of_chains(e.left), _union_of_chains(e.right)
+        _check_dnf_size(len(left) + len(right))
+        return left + right
     raise TypeError(f"unexpected term in composition elimination: {e!r}")
+
+
+# Most fresh variables a DLR translation draws: the formula repeats the body
+# that elimination shares among the alternatives of a union once for each.
+_VARIABLE_BUDGET = 32768
+
+
+def _fresh_numbers() -> Iterator[int]:
+    yield from range(1, _VARIABLE_BUDGET + 1)
+    raise DnfLimitError(f"translation would need more than {_VARIABLE_BUDGET} fresh variables")
 
 
 def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Formula:
@@ -443,47 +481,7 @@ def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Fo
     mode they translate to atoms over the declared top<n> relations."""
     dlr.check_topn_mode(topn)
     simple = eliminate_comp_union(c)
-    return _dlr_T(simple, "x", count(1), vocab, topn)
-
-
-def _dlr_T(c: dlr.DlrConcept, x: str, ctr: Iterator[int], vocab: Vocabulary,
-           topn: str) -> Formula:
-    if isinstance(c, dlr.Top1):
-        return Top()
-    if isinstance(c, dlr.AtomicConcept):
-        dl.check_concept_name(c.name, vocab)
-        return Atom(c.name, (x,))
-    if isinstance(c, dlr.NotC):
-        return Not(_dlr_T(c.body, x, ctr, vocab, topn))
-    if isinstance(c, dlr.AndC):
-        return And(_dlr_T(c.left, x, ctr, vocab, topn),
-                   _dlr_T(c.right, x, ctr, vocab, topn))
-    if isinstance(c, dlr.ExistsE):
-        return _dlr_exists_e(c, x, ctr, vocab, topn)
-    if isinstance(c, dlr.ExistsProj):
-        n = dlr.role_arity_covering(c.role, vocab, "position ${}", c.i)
-        tup, others = _fresh_tuple(n, {c.i: x}, ctr)
-        return ExistsBlock(others, _dlr_s(c.role, tup, ctr, vocab, topn))
-    raise TypeError(f"untranslatable concept (was composition elimination run?): {c!r}")
-
-
-def _dlr_exists_e(c: dlr.ExistsE, x: str, ctr, vocab, topn) -> Formula:
-    e = c.rel
-    y = f"x{next(ctr)}"
-    inner = _dlr_T(c.concept, y, ctr, vocab, topn)
-    if isinstance(e, dlr.Eps):
-        return ExistsBlock((y,), And(Equals(x, y), inner))
-    if isinstance(e, dlr.Proj):
-        n = dlr.role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
-        if e.i == e.j:
-            # (u,v) with u = v = t_i for some tuple t: an equality guard plus
-            # the nested membership block of exists[$i] keeps the block uniform
-            member = _dlr_T(dlr.ExistsProj(e.i, e.role), x, ctr, vocab, topn)
-            return ExistsBlock((y,), fold(And, [Equals(x, y), member, inner], Top()))
-        tup, zs = _fresh_tuple(n, {e.i: x, e.j: y}, ctr)
-        body = fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
-        return ExistsBlock((y,) + zs, body)
-    raise TypeError(f"untranslatable term (was composition elimination run?): {e!r}")
+    return _formula_of(simple, "x", _fresh_numbers(), vocab, topn)
 
 
 def _fresh_tuple(n: int, fixed: dict[int, str], ctr: Iterator[int]
@@ -503,7 +501,7 @@ def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formu
     if isinstance(r, dlr.AtomicRole):
         return Atom(r.name, tup)
     if isinstance(r, dlr.Sel):
-        return fold(And, [_dlr_T(r.concept, tup[r.i - 1], ctr, vocab, topn),
+        return fold(And, [_formula_of(r.concept, tup[r.i - 1], ctr, vocab, topn),
                           _topn_formula(r.n, tup, topn)], Top())
     if isinstance(r, dlr.NotR):
         return fold(And, [_topn_formula(len(tup), tup, topn),

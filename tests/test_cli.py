@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unifrag import dl, dlr
+from unifrag import dl, dlr, parse_formula, print_formula
 from unifrag.cli import run
 
 
@@ -306,6 +306,14 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
     (["translate", "--from", "fu1", "--to", "dl", "-e", f"E y. ({_clauses(13)})"], 0),
     (["translate", "--from", "fu1", "--to", "dl", "-e",
       f"E y. (({_clauses(11)}) | ({_clauses(11)}))"], 0),
+    # 40 nested role groups in relation position: once parsed by trying a
+    # composition, then a projection, at each level (2^40 attempts)
+    (DLR0_FU1 + ["exists (($1/2: " * 40 + "A" + ") & R)|$1,$2 . A" * 40], 0),
+    # 2^16 composition chains, and 2^16 copies of a body shared by 16
+    # nested unions: refused before they are built
+    (DLR0_FU1 + ["exists " + "((eps u R|$1,$2) o " * 15 + "(eps u R|$1,$2)"
+                 + ")" * 15 + " . A"], 2),
+    (DLR0_FU1 + ["exists (eps u R|$1,$2) . " * 16 + "A"], 2),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"
@@ -332,6 +340,8 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     elif argv[0] == "sat":
         check_schema(doc, "sat.schema.json")
         assert doc["found"] is True
+    elif argv[4] == "fu1":  # a translation prints text of its target language
+        assert print_formula(parse_formula(doc["output"])) == doc["output"]
     else:
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
 
@@ -501,7 +511,8 @@ FUZZ_ALPHABET = "()[]{},.:&|~-><=$/*\"0123456789 xyzPRTAEeopstu\n"
 # the parsers' depth limit, since evaluating a depth-k prefix can cost domain^k
 NESTINGS = (("(", ")", (2, 150, 3000)), ("~", "", (2, 150, 3000)),
             ("[", "]", (2, 3000)), ('{"a":', "}", (2, 3000)),
-            ("E x. ", "", (2, 300)), ("exists eps . ", "", (2, 300)))
+            ("E x. ", "", (2, 300)), ("exists eps . ", "", (2, 300)),
+            ("exists (($1/2: ", ") & R)|$1,$2 . A", (2, 40)))
 
 
 # operand counts of a chain of seeds (1: the seed alone): short ones, and

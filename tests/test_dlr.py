@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -274,12 +275,28 @@ def test_printer_parser_round_trip_on_generated_concepts(seed):
 
 
 def test_backtracking_reports_the_error_that_got_furthest():
-    # the composition reading fails at the 0 index, the projection reading
-    # already at the '|'; the former is the one worth reporting
+    # the tokens decide the reading of a '(' in relation position: the
+    # first one holds 'o' at its top level, so it opens a composition,
+    # which fails at the 0 index; the second holds only a role group, so
+    # it opens the role of a projection, which fails at the 0 index too
     with pytest.raises(ParseError, match="1:17: projection indices are 1-based"):
         parse_dlr_concept("exists (R|$0,$1 o eps) . A")
     with pytest.raises(ParseError, match="1:23: projection indices are 1-based"):
         parse_dlr_concept("exists (R & ~R)|$1,$0 . A")
+
+
+def _nested_selections(n):
+    return "exists (($1/2: " * n + "A" + ") & R)|$1,$2 . A" * n
+
+
+def test_nested_selections_parse_in_linear_time():
+    # each '(' of a role group in relation position was once read as a
+    # composition first and again as a projection, doubling per level
+    start = time.perf_counter()
+    c = parse_dlr_concept(_nested_selections(16))
+    assert time.perf_counter() - start < 1.0
+    assert parse_dlr_concept(print_dlr_concept(c)) == c
+    assert isinstance(parse_dlr_concept(_nested_selections(40)), ExistsE)
 
 
 # ---------------------------------------------------------------------------

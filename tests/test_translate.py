@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (ArityError, FragmentGateError, ParseError, Vocabulary,
+from unifrag import (ArityError, DnfLimitError, FragmentGateError, ParseError, Vocabulary,
                      VocabularyError, evaluate, make_structure, parse_formula,
                      print_formula, satisfaction_set)
 from unifrag import dl, dlr
@@ -217,6 +217,13 @@ def test_negated_role_existential_shape():
         ("y1",), And(Not(Atom("R", ("x", "y1"))), Atom("P", ("y1",)))))
 
 
+def test_top_translates_to_true_in_both_logics():
+    assert dl_to_fu1(dl.TopC(), VOCAB) == dlr0_to_fu1(dlr.Top1(), DLR_VOCAB) == Top()
+    # so a top argument of an existential adds no conjunct
+    c = dl.ExistsRole(dl.AtomicRole("R"), (dl.TopC(),))
+    assert dl_to_fu1(c, VOCAB) == ExistsBlock(("y1",), Atom("R", ("x", "y1")))
+
+
 def test_dl_to_fu1_always_passes_the_checker():
     rng = random.Random(17)
     for _ in range(150):
@@ -285,6 +292,27 @@ def test_identity_composition_is_extension_neutral():
         assert (dlr.dlr_concept_extension(s, out)
                 == dlr.dlr_concept_extension(s, c1)
                 == dlr.dlr_concept_extension(s, c2))
+
+
+def _compositions_of_unions(n):
+    term = "(eps u R|$1,$2)"
+    for _ in range(n - 1):
+        term = f"((eps u R|$1,$2) o {term})"
+    return f"exists {term} . A"
+
+
+def _nested_unions(n):
+    return "exists (eps u R|$1,$2) . " * n + "A"
+
+
+@pytest.mark.parametrize("text", [_compositions_of_unions, _nested_unions])
+def test_dlr_blow_ups_are_refused_before_they_are_built(text):
+    # 2^16 composition chains; 2^16 copies of the shared body in the formula
+    vocab = Vocabulary({"R": 2, "A": 1})
+    with pytest.raises(DnfLimitError):
+        dlr0_to_fu1(dlr.parse_dlr_concept(text(16)), vocab)
+    f = dlr0_to_fu1(dlr.parse_dlr_concept(text(10)), vocab)
+    assert check_fragment(f, FragmentId.FU1).verdict
 
 
 def test_star_and_counting_are_gated():
