@@ -42,11 +42,11 @@ class CellLimitError(LogicError):
 
 
 class DnfLimitError(LogicError):
-    """Translation refused: the absorbed disjunctive normal form of a
-    quantifier block or the composition chains of a DLR relation term would
-    exceed the fixed disjunct budget, or a DLR formula its variable budget."""
+    """Translation refused: the absorbed normal form of a quantifier block,
+    the composition chains of a DLR relation term or the copies of one part
+    of a DLR concept would exceed the one budget ``translate.DNF_LIMIT``."""
 
 
 class CircuitLimitError(LogicError):
-    """Model search refused: the ground circuit of the sentence at the
-    requested domain size would exceed the fixed circuit budget."""
+    """Model search refused: the ground circuit at the requested domain size,
+    or the number of sizes to search, would exceed the fixed circuit budget."""

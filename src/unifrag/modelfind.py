@@ -46,7 +46,7 @@ from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      free_variables, validate_formula)
 
 DEFAULT_CELL_LIMIT = 64
-# ground circuit nodes at the largest size searched, counted before folding
+# ground circuit nodes at the largest size (before folding), and sizes searched
 CIRCUIT_LIMIT = 100_000
 
 # a gate input or root: (node, negated), or a constant folded while grounding
@@ -92,8 +92,8 @@ def find_model(f: Formula, vocab: Vocabulary, max_size: int,
             f"{worst} interpretation cells at size {max_size} exceed the limit "
             f"of {cell_limit}; raise cell_limit explicitly to search anyway")
     ground, nodes = grounder(f, max_size)
-    if nodes > CIRCUIT_LIMIT:
-        raise CircuitLimitError(f"the ground circuit at size {max_size} would exceed "
+    if max(nodes, max_size) > CIRCUIT_LIMIT:
+        raise CircuitLimitError(f"the ground circuits up to size {max_size} would exceed "
                                 f"the limit of {CIRCUIT_LIMIT} nodes")
     started = time.perf_counter()
     counter = [0]

@@ -12,8 +12,10 @@ the two description logics.
   rewriting compositions and unions away and then translating projections,
   selections and position existentials.
 
-Every output is checked against the target fragment and against extension
-oracles in the test suite; no rewrite is trusted on its own.
+Every blow-up is refused (``DnfLimitError``) before it is built, under the
+one budget ``DNF_LIMIT``.  Every output is checked against the target
+fragment and against extension oracles in the test suite; no rewrite is
+trusted on its own.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def _leaf_vars(a: LeafAtom) -> frozenset[str]:
     return frozenset((a.left, a.right))
 
 
-# Most disjuncts the absorbed normal form of one block may have (see _dnf).
-# An irreducible conjunction of k two-way disjunctions has 2^k disjuncts;
-# 2^11 print as about 100k characters of DL concept, 2^13 as half a megabyte.
+# The one blow-up budget of the translations: most disjuncts of a block's
+# absorbed normal form (see _dnf), chains of a DLR relation term or copies of
+# a part of a DLR concept (see _elim_concept).  2^11 irreducible disjuncts
+# print as about 100k characters of DL concept, 2^13 as half a megabyte.
 DNF_LIMIT = 2048
 
 # One conjunction of the normal form: its signed leaves without repeats, in
@@ -90,11 +93,11 @@ Conj = tuple[tuple[tuple[bool, Formula], ...], frozenset]
 _EMPTY: Conj = ((), frozenset())
 
 
-def _check_dnf_size(disjuncts: int) -> None:
-    if disjuncts > DNF_LIMIT:
+def _check_dnf_size(size: int) -> None:
+    if size > DNF_LIMIT:
         raise DnfLimitError(
-            f"disjunctive normal form would have {disjuncts} disjuncts, "
-            f"more than the limit of {DNF_LIMIT}")
+            f"translation would expand one part of its input into {size} "
+            f"alternatives or copies, more than the limit of {DNF_LIMIT}")
 
 
 def _shares_leaf(left: list[Conj], right: list[Conj]) -> bool:
@@ -410,68 +413,61 @@ def gate_dlr0(c: dlr.DlrConcept) -> None:
 def eliminate_comp_union(c: dlr.DlrConcept) -> dlr.DlrConcept:
     """Rewrite away every composition and union of binary relation terms,
     using distribution over union and the unnesting of compositions under
-    the binary existential."""
+    the binary existential.  A result holding more than ``DNF_LIMIT`` chains,
+    or copies of one part of ``c``, is refused before it is built."""
     gate_dlr0(c)
-    return _elim_concept(c)
+    return _elim_concept(c, 1)
 
 
-def _elim_concept(c: dlr.DlrConcept) -> dlr.DlrConcept:
+def _elim_concept(c: dlr.DlrConcept, copies: int) -> dlr.DlrConcept:
+    """``c`` eliminated; the output, read as a tree, repeats it at most ``copies`` times."""
     if isinstance(c, (dlr.Top1, dlr.AtomicConcept)):
         return c
     if isinstance(c, dlr.NotC):
-        return dlr.NotC(_elim_concept(c.body))
+        return dlr.NotC(_elim_concept(c.body, copies))
     if isinstance(c, dlr.AndC):
-        return dlr.AndC(_elim_concept(c.left), _elim_concept(c.right))
+        return dlr.AndC(_elim_concept(c.left, copies), _elim_concept(c.right, copies))
     if isinstance(c, dlr.ExistsProj):
-        return dlr.ExistsProj(c.i, _elim_role(c.role))
+        return dlr.ExistsProj(c.i, _elim_role(c.role, copies))
     if isinstance(c, dlr.ExistsE):
-        body = _elim_concept(c.concept)
+        chains = _union_of_chains(c.rel)
+        copies *= len(chains)  # every chain repeats the body, and each step at most once
+        _check_dnf_size(copies)  # before the body or a step's role is eliminated
+        body = _elim_concept(c.concept, copies)
         alternatives = []
-        for chain in _union_of_chains(c.rel):
+        for chain in chains:
             out = body
             for step in reversed(chain):
+                if isinstance(step, dlr.Proj):
+                    step = dlr.Proj(_elim_role(step.role, copies), step.i, step.j)
                 out = dlr.ExistsE(step, out)
             alternatives.append(out)
         return fold(dlr.or_dlr, alternatives, dlr.NotC(dlr.Top1()))
     raise TypeError(f"unexpected concept in composition elimination: {c!r}")
 
 
-def _elim_role(r: dlr.DlrRole) -> dlr.DlrRole:
+def _elim_role(r: dlr.DlrRole, copies: int) -> dlr.DlrRole:
     if isinstance(r, dlr.Sel):
-        return dlr.Sel(r.i, r.n, _elim_concept(r.concept))
+        return dlr.Sel(r.i, r.n, _elim_concept(r.concept, copies))
     if isinstance(r, dlr.NotR):
-        return dlr.NotR(_elim_role(r.role))
+        return dlr.NotR(_elim_role(r.role, copies))
     if isinstance(r, dlr.AndR):
-        return dlr.AndR(_elim_role(r.left), _elim_role(r.right))
+        return dlr.AndR(_elim_role(r.left, copies), _elim_role(r.right, copies))
     return r
 
 
 def _union_of_chains(e: dlr.DlrBinRel) -> list[list[dlr.DlrBinRel]]:
     """A binary relation term as a union of composition chains of atomic
-    steps (identity or projection)."""
-    if isinstance(e, dlr.Eps):
+    steps (identity or projection, its role not yet eliminated)."""
+    if isinstance(e, (dlr.Eps, dlr.Proj)):
         return [[e]]
-    if isinstance(e, dlr.Proj):
-        return [[dlr.Proj(_elim_role(e.role), e.i, e.j)]]
     if isinstance(e, dlr.Comp):
         left, right = _union_of_chains(e.left), _union_of_chains(e.right)
         _check_dnf_size(len(left) * len(right))  # before building it
         return [a + b for a in left for b in right]
     if isinstance(e, dlr.UnionE):
-        left, right = _union_of_chains(e.left), _union_of_chains(e.right)
-        _check_dnf_size(len(left) + len(right))
-        return left + right
+        return _union_of_chains(e.left) + _union_of_chains(e.right)
     raise TypeError(f"unexpected term in composition elimination: {e!r}")
-
-
-# Most fresh variables a DLR translation draws: the formula repeats the body
-# that elimination shares among the alternatives of a union once for each.
-_VARIABLE_BUDGET = 32768
-
-
-def _fresh_numbers() -> Iterator[int]:
-    yield from range(1, _VARIABLE_BUDGET + 1)
-    raise DnfLimitError(f"translation would need more than {_VARIABLE_BUDGET} fresh variables")
 
 
 def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Formula:
@@ -481,7 +477,7 @@ def dlr0_to_fu1(c: dlr.DlrConcept, vocab: Vocabulary, topn: str = "delta") -> Fo
     mode they translate to atoms over the declared top<n> relations."""
     dlr.check_topn_mode(topn)
     simple = eliminate_comp_union(c)
-    return _formula_of(simple, "x", _fresh_numbers(), vocab, topn)
+    return _formula_of(simple, "x", count(1), vocab, topn)
 
 
 def _fresh_tuple(n: int, fixed: dict[int, str], ctr: Iterator[int]

@@ -314,6 +314,9 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
     (DLR0_FU1 + ["exists " + "((eps u R|$1,$2) o " * 15 + "(eps u R|$1,$2)"
                  + ")" * 15 + " . A"], 2),
     (DLR0_FU1 + ["exists (eps u R|$1,$2) . " * 16 + "A"], 2),
+    # a sentence without relations: no cells and a one-node circuit, but one
+    # circuit per size, past the circuit budget
+    (["sat", "--max-size", "1000000000000", "-e", "false"], 2),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -307,11 +308,18 @@ def _nested_unions(n):
 
 @pytest.mark.parametrize("text", [_compositions_of_unions, _nested_unions])
 def test_dlr_blow_ups_are_refused_before_they_are_built(text):
-    # 2^16 composition chains; 2^16 copies of the shared body in the formula
+    # n levels give 2^n composition chains, or 2^n copies of the innermost
+    # body; DNF_LIMIT is 2^11
     vocab = Vocabulary({"R": 2, "A": 1})
-    with pytest.raises(DnfLimitError):
-        dlr0_to_fu1(dlr.parse_dlr_concept(text(16)), vocab)
-    f = dlr0_to_fu1(dlr.parse_dlr_concept(text(10)), vocab)
+    for n in (12, 16):
+        c = dlr.parse_dlr_concept(text(n))
+        started = time.perf_counter()
+        with pytest.raises(DnfLimitError):
+            eliminate_comp_union(c)
+        with pytest.raises(DnfLimitError):
+            dlr0_to_fu1(c, vocab)
+        assert time.perf_counter() - started < 0.5
+    f = dlr0_to_fu1(dlr.parse_dlr_concept(text(11)), vocab)
     assert check_fragment(f, FragmentId.FU1).verdict
 
 
