@@ -32,10 +32,10 @@ for the tuples themselves, enumerates domain^n.
 
 A concept or role is compiled once per vocabulary into closures that do
 only this set work: names, arities, argument counts and coordinate maps
-are checked and settled at compile time.  The last term compiled is kept
-in a one-entry cache (same object, equal vocabulary), so a concept checked
-on many structures is compiled once.  A check that fails raises when the
-evaluation reaches its node, as a walk of the term would.
+are checked and settled at compile time, so a term that fails a check
+raises before any structure is read, as an FO formula does.  The last
+term compiled is kept in a one-entry cache (same object, equal
+vocabulary), so a concept checked on many structures is compiled once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Union
 
-from .errors import LogicError, VocabularyError
+from .errors import VocabularyError
 from .structures import Structure
 from .syntax import TokenParser, Vocabulary, nested
 
@@ -216,15 +216,6 @@ def identity(s: Structure, dom: frozenset) -> frozenset:
     return frozenset((d, d) for d in s.domain)
 
 
-def failing(e: Exception) -> Compiled:
-    """A closure that raises a fresh copy of ``e`` whenever it is reached."""
-    kind, args = type(e), e.args
-
-    def fail(s: Structure, dom: frozenset) -> frozenset:
-        raise kind(*args)
-    return fail
-
-
 def compiled(slot: list, build: Callable, term, vocab: Vocabulary, *extra):
     """``build(term, vocab, *extra)``, kept in the one-entry cache ``slot``.
     A hit needs the same ``build``, the same term object (held, so that its
@@ -244,26 +235,21 @@ def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Co
     """The compiler of concepts over ``vocab``, shared with :mod:`unifrag.dlr`:
     it compiles the four node kinds of both logics and leaves the others to
     ``own(c, comp)``.  A node that fails a vocabulary check, or is no node,
-    compiles to a closure that raises the same error when it is reached, so
-    errors come in walk order, after those an earlier node raises on the
-    structure."""
+    raises when it is compiled."""
     def comp(c) -> Compiled:
-        try:
-            if isinstance(c, TopC):
-                return lambda s, dom: dom
-            if isinstance(c, AtomicConcept):
-                check_concept_name(c.name, vocab)
-                name = c.name
-                return lambda s, dom: frozenset(map(_head, s.relations[name]))
-            if isinstance(c, NotC):
-                body = comp(c.body)
-                return lambda s, dom: dom - body(s, dom)
-            if isinstance(c, AndC):
-                left, right = comp(c.left), comp(c.right)
-                return lambda s, dom: left(s, dom) & right(s, dom)
-            return own(c, comp)
-        except (LogicError, TypeError) as e:
-            return failing(e)
+        if isinstance(c, TopC):
+            return lambda s, dom: dom
+        if isinstance(c, AtomicConcept):
+            check_concept_name(c.name, vocab)
+            name = c.name
+            return lambda s, dom: frozenset(map(_head, s.relations[name]))
+        if isinstance(c, NotC):
+            body = comp(c.body)
+            return lambda s, dom: dom - body(s, dom)
+        if isinstance(c, AndC):
+            left, right = comp(c.left), comp(c.right)
+            return lambda s, dom: left(s, dom) & right(s, dom)
+        return own(c, comp)
     return comp
 
 

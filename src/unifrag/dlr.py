@@ -42,9 +42,10 @@ concept built in code may make the walkers raise RecursionError.
 
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept compiler of
-:mod:`unifrag.dl`, and the last one is cached as there.  Errors keep the
-order of a walk: in explicit mode a ``top<n>`` that the walk reaches
-first raises its structure error ahead of a vocabulary error after it.
+:mod:`unifrag.dl`, and the last one is cached as there.  A term is checked
+against the vocabulary when it is compiled, before any structure is read;
+structure errors, such as an explicit-mode ``top<n>`` that does not cover
+a relation, come only after that check.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from operator import itemgetter
 from typing import Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
-                 compiled, concept_compiler, failing, identity)
+                 compiled, concept_compiler, identity)
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
-from .errors import ArityError, LogicError, ParseError, StructureError
+from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
 from .syntax import MAX_ARITY, TokenParser, Vocabulary, nested
 
@@ -244,9 +245,8 @@ def _compose(first, second) -> set:
 
 def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
     """``x`` compiled as a ``kind`` ("concept", "binrel" or "role") over
-    ``vocab`` in top mode ``topn``.  Concepts and binary relation terms
-    defer their errors to the closures, as
-    :func:`unifrag.dl.concept_compiler` does."""
+    ``vocab`` in top mode ``topn``; a term that fails a vocabulary or
+    arity check raises here, before any structure is read."""
 
     def role(r: DlrRole, n: int) -> Compiled:
         """A role that :func:`dlr_role_arity` has checked to have arity
@@ -270,32 +270,29 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
         return lambda s, dom: left(s, dom) & right(s, dom)
 
     def binrel(e: DlrBinRel) -> Compiled:
-        try:
-            if isinstance(e, Eps):
-                return identity
-            if isinstance(e, Proj):
-                n = role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
-                tuples, pair = role(e.role, n), itemgetter(e.i - 1, e.j - 1)
-                return lambda s, dom: frozenset(map(pair, tuples(s, dom)))
-            if isinstance(e, Comp):
-                left, right = binrel(e.left), binrel(e.right)
-                return lambda s, dom: frozenset(_compose(left(s, dom), right(s, dom)))
-            if isinstance(e, UnionE):
-                left, right = binrel(e.left), binrel(e.right)
-                return lambda s, dom: left(s, dom) | right(s, dom)
-            if isinstance(e, Star):
-                body = binrel(e.body)
+        if isinstance(e, Eps):
+            return identity
+        if isinstance(e, Proj):
+            n = role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
+            tuples, pair = role(e.role, n), itemgetter(e.i - 1, e.j - 1)
+            return lambda s, dom: frozenset(map(pair, tuples(s, dom)))
+        if isinstance(e, Comp):
+            left, right = binrel(e.left), binrel(e.right)
+            return lambda s, dom: frozenset(_compose(left(s, dom), right(s, dom)))
+        if isinstance(e, UnionE):
+            left, right = binrel(e.left), binrel(e.right)
+            return lambda s, dom: left(s, dom) | right(s, dom)
+        if isinstance(e, Star):
+            body = binrel(e.body)
 
-                def star(s: Structure, dom: frozenset) -> frozenset:
-                    # least reflexive-transitive relation containing the body
-                    closure = set(identity(s, dom)) | body(s, dom)
-                    while not (step := _compose(closure, closure)) <= closure:
-                        closure |= step
-                    return frozenset(closure)
-                return star
-            raise TypeError(f"not a binary relation term: {e!r}")
-        except (LogicError, TypeError) as err:
-            return failing(err)
+            def star(s: Structure, dom: frozenset) -> frozenset:
+                # least reflexive-transitive relation containing the body
+                closure = set(identity(s, dom)) | body(s, dom)
+                while not (step := _compose(closure, closure)) <= closure:
+                    closure |= step
+                return frozenset(closure)
+            return star
+        raise TypeError(f"not a binary relation term: {e!r}")
 
     def own(c, comp) -> Compiled:
         if isinstance(c, ExistsE):
@@ -367,8 +364,8 @@ _RESERVED = frozenset({"eps", "exists", "o", "u"})
 class _DlrParser(TokenParser):
     def __init__(self, text: str):
         super().__init__(text)
-        # the positions of each '(' whose top level holds a token that no
-        # role group '(' role '&' role ')' holds there
+        # the positions of each '(' whose top level holds a token that no role
+        # group '(' role '&' role ')' holds there, and of each unclosed '(' before one
         self.marked, opened = set(), []
         for i, t in enumerate(self.toks):
             if t.kind == "LPAREN":
@@ -377,6 +374,8 @@ class _DlrParser(TokenParser):
                 opened.pop()
             elif opened and t.text in ("o", "u", "eps", "|", "*"):
                 self.marked.add(opened[-1])
+        last = max(self.marked, default=-1)
+        self.marked.update(i for i in opened if i < last)
 
     # concepts ---------------------------------------------------------------
 

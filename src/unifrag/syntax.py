@@ -370,10 +370,10 @@ class TokenParser:
             return self.next()
         return None
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.accept(kind, text)
+    def expect(self, kind: str) -> _Token:
+        t = self.accept(kind)
         if t is None:
-            raise self.expected(text or kind)
+            raise self.expected("an integer" if kind == "INT" else repr(_SPELLING[kind]))
         return t
 
     def word(self, what: str, reserved: frozenset = frozenset()) -> str:

@@ -349,6 +349,28 @@ def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
         assert dl.print_concept(dl.parse_concept(doc["output"])) == doc["output"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse"],  # neither -e nor a file
+    ["parse", "--vocab", "DEEP", "-e", "P(x)"],
+    ["parse", "--vocab", "LIST", "-e", "P(x)"],
+    ["eval", "--model", "MODEL", "--assign", "x", "-e", "P(x)"],
+    ["translate", "--from", "dlr0", "--to", "fu1", "-e", "exists[$1] R"],  # no --vocab
+    ["parse", "-e", "x=true"],  # a reserved word as a variable
+])
+def test_input_refusals_are_one_error_line(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"domain": ["a"], "arities": {"P": 1},
+                                 "relations": {"P": [["a"]]}}))
+    files = {"DEEP": str(deep), "LIST": str(listed), "MODEL": str(model)}
+    code, out, err = invoke(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_a_translation_taller_than_the_parsers_accept_is_a_parse_error(capsys, tmp_path):
     # dl_to_fu1 of the deepest DL concept is about 400 levels tall: it is
     # printed, and reading it back is refused by the height bound

@@ -348,26 +348,24 @@ def test_one_concept_alternating_top_modes():
         assert dlr_concept_extension(s, c, mode) == answers[mode]
 
 
-def test_explicit_mode_errors_come_in_walk_order():
-    # top2 does not cover R and Q is undeclared: an error on the structure
-    # that the walk meets first comes before the vocabulary error after it
+def test_term_errors_come_before_structure_errors():
+    # top2 does not cover R and Q is undeclared: a term is checked against
+    # the vocabulary before the structure is read, wherever its top2 stands
     s = _VOCAB_STRUCTURES[1]
-    top_first = [AndC(ExistsProj(1, TopN(2)), AtomicConcept("Q")),
-                 AndC(ExistsProj(1, NotR(AtomicRole("R"))), ExistsProj(3, AtomicRole("R"))),
-                 ExistsE(Comp(Proj(TopN(2), 1, 2), Proj(AtomicRole("R"), 1, 3)), Top1()),
-                 ExistsProj(1, AndR(Sel(1, 2, Top1()), Sel(2, 2, AtomicConcept("Q"))))]
-    name_first = [AndC(AtomicConcept("Q"), ExistsProj(1, TopN(2))),
-                  ExistsE(Comp(Proj(AtomicRole("R"), 1, 3), Proj(TopN(2), 1, 2)), Top1())]
+    terms = [AndC(ExistsProj(1, TopN(2)), AtomicConcept("Q")),
+             AndC(ExistsProj(1, NotR(AtomicRole("R"))), ExistsProj(3, AtomicRole("R"))),
+             ExistsE(Comp(Proj(TopN(2), 1, 2), Proj(AtomicRole("R"), 1, 3)), Top1()),
+             ExistsProj(1, AndR(Sel(1, 2, Top1()), Sel(2, 2, AtomicConcept("Q")))),
+             AndC(AtomicConcept("Q"), ExistsProj(1, TopN(2))),
+             ExistsE(Comp(Proj(AtomicRole("R"), 1, 3), Proj(TopN(2), 1, 2)), Top1())]
+    errors = [VocabularyError, ArityError, ArityError, VocabularyError, VocabularyError, ArityError]
     for _ in range(2):  # the second time from the cache
-        for c in top_first:
-            with pytest.raises(StructureError, match="does not cover"):
-                dlr_concept_extension(s, c, "explicit")
-            # the delta mode reads no relation top2
-            with pytest.raises((ArityError, VocabularyError)):
-                dlr_concept_extension(s, c)
-        for c in name_first:
-            with pytest.raises((ArityError, VocabularyError)):
-                dlr_concept_extension(s, c, "explicit")
+        for mode in ["delta", "explicit"]:
+            for c, error in zip(terms, errors):
+                with pytest.raises(error):
+                    dlr_concept_extension(s, c, mode)
+    with pytest.raises(StructureError, match="does not cover"):
+        dlr_concept_extension(s, ExistsProj(1, TopN(2)), "explicit")
 
 
 def test_one_object_as_a_term_of_two_kinds():

@@ -218,6 +218,14 @@ def test_integer_literals_past_the_digit_bound_are_parse_errors(parse, text, col
     (parse_dlr_concept, "exists (eps", "1:12: expected 'o' or 'u', found 'end of input'"),
     (parse_formula, "P(x,", "1:5: expected variable, found 'end of input'"),
     (parse_concept, "exists R.(A,", "1:13: expected concept name, found 'end of input'"),
+    # an unclosed '(' before a binary relation term opens one too
+    (parse_dlr_concept, "exists ((T|$3,$3", "1:17: expected 'o' or 'u', found 'end of input'"),
+    (parse_dlr_concept, "exists ((R|$1,$2 o S|$1,$2", "1:27: expected ')', found 'end of input'"),
+    (parse_dlr_concept, "exists (R & S", "1:14: expected ')', found 'end of input'"),
+    # a token is named as it is spelled, an INT as an integer
+    (parse_formula, "P(x", "1:4: expected ')', found 'end of input'"),
+    (parse_formula, "E[>=x] y. P(y)", "1:5: expected an integer, found 'x'"),
+    (parse_dlr_concept, "exists[1] R", "1:8: expected '$', found '1'"),
 ])
 def test_expected_errors_name_what_they_found(parse, text, message):
     with pytest.raises(ParseError) as e:

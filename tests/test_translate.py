@@ -58,6 +58,8 @@ def test_dnf_rejects_non_uniform_input():
 def test_dnf_rejects_two_free_variables():
     with pytest.raises(FragmentGateError):
         to_dnf_block(parse_formula("E y. R(x,y,z)"))
+    with pytest.raises(FragmentGateError, match="free variables"):  # a leaf with x and y free
+        to_dnf_block(parse_formula("E y. (P(y) & E z. R(x,y,z))"))
 
 
 def test_dnf_semantic_equivalence():
@@ -180,6 +182,8 @@ def test_fu1_gate_rejects_violations():
         fu1_to_dl(parse_formula("E y z. (S(x,y) & S(y,z))"))
     with pytest.raises(FragmentGateError):
         fu1_to_dl(parse_formula("E y z. (R(y,z,x) & ~(x = y))"))  # U1, not FU1
+    with pytest.raises(FragmentGateError, match="at most one free variable"):
+        fu1_to_dl(parse_formula("(P(x) & P(y))"))
 
 
 @settings(max_examples=100, deadline=None)
