@@ -243,7 +243,7 @@ def grounder(f: Formula, max_size: int) -> tuple[Callable[..., tuple[Circuit, Li
             g, free = comp(f.body)
             return negate(g), free
         if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
-            vars, exists, levels, free = block_parts(f, comp, negate)
+            vars, exists, levels, free, _ = block_parts(f, comp, negate)  # guards serve evaluation only
             g, nodes = None, 0
             for i in range(len(levels) - 1, -1, -1):
                 g = partial(level, [p for p, _ in levels[i]], vars[i] if g else None, g, exists)

@@ -6,7 +6,8 @@ closures that look atoms up in a structure's relations.  A quantifier
 block does not test its whole body for every tuple of its variables: each
 conjunct under ``E`` (disjunct under ``A``) is tested in the loop of the
 last block variable it mentions (``block_parts``, which
-:mod:`unifrag.modelfind` shares to ground a sentence).  ``evaluate`` and
+:mod:`unifrag.modelfind` shares to ground a sentence); a loop with a guard
+atom walks the structure's index instead of the domain.  ``evaluate`` and
 ``satisfaction_set`` run the core; ``evaluate_naive`` enumerates every
 branch with its own plain recursion and serves as the reference the
 compiled evaluator is tested against.
@@ -73,14 +74,14 @@ def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
 class _Prepared:
     """``formula`` validated against ``vocabulary`` and compiled once.
 
-    The closures quantify over ``domain``, look atoms up in ``relations``
-    and read variables from ``asg``.  ``bind`` fills the three from one
-    structure over the vocabulary and one assignment for the length of a
-    call.  ``release`` empties them again, so that no structure outlives
+    The closures quantify over ``domain`` or ``indexes``, look atoms up in
+    ``relations`` and read variables from ``asg``.  ``bind`` fills the four
+    from one structure over the vocabulary and one assignment for the length
+    of a call.  ``release`` empties them again, so that no structure outlives
     its call, and puts the record back in the cache.
     """
 
-    __slots__ = ("formula", "vocabulary", "free", "domain", "relations", "asg", "test")
+    __slots__ = ("formula", "vocabulary", "free", "domain", "relations", "indexes", "asg", "test")
 
     def __init__(self, f: Formula, vocabulary: Vocabulary,
                  free: Optional[frozenset[str]] = None):
@@ -89,17 +90,22 @@ class _Prepared:
         self.free = free_variables(f) if free is None else free
         self.domain: list[str] = []
         self.relations: dict[str, frozenset[tuple[str, ...]]] = {}
+        self.indexes: dict[tuple[str, int], dict] = {}
         self.asg: dict[str, str] = {}
-        self.test = compile_formula(f, self.domain, self.relations, self.asg)
+        self.test = compile_formula(f, self.domain, self.relations, self.asg, self.indexes)
 
     def bind(self, s: Structure, a: Assignment) -> None:
         self.domain[:] = s.domain
         self.relations.update(s.relations)
+        for key in self.indexes:
+            self.indexes[key] = s.index(*key)
         self.asg.update(a)
 
     def release(self) -> None:
         self.domain.clear()
         self.relations.clear()
+        for key in self.indexes:
+            self.indexes[key] = {}
         self.asg.clear()
         _slot.append(self)
 
@@ -128,7 +134,7 @@ def _take(f: Formula, s: Structure) -> Optional[_Prepared]:
 # ---------------------------------------------------------------------------
 
 def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozenset],
-                    asg: dict) -> Closure:
+                    asg: dict, indexes: dict) -> Closure:
     """Compile ``f`` into a closure reading the variable values in ``asg``.
 
     Quantifiers range over ``domain`` and atoms are looked up in
@@ -137,7 +143,9 @@ def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozen
     Each loop joins its parts, in text order, with the next loop inwards.
     This rests on Ez(p & q) = p & Ez q and Az(p | q) = p | Az q for z not
     free in p, so every answer is the one the whole body tested in the
-    innermost loop would give.
+    innermost loop would give.  A loop with a guard walks only the values
+    that satisfy it, read from ``indexes[rel, pos]`` (see ``Structure.index``),
+    whose key it enters.
     """
     def comp(f: Formula) -> tuple[Closure, frozenset[str]]:
         """The closure of ``f`` and the free variables of ``f``."""
@@ -152,12 +160,12 @@ def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozen
             g, free = comp(f.body)
             return _not(g), free
         if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
-            vars, exists, levels, free = block_parts(f, comp, _not)
-            g = _join(levels[-1], exists)
-            for i in range(len(levels) - 2, -1, -1):
-                levels[i].append(_loop(vars[i], g, exists, domain, asg))
-                g = _join(levels[i], exists)
-            return g, free
+            vars, exists, levels, free, guards = block_parts(f, comp, _not)
+            for i in range(len(vars), 0, -1):  # the innermost loop first
+                walk = _walk(vars[i - 1], guards[i - 1], levels[i], domain, indexes, asg)
+                body = _join(levels[i], exists)
+                levels[i - 1].append(_loop(vars[i - 1], body, exists, walk, asg))
+            return _join(levels[0], exists), free
         if isinstance(f, Equals):
             left, right = f.left, f.right
             return (lambda: asg[left] == asg[right]), frozenset((left, right))
@@ -173,12 +181,12 @@ def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozen
     return comp(f)[0]
 
 
-def block_parts(f: Formula, comp: Callable,
-                negate: Callable) -> tuple[tuple[str, ...], bool, list[list], frozenset[str]]:
+def block_parts(f: Formula, comp: Callable, negate: Callable
+                ) -> tuple[tuple[str, ...], bool, list[list], frozenset[str], list]:
     """The variables of the quantifier block ``f`` and whether it is an
-    ``E`` block, its compiled parts placed by the loop that tests them, and
-    its free variables.  A chain of ``&`` counts as an ``E`` block without
-    variables, a chain of ``|`` and ``->`` as an ``A`` block.
+    ``E`` block, its compiled parts placed by the loop that tests them, its
+    free variables and its guards.  A chain of ``&`` counts as an ``E``
+    block without variables, a chain of ``|`` and ``->`` as an ``A`` block.
 
     The parts are the conjuncts under ``E`` and the disjuncts under ``A``,
     where ``a -> b`` gives ``negate`` of ``~a`` and the parts of ``b``;
@@ -187,7 +195,9 @@ def block_parts(f: Formula, comp: Callable,
     ``E z`` and ``A z`` of a formula without ``z`` are that formula.  Each
     part goes to the last of them it mentions: ``levels[0]`` holds the parts
     without a block variable, ``levels[i]`` those tested in the loop of
-    ``vars[i-1]``.
+    ``vars[i-1]``.  ``guards[i]`` is ``(k, atom)`` when ``levels[i+1][k]`` is
+    the first part to test an atom that mentions ``vars[i]`` once, as a
+    conjunct under ``E`` or negated under ``A``, and None if there is none.
     """
     if isinstance(f, (ExistsBlock, ForallBlock)):
         vars, exists, todo = f.vars, isinstance(f, ExistsBlock), [f.body]
@@ -203,23 +213,27 @@ def block_parts(f: Formula, comp: Callable,
             continue
         if not exists and isinstance(g, Implies):
             h, part_free = comp(g.left)
-            h = negate(h)
+            h, atom = negate(h), g.left
             todo.append(g.right)
         else:
             h, part_free = comp(g)
-        parts.append((h, part_free))
+            atom = g if exists else g.body if isinstance(g, Not) else None
+        parts.append((h, part_free, atom if isinstance(atom, Atom) else None))
         free |= part_free
     if not vars:
-        return vars, exists, [[h for h, _ in parts]], frozenset(free)
+        return vars, exists, [[h for h, _, _ in parts]], frozenset(free), []
     used = tuple([v for v in vars if v in free])
     levels: list[list] = [[] for _ in range(len(used) + 1)]
-    for h, part_free in parts:
+    guards: list = [None] * len(used)
+    for h, part_free, atom in parts:
         i = len(used)
         while i and used[i - 1] not in part_free:
             i -= 1
+        if i and not guards[i - 1] and atom is not None and atom.args.count(used[i - 1]) == 1:
+            guards[i - 1] = (len(levels[i]), atom)
         levels[i].append(h)
     free.difference_update(vars)
-    return used, exists, levels, frozenset(free)
+    return used, exists, levels, frozenset(free), guards
 
 
 def _not(g: Closure) -> Closure:
@@ -246,11 +260,25 @@ def _join(gs: list[Closure], conj: bool) -> Closure:
     return ev_join
 
 
-def _loop(var: str, body: Closure, exists: bool, domain: Sequence, asg: dict) -> Closure:
-    """``E var. body`` when ``exists``, else ``A var. body``."""
+def _walk(var: str, guard: Optional[tuple], level: list, domain: Sequence, indexes: dict,
+          asg: dict) -> Callable:
+    """What the loop of ``var`` walks: the domain, or the values that satisfy
+    the guard ``(k, atom)``, whose own test ``level[k]`` is then deleted."""
+    if guard is None:
+        return domain.__iter__
+    k, atom = guard
+    del level[k]
+    pos = atom.args.index(var)
+    key, others = (atom.rel, pos), atom.args[:pos] + atom.args[pos + 1:]
+    indexes[key] = {}
+    return lambda: indexes[key].get(tuple([asg[v] for v in others]), ())
+
+
+def _loop(var: str, body: Closure, exists: bool, walk: Callable, asg: dict) -> Closure:
+    """``E var. body`` when ``exists``, else ``A var. body``, over ``walk()``."""
     def ev_quant():
         saved, result = asg.get(var), not exists
-        for d in domain:
+        for d in walk():
             asg[var] = d
             if body() is exists:
                 result = exists

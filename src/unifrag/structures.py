@@ -13,7 +13,7 @@ Structures are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .errors import StructureError, VocabularyError
@@ -30,6 +30,7 @@ class Structure:
     domain: tuple[str, ...]
     relations: Mapping[str, frozenset[tuple[str, ...]]]
     vocabulary: Vocabulary
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
@@ -43,7 +44,7 @@ class Structure:
             if name not in self.vocabulary:
                 raise StructureError(f"relation {name!r} is not declared in the vocabulary")
             arity = self.vocabulary.arity(name)
-            frozen = frozenset(tuple(t) for t in tuples)
+            frozen = frozenset({tuple(t): None for t in tuples})  # from a dict, sized once
             for t in frozen:
                 if len(t) != arity:
                     raise StructureError(
@@ -63,6 +64,16 @@ class Structure:
         if name not in self.vocabulary:
             raise VocabularyError(f"unknown relation symbol {name!r}")
         return self.relations[name]
+
+    def index(self, name: str, pos: int) -> dict[tuple[str, ...], tuple[str, ...]]:
+        """The components at ``pos`` of ``name``'s tuples, keyed by the others; built once."""
+        index = self._indexes.get((name, pos))
+        if index is None:
+            lists: dict = {}
+            for t in sorted(self.relations[name]):  # the same order in every run
+                lists.setdefault(t[:pos] + t[pos + 1:], []).append(t[pos])
+            index = self._indexes[name, pos] = {k: tuple(v) for k, v in lists.items()}
+        return index
 
     @property
     def size(self) -> int:

@@ -131,9 +131,14 @@ def _product(left: list[Conj], right: list[Conj]) -> list[Conj]:
 
 
 def _union(left: list[Conj], right: list[Conj]) -> list[Conj]:
-    if [_EMPTY] in (left, right) or _shares_leaf(left, right):
-        return _absorbed(left + right)
-    return left + right
+    """``_absorbed(left + right)`` of absorbed forms: only a conjunction whose
+    leaves all occur on the other side can contain or lie in one there."""
+    ls = frozenset().union(*(s for _, s in left))
+    rs = frozenset().union(*(s for _, s in right))
+    inner_left = [s for _, s in left if s <= rs]
+    inner_right = [s for _, s in right if s <= ls]
+    return ([c for c in left if not any(s < c[1] for s in inner_right)]
+            + [c for c in right if not any(s <= c[1] for s in inner_left)])
 
 
 def _dnf(f: Formula, positive: bool) -> list[Conj]:

@@ -1,19 +1,22 @@
 import gc
 import itertools
+import json
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (EvalError, Vocabulary, disjoint_union, evaluate,
-                     evaluate_naive, make_structure, parse_formula,
-                     satisfaction_set)
+from unifrag import (EvalError, Vocabulary, disjoint_union, dump_structure, evaluate,
+                     evaluate_naive, make_structure, parse_formula, print_formula,
+                     satisfaction_set, structure_to_doc)
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
 from unifrag.modelfind import grounder
+from unifrag.semantics import block_parts
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Implies, Not, Or, Top,
                             free_variables, walk)
@@ -388,6 +391,111 @@ def test_block_scheduling_against_the_oracle(text):
             expected = {d for d in s.domain if oracle_eval(s, {"x": d}, f)}
             assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected
             assert satisfaction_set(s, f).elements == expected
+
+
+# ---------------------------------------------------------------------------
+# A block variable with a guard atom walks the guard's tuples (the
+# structure's index) instead of the domain; these shapes cover what is and
+# is not a guard
+# ---------------------------------------------------------------------------
+
+GUARDED_SHAPES = [
+    "E y. R(x,y)",                                          # the guard is the only part
+    "E y. (P(y) & R(x,y) & R(y,x))",                        # a unary guard, first in text
+    "E y. (~P(y) & R(y,x))",
+    "E x y. (R(x,y) & E z. (R(y,z) & ~R(z,y)))",
+    "A y. ~R(x,y)",                                         # negated atoms under A
+    "A y. (P(y) | ~R(x,y) | ~R(y,x))",
+    "A z. (R(x,z) -> P(z))",                                # an antecedent under A
+    "A x y. (R(x,y) -> E z. (R(y,z) & ~R(z,y)))",
+    "E x y. (R(x,y) & A z. (R(y,z) -> ~R(z,y)))",
+    "E z. (R(z,z) & P(z))",                                 # not guards: z twice
+    "A z. (~R(z,z) | R(x,z))",
+    "A z. (R(x,z) | P(z))",                                 # not a guard: positive under A
+    "E z. (~R(x,z) & P(z))",                                # not a guard: negated under E
+    "E y z. (T(y,y,z) & P(z))",                             # ternary guards, bound arguments
+    "E y z. (R(x,y) & T(x,z,y) & ~P(z))",
+    "E y z. (R(x,y) & T(z,x,y))",
+    "A y z. (T(x,z,y) -> R(y,z))",
+    "E y. (R(x,y) & E x. R(y,x))",                          # an inner block rebinds x
+    "A y. (R(y,x) -> E x. (R(x,y) & ~(x = y)))",
+    "E y. (R(x,y) & E[>=2] z. R(y,z))",                     # a count inside a guarded loop
+]
+
+
+def _sparse_structure(rng, relations=("R", "T", "P")):
+    domain = [f"e{i}" for i in range(rng.randint(6, 10))]
+    tuples = {name: {t for t in itertools.product(domain, repeat=arity)
+                     if name in relations and rng.random() < density}
+              for name, arity, density in (("R", 2, 0.2), ("T", 3, 0.02), ("P", 1, 0.5))}
+    return make_structure(domain, {"R": 2, "T": 3, "P": 1}, tuples)
+
+
+GUARDED_STRUCTURES = [_sparse_structure(random.Random(seed)) for seed in range(6)] + [
+    _sparse_structure(random.Random(6), ("P",)),            # R and T empty
+    _sparse_structure(random.Random(7), ()),                # every relation empty
+]
+
+
+@pytest.mark.parametrize("text", GUARDED_SHAPES)
+def test_guarded_loops_against_the_oracle(text):
+    f = parse_formula(text)
+    for s in GUARDED_STRUCTURES:
+        if not free_variables(f):
+            expected = evaluate_naive(s, {}, f)
+            assert evaluate(s, {}, f) == expected
+            assert satisfaction_set(s, f).elements == (frozenset(s.domain) if expected
+                                                       else frozenset())
+        else:
+            expected = {d for d in s.domain if evaluate_naive(s, {"x": d}, f)}
+            assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected
+            assert satisfaction_set(s, f).elements == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("E y. (P(y) & R(x,y) & R(y,x))", ["P(y)"]),             # the first in text order
+    ("A y z. (R(y,z) -> ~R(z,y))", [None, "R(y,z)"]),
+    ("A y z. (~P(y) | R(y,z) | ~R(z,y))", ["P(y)", "R(z,y)"]),
+    ("E y z. (R(z,z) & R(y,z))", [None, "R(y,z)"]),
+    ("A y. (R(x,y) | ~R(y,y))", [None]),
+    ("(R(x,y) & P(x))", []),                                 # a chain has no loops
+])
+def test_block_parts_reports_the_first_guard(text, expected):
+    def comp(g):
+        return g, free_variables(g)
+
+    _, _, levels, _, guards = block_parts(parse_formula(text), comp, lambda g: g)
+    assert [guard and print_formula(guard[1]) for guard in guards] == expected
+    for i, guard in enumerate(guards):
+        if guard:  # the part it points at tests the guard's atom
+            part = levels[i + 1][guard[0]]
+            assert part == guard[1] or part == Not(guard[1])
+
+
+def test_guarded_loops_walk_edges_not_the_domain():
+    # every loop but the outermost is guarded, so the work is linear in the
+    # edges; walking the domain in the inner loops takes seconds
+    f = parse_formula("A x y. (R(x,y) -> E z. (R(y,z) & ~R(z,y)))")
+    s = gen_directed_cycle(3000)
+    started = time.perf_counter()
+    assert evaluate(s, {}, f)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_the_index_is_invisible():
+    s = _sparse_structure(random.Random(5))
+    text, doc = repr(s), dump_structure(s)
+    union = dump_structure(disjoint_union(s, s))
+    for shape in GUARDED_SHAPES:
+        satisfaction_set(s, parse_formula(shape))
+    assert s.index("R", 1) is s.index("R", 1)  # built once and kept
+    copy = _sparse_structure(random.Random(5))
+    assert s == copy and copy == s
+    assert repr(s) == text == repr(copy)
+    assert dump_structure(s) == doc
+    assert json.dumps(structure_to_doc(s)) == json.dumps(structure_to_doc(copy))
+    assert dump_structure(disjoint_union(s, s)) == union
+    assert disjoint_union(s, s) == disjoint_union(copy, copy)
 
 
 # ---------------------------------------------------------------------------

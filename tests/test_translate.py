@@ -102,6 +102,24 @@ def test_dnf_absorbs_subsumed_conjunctions(k):
     assert [len(d.unary_parts) for d in block.disjuncts] == [k, 2]
 
 
+def _choices(letter, k):
+    return " & ".join(f"({letter}{i}(y) | {letter.lower()}{i}(y))" for i in range(k))
+
+
+@pytest.mark.parametrize("shared", ["R(x,y) & ", ""])
+def test_dnf_unions_over_the_limit_are_refused_quickly(shared):
+    # 2^10 + 2^11 irreducible disjuncts, over DNF_LIMIT; sides that share a
+    # leaf were once compared conjunction by conjunction before the check
+    f = parse_formula(f"E y. (({shared}{_choices('P', 10)}) | ({shared}{_choices('Q', 11)}))")
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        with pytest.raises(DnfLimitError, match="into 3072 alternatives"):
+            to_dnf_block(f)
+        times.append(time.perf_counter() - started)
+    assert min(times) < 0.05
+
+
 def test_dnf_drops_contradictory_conjunctions():
     f = parse_formula("E y. (R(x,y) & ~R(x,y))")
     assert to_dnf_block(f).disjuncts == ()
