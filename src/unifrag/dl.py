@@ -34,8 +34,8 @@ A concept or role is compiled once per vocabulary into closures that do
 only this set work: names, arities, argument counts and coordinate maps
 are checked and settled at compile time, so a term that fails a check
 raises before any structure is read, as an FO formula does.  The last
-term compiled is kept in a one-entry cache (same object, equal
-vocabulary), so a concept checked on many structures is compiled once.
+term compiled is kept in the one-entry cache of :func:`unifrag.syntax.compiled`,
+so a concept checked on many structures is compiled once.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, Union
 
 from .errors import VocabularyError
 from .structures import Structure
-from .syntax import TokenParser, Vocabulary, nested
+from .syntax import TokenParser, Vocabulary, compiled, nested
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
@@ -216,19 +216,7 @@ def identity(s: Structure, dom: frozenset) -> frozenset:
     return frozenset((d, d) for d in s.domain)
 
 
-def compiled(slot: list, build: Callable, term, vocab: Vocabulary, *extra):
-    """``build(term, vocab, *extra)``, kept in the one-entry cache ``slot``.
-    A hit needs the same ``build``, the same term object (held, so that its
-    id is not reused), equal ``extra`` arguments and an equal vocabulary."""
-    b, t, v, e, out = slot
-    if b is build and t is term and e == extra and (v is vocab or v == vocab):
-        return out
-    out = build(term, vocab, *extra)
-    slot[:] = build, term, vocab, extra, out
-    return out
-
-
-_slot: list = [None] * 5  # the last term compiled
+_slot: list = [None] * 5  # the last term compiled, see syntax.compiled
 
 
 def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Compiled]:

@@ -42,10 +42,11 @@ concept built in code may make the walkers raise RecursionError.
 
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept compiler of
-:mod:`unifrag.dl`, and the last one is cached as there.  A term is checked
-against the vocabulary when it is compiled, before any structure is read;
-structure errors, such as an explicit-mode ``top<n>`` that does not cover
-a relation, come only after that check.
+:mod:`unifrag.dl`, and the last one is kept in a one-entry cache of their
+own by :func:`unifrag.syntax.compiled`.  A term is checked against the
+vocabulary when it is compiled, before any structure is read; structure
+errors, such as an explicit-mode ``top<n>`` that does not cover a
+relation, come only after that check.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ from operator import itemgetter
 from typing import Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
-                 compiled, concept_compiler, identity)
+                 concept_compiler, identity)
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import MAX_ARITY, TokenParser, Vocabulary, nested
+from .syntax import MAX_ARITY, TokenParser, Vocabulary, compiled, nested
 
 TOPN_MODES = ("delta", "explicit")
 
@@ -322,7 +323,7 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
     return concept(x) if kind == "concept" else binrel(x)
 
 
-_slot: list = [None] * 5  # the last term compiled, see dl.compiled
+_slot: list = [None] * 5  # the last term compiled, see syntax.compiled
 
 
 def _extension(kind: str, x, s: Structure, topn: str) -> frozenset:

@@ -2,37 +2,36 @@
 quantifiers.
 
 ``compile_formula`` is the one evaluator core: it compiles a formula into
-closures that look atoms up in a structure's relations.  A quantifier
-block does not test its whole body for every tuple of its variables: each
-conjunct under ``E`` (disjunct under ``A``) is tested in the loop of the
-last block variable it mentions (``block_parts``, which
-:mod:`unifrag.modelfind` shares to ground a sentence); a loop with a guard
-atom walks the structure's index instead of the domain.  ``evaluate`` and
-``satisfaction_set`` run the core; ``evaluate_naive`` enumerates every
-branch with its own plain recursion and serves as the reference the
-compiled evaluator is tested against.
+a closure ``test(s, asg)`` that looks atoms up in the relations of the
+structure ``s`` it is given.  A quantifier block does not test its whole
+body for every tuple of its variables: each conjunct under ``E`` (disjunct
+under ``A``) is tested in the loop of the last block variable it mentions
+(``block_parts``, which :mod:`unifrag.modelfind` shares to ground a
+sentence); a loop with a guard atom walks the structure's index instead of
+the domain.  ``evaluate`` and ``satisfaction_set`` run the core;
+``evaluate_naive`` enumerates every branch with its own plain recursion
+and serves as the reference the compiled evaluator is tested against.
 
 ``evaluate`` and ``satisfaction_set`` validate and compile a formula once
-per vocabulary and reuse the result across structures: the last formula
-prepared stays in a one-entry cache, keyed on the formula object and an
-equal vocabulary, until a call asks for another.
+per vocabulary and reuse the test across structures, through the one-entry
+cache of :func:`unifrag.syntax.compiled`.  A test holds no structure and no
+assignment: each call passes its structure and a copy of its assignment.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
-from .errors import EvalError
+from .errors import EvalError, LogicError
 from .structures import Structure
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     free_variables, validate_formula)
+                     compiled, free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
-Closure = Callable[[], bool]
+Test = Callable[[Structure, dict], bool]
 
 
 @dataclass(frozen=True)
@@ -62,120 +61,69 @@ def _check_assignment(s: Structure, a: Assignment, free: frozenset[str]):
 def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
     """Standard satisfaction; quantifier blocks are iterated quantification
     and E[cmp k] x. f counts the witnesses for x."""
-    p = _take(f, s) or _Prepared(f, s.vocabulary)
-    try:
-        _check_assignment(s, a, p.free)
-        p.bind(s, a)
-        return p.test()
-    finally:
-        p.release()
+    free, test = compiled(_slot, _prepare, f, s.vocabulary)
+    _check_assignment(s, a, free)
+    return test(s, dict(a))
 
 
-class _Prepared:
-    """``formula`` validated against ``vocabulary`` and compiled once.
-
-    The closures quantify over ``domain`` or ``indexes``, look atoms up in
-    ``relations`` and read variables from ``asg``.  ``bind`` fills the four
-    from one structure over the vocabulary and one assignment for the length
-    of a call.  ``release`` empties them again, so that no structure outlives
-    its call, and puts the record back in the cache.
-    """
-
-    __slots__ = ("formula", "vocabulary", "free", "domain", "relations", "indexes", "asg", "test")
-
-    def __init__(self, f: Formula, vocabulary: Vocabulary,
-                 free: Optional[frozenset[str]] = None):
-        validate_formula(f, vocabulary)
-        self.formula, self.vocabulary = f, vocabulary
-        self.free = free_variables(f) if free is None else free
-        self.domain: list[str] = []
-        self.relations: dict[str, frozenset[tuple[str, ...]]] = {}
-        self.indexes: dict[tuple[str, int], dict] = {}
-        self.asg: dict[str, str] = {}
-        self.test = compile_formula(f, self.domain, self.relations, self.asg, self.indexes)
-
-    def bind(self, s: Structure, a: Assignment) -> None:
-        self.domain[:] = s.domain
-        self.relations.update(s.relations)
-        for key in self.indexes:
-            self.indexes[key] = s.index(*key)
-        self.asg.update(a)
-
-    def release(self) -> None:
-        self.domain.clear()
-        self.relations.clear()
-        for key in self.indexes:
-            self.indexes[key] = {}
-        self.asg.clear()
-        _slot.append(self)
+def _prepare(f: Formula, vocabulary: Vocabulary) -> tuple[frozenset[str], Test]:
+    """The free variables of ``f`` and its test, once ``f`` is validated
+    against ``vocabulary``."""
+    validate_formula(f, vocabulary)
+    return free_variables(f), compile_formula(f)
 
 
-# The one cached record.  A call takes it out while it runs and releases it
-# (or its own) back afterwards, so concurrent or re-entrant calls never
-# share a record's bindings.  Holding the formula keeps its id from being
-# reused while it is cached.
-_slot: deque[_Prepared] = deque(maxlen=1)
-
-
-def _take(f: Formula, s: Structure) -> Optional[_Prepared]:
-    """The cached record when it was prepared for ``f`` over a vocabulary
-    equal to that of ``s``; the slot is left empty either way."""
-    try:
-        p = _slot.pop()
-    except IndexError:
-        return None
-    if p.formula is f and (p.vocabulary is s.vocabulary or p.vocabulary == s.vocabulary):
-        return p
-    return None
+_slot: list = [None] * 5  # the last formula compiled, see syntax.compiled
 
 
 # ---------------------------------------------------------------------------
 # The evaluator core: two-valued evaluation compiled to closures
 # ---------------------------------------------------------------------------
 
-def compile_formula(f: Formula, domain: Sequence, relations: Mapping[str, frozenset],
-                    asg: dict, indexes: dict) -> Closure:
-    """Compile ``f`` into a closure reading the variable values in ``asg``.
+def compile_formula(f: Formula) -> Test:
+    """Compile ``f`` into a closure ``test(s, asg)``: whether ``s``, a
+    structure over a vocabulary ``f`` is valid in, satisfies ``f`` under the
+    dict ``asg``.  The test writes quantified variables into ``asg``, so
+    each call passes a dict of its own.
 
-    Quantifiers range over ``domain`` and atoms are looked up in
-    ``relations``.  A quantifier block tests each part of its body in the
+    Quantifiers range over ``s.domain`` and atoms are looked up in
+    ``s.relations``.  A quantifier block tests each part of its body in the
     loop of the last block variable the part mentions (see ``block_parts``).
     Each loop joins its parts, in text order, with the next loop inwards.
     This rests on Ez(p & q) = p & Ez q and Az(p | q) = p | Az q for z not
     free in p, so every answer is the one the whole body tested in the
     innermost loop would give.  A loop with a guard walks only the values
-    that satisfy it, read from ``indexes[rel, pos]`` (see ``Structure.index``),
-    whose key it enters.
+    that satisfy it, read from ``s.index(rel, pos)``.
     """
-    def comp(f: Formula) -> tuple[Closure, frozenset[str]]:
+    def comp(f: Formula) -> tuple[Test, frozenset[str]]:
         """The closure of ``f`` and the free variables of ``f``."""
         if isinstance(f, Atom):
             name = f.rel
             if len(f.args) == 1:
                 (v,) = f.args
-                return (lambda: (asg[v],) in relations[name]), frozenset(f.args)
+                return (lambda s, asg: (asg[v],) in s.relations[name]), frozenset(f.args)
             key = itemgetter(*f.args)  # a tuple, also for R(x,x)
-            return (lambda: key(asg) in relations[name]), frozenset(f.args)
+            return (lambda s, asg: key(asg) in s.relations[name]), frozenset(f.args)
         if isinstance(f, Not):
             g, free = comp(f.body)
             return _not(g), free
         if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
             vars, exists, levels, free, guards = block_parts(f, comp, _not)
             for i in range(len(vars), 0, -1):  # the innermost loop first
-                walk = _walk(vars[i - 1], guards[i - 1], levels[i], domain, indexes, asg)
+                walk = _walk(vars[i - 1], guards[i - 1], levels[i])
                 body = _join(levels[i], exists)
-                levels[i - 1].append(_loop(vars[i - 1], body, exists, walk, asg))
+                levels[i - 1].append(_loop(vars[i - 1], body, exists, walk))
             return _join(levels[0], exists), free
         if isinstance(f, Equals):
             left, right = f.left, f.right
-            return (lambda: asg[left] == asg[right]), frozenset((left, right))
+            return (lambda s, asg: asg[left] == asg[right]), frozenset((left, right))
         if isinstance(f, Top):
-            return (lambda: True), frozenset()
+            return (lambda s, asg: True), frozenset()
         if isinstance(f, Bottom):
-            return (lambda: False), frozenset()
+            return (lambda s, asg: False), frozenset()
         if isinstance(f, CountExists):
             body, free = comp(f.body)
-            return _count(f.cmp, f.bound, f.var, body, domain, asg), free - {f.var}
+            return _count(f.cmp, f.bound, f.var, body), free - {f.var}
         raise TypeError(f"not a formula: {f!r}")
 
     return comp(f)[0]
@@ -236,51 +184,51 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
     return used, exists, levels, frozenset(free), guards
 
 
-def _not(g: Closure) -> Closure:
-    return lambda: not g()
+def _not(g: Test) -> Test:
+    return lambda s, asg: not g(s, asg)
 
 
-def _join(gs: list[Closure], conj: bool) -> Closure:
+def _join(gs: list[Test], conj: bool) -> Test:
     """The conjunction (``conj``) or disjunction of ``gs``, testing them in
     order until one decides it."""
     if len(gs) == 1:
         return gs[0]
     if len(gs) == 2:
         gl, gr = gs
-        return (lambda: gl() and gr()) if conj else (lambda: gl() or gr())
+        if conj:
+            return lambda s, asg: gl(s, asg) and gr(s, asg)
+        return lambda s, asg: gl(s, asg) or gr(s, asg)
     gs = tuple(gs)
     zero = not conj
 
-    def ev_join():
+    def ev_join(s, asg):
         for g in gs:
-            if g() is zero:
+            if g(s, asg) is zero:
                 return zero
         return conj
 
     return ev_join
 
 
-def _walk(var: str, guard: Optional[tuple], level: list, domain: Sequence, indexes: dict,
-          asg: dict) -> Callable:
+def _walk(var: str, guard: Optional[tuple], level: list) -> Callable:
     """What the loop of ``var`` walks: the domain, or the values that satisfy
     the guard ``(k, atom)``, whose own test ``level[k]`` is then deleted."""
     if guard is None:
-        return domain.__iter__
+        return lambda s, asg: s.domain
     k, atom = guard
     del level[k]
     pos = atom.args.index(var)
-    key, others = (atom.rel, pos), atom.args[:pos] + atom.args[pos + 1:]
-    indexes[key] = {}
-    return lambda: indexes[key].get(tuple([asg[v] for v in others]), ())
+    name, others = atom.rel, atom.args[:pos] + atom.args[pos + 1:]
+    return lambda s, asg: s.index(name, pos).get(tuple([asg[v] for v in others]), ())
 
 
-def _loop(var: str, body: Closure, exists: bool, walk: Callable, asg: dict) -> Closure:
-    """``E var. body`` when ``exists``, else ``A var. body``, over ``walk()``."""
-    def ev_quant():
+def _loop(var: str, body: Test, exists: bool, walk: Callable) -> Test:
+    """``E var. body`` when ``exists``, else ``A var. body``, over ``walk``."""
+    def ev_quant(s, asg):
         saved, result = asg.get(var), not exists
-        for d in walk():
+        for d in walk(s, asg):
             asg[var] = d
-            if body() is exists:
+            if body(s, asg) is exists:
                 result = exists
                 break
         asg[var] = saved  # None out of scope, where nothing reads it
@@ -289,16 +237,15 @@ def _loop(var: str, body: Closure, exists: bool, walk: Callable, asg: dict) -> C
     return ev_quant
 
 
-def _count(cmp: str, bound: int, var: str, body: Closure, domain: Sequence,
-           asg: dict) -> Closure:
+def _count(cmp: str, bound: int, var: str, body: Test) -> Test:
     """``E[cmp bound] var. body``, counting until the answer is known."""
     stop = bound if cmp == ">=" else bound + 1
 
-    def ev_count():
+    def ev_count(s, asg):
         saved, count = asg.get(var), 0
-        for d in domain:
+        for d in s.domain:
             asg[var] = d
-            if body():
+            if body(s, asg):
                 count += 1
                 if count >= stop:
                     break
@@ -359,22 +306,25 @@ def _ev_naive(s, a, f) -> bool:
 def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     """All domain elements satisfying a formula with at most one free
     variable; a sentence yields the full domain or the empty set."""
-    p = _take(f, s)
-    fv = free_variables(f) if p is None else p.free
-    if len(fv) > 1:
-        raise EvalError(
-            f"satisfaction_set needs at most one free variable, got {sorted(fv)}")
-    p = p or _Prepared(f, s.vocabulary, fv)
     try:
-        p.bind(s, {})
-        if not fv:
-            return SatisfactionSet(f, frozenset(s.domain) if p.test() else frozenset())
-        (x,) = fv
-        asg, test, elements = p.asg, p.test, []
-        for d in s.domain:
-            asg[x] = d
-            if test():
-                elements.append(d)
-        return SatisfactionSet(f, frozenset(elements))
-    finally:
-        p.release()
+        free, test = compiled(_slot, _prepare, f, s.vocabulary)
+    except LogicError:
+        _at_most_one(free_variables(f))  # this error comes before the vocabulary's
+        raise
+    _at_most_one(free)
+    if not free:
+        return SatisfactionSet(f, frozenset(s.domain) if test(s, {}) else frozenset())
+    (x,) = free
+    asg: dict[str, str] = {}
+    elements = []
+    for d in s.domain:
+        asg[x] = d
+        if test(s, asg):
+            elements.append(d)
+    return SatisfactionSet(f, frozenset(elements))
+
+
+def _at_most_one(free: frozenset[str]) -> None:
+    if len(free) > 1:
+        raise EvalError(
+            f"satisfaction_set needs at most one free variable, got {sorted(free)}")

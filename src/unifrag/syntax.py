@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce, wraps
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ArityError, ParseError, VocabularyError
 
@@ -83,6 +83,20 @@ class Vocabulary:
 
     def __contains__(self, name: str) -> bool:
         return name in self.symbols
+
+
+def compiled(slot: list, build: Callable, term, vocab: Vocabulary, *extra):
+    """``build(term, vocab, *extra)``, kept in the one-entry cache ``slot``,
+    a list of five that each evaluator keeps for its own terms.  A hit needs
+    the same ``build``, the same term object (held, so that its id is not
+    reused), equal ``extra`` arguments and an equal vocabulary.  What is
+    built holds no structure, so that none outlives its call."""
+    b, t, v, e, out = slot
+    if b is build and t is term and e == extra and (v is vocab or v == vocab):
+        return out
+    out = build(term, vocab, *extra)
+    slot[:] = build, term, vocab, extra, out
+    return out
 
 
 # ---------------------------------------------------------------------------

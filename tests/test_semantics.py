@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import types
 import weakref
 
 import pytest
@@ -195,6 +196,19 @@ def test_assignment_checks_survive_a_cache_hit():
         evaluate(s, {}, f)
     with pytest.raises(EvalError, match="unbound"):
         evaluate(s, {"y": "a"}, f)
+
+
+def test_evaluate_never_writes_the_callers_assignment():
+    s = make_structure(["a", "b", "c"], {"R": 2}, {"R": {("a", "b"), ("b", "a"), ("b", "c")}})
+    for text in ("E y. (R(x,y) & E x. R(y,x))",       # the inner block rebinds x
+                 "E[=2] y. (R(x,y) | R(y,x))"):
+        f = parse_formula(text)
+        for d in s.domain:
+            expected = evaluate_naive(s, {"x": d}, f)
+            assert evaluate(s, types.MappingProxyType({"x": d}), f) is expected
+            a = {"x": d}
+            assert evaluate(s, a, f) is expected
+            assert a == {"x": d}
 
 
 def test_no_structure_outlives_its_call():
