@@ -121,7 +121,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
     vocab = _load_vocab(args.vocab)
     f = parse_formula(_read_input(args), vocab)
     frag = FRAGMENTS[args.fragment]
-    diag = check_fragment(f, frag, vocab)
+    diag = check_fragment(f, frag)
     doc = {"command": "check", "fragment": args.fragment,
            "formula": print_formula(f), **diag.to_doc()}
     lines = [f"{'member of' if diag.verdict else 'NOT in'} {args.fragment}: {doc['formula']}"]
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="fragment membership with diagnostics")
     _add_io(p)
     p.add_argument("--fragment", choices=sorted(FRAGMENTS), required=True)
-    p.add_argument("--vocab", help="JSON vocabulary file (adds arity checks)")
+    p.add_argument("--vocab", help="JSON vocabulary file (a relation that does not fit exits 2)")
     p.set_defaults(fn="_cmd_check")
 
     p = sub.add_parser("eval", help="evaluate a formula on a structure")

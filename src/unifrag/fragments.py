@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import VocabularyError
+from .errors import ArityError, VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     children, free_variables)
+                     check_atom, children)
 
 
 class FragmentId(Enum):
@@ -102,41 +102,35 @@ class _Checker:
     # -- formula positions (clauses 1-3 plus block entry) -------------------
 
     def check_f(self, f: Formula, path: tuple[int, ...],
-                shared: Optional["_SharedX"] = None):
-        """Check ``f`` at ``path``.  Inside a block's Boolean skeleton
-        ``shared`` collects its uniform atoms; ``None`` means outside one."""
+                shared: Optional["_SharedX"] = None) -> frozenset[str]:
+        """Check ``f`` at ``path``, returning its free variables.  Inside a block's
+        Boolean skeleton ``shared`` collects its uniform atoms; ``None`` means outside one."""
         if isinstance(f, (Top, Bottom)):
-            return
+            return frozenset()
         if isinstance(f, Atom):
             varset = frozenset(f.args)
-            if len(varset) < 2:
-                return
-            if shared is None:
+            if len(varset) > 1 and shared is None:
                 self.emit(ViolationKind.UNIFORMITY, path,
                           f"atom {f.rel} over two or more distinct variables may only "
                           f"occur inside a quantifier block")
-            else:
+            elif len(varset) > 1:
                 shared.atoms.append((varset, path, f.rel))
-            return
+            return varset
         if isinstance(f, Equals):
             self.check_equality_leaf(f, path, shared)
-            return
+            return frozenset((f.left, f.right))
         if isinstance(f, Not):
-            self.check_f(f.body, path + (0,), shared)
-            return
+            return self.check_f(f.body, path + (0,), shared)
         if isinstance(f, (And, Or, Implies)):
-            self.check_f(f.left, path + (0,), shared)
-            self.check_f(f.right, path + (1,), shared)
-            return
+            return (self.check_f(f.left, path + (0,), shared)
+                    | self.check_f(f.right, path + (1,), shared))
         if isinstance(f, (ExistsBlock, ForallBlock)):
-            self.check_block(f.vars, f.body, path)
-            return
+            return self.check_block(f.vars, f.body, path)
         if isinstance(f, CountExists):
             if self.frag is not FragmentId.UC1:
                 self.emit(ViolationKind.COUNTING_QUANTIFIER, path,
                           f"counting quantifier E[{f.cmp}{f.bound}] is only available in UC1")
-            self.check_block((f.var,), f.body, path)
-            return
+            return self.check_block((f.var,), f.body, path)
         raise TypeError(f"not a formula: {f!r}")
 
     def check_equality_leaf(self, f: Equals, path: tuple[int, ...],
@@ -164,15 +158,16 @@ class _Checker:
     # -- clause 4 ------------------------------------------------------------
 
     def check_block(self, vars: tuple[str, ...], body: Formula, path: tuple[int, ...]):
-        leftover = free_variables(body) - set(vars)
+        at, shared = len(self.out), _SharedX()
+        leftover = self.check_f(body, path + (0,), shared).difference(vars)
         if len(leftover) > 1:
             self.emit(ViolationKind.ONE_DIMENSIONALITY, path,
                       f"quantifying {' '.join(vars)} leaves "
                       f"{len(leftover)} variables free ({', '.join(sorted(leftover))}) "
                       f"instead of at most one")
-        shared = _SharedX()
-        self.check_f(body, path + (0,), shared)
+            self.out.insert(at, self.out.pop())  # ahead of the body's violations
         shared.report(self)
+        return leftover
 
 
 class _SharedX:
@@ -228,8 +223,8 @@ def check_fragment(f: Formula, frag: FragmentId,
     """Decide membership of ``f`` in the given fragment.
 
     Violations are returned as data, never raised.  When a vocabulary is
-    supplied, atoms with a wrong argument count additionally produce ARITY
-    violations.
+    supplied, each atom that :func:`unifrag.syntax.check_atom` refuses also
+    produces an ARITY violation with its message.
     """
     if frag is FragmentId.FO2:
         return check_fo2(f, vocab)
@@ -275,18 +270,11 @@ def check_fo2(f: Formula, vocab: Vocabulary | None = None) -> Diagnostic:
 
 def _arity_violations(f: Formula, vocab: Vocabulary, checker: _Checker):
     for path, g in _paths(f):
-        if not isinstance(g, Atom):
-            continue
-        try:
-            arity = vocab.arity(g.rel)
-        except VocabularyError:
-            checker.emit(ViolationKind.ARITY, path,
-                         f"relation {g.rel!r} is not in the vocabulary")
-            continue
-        if arity != len(g.args):
-            checker.emit(ViolationKind.ARITY, path,
-                         f"relation {g.rel!r} has arity {arity}, "
-                         f"used with {len(g.args)} arguments")
+        if isinstance(g, Atom):
+            try:
+                check_atom(g, vocab)
+            except (ArityError, VocabularyError) as e:
+                checker.emit(ViolationKind.ARITY, path, str(e))
 
 
 def _paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:

@@ -6,16 +6,17 @@ order over the domain e0..e{n-1}).  The search walks these strings in
 increasing binary order, false first, so the reported model is always the
 lexicographically least satisfying interpretation of minimal domain size.
 
-At each size the sentence is grounded once into a ``Circuit`` of gates
-over the cells: ``A`` and ``E`` give AND and OR gates, ``E[>=k]`` a
-threshold gate, ``E[<=k]`` the negated ``>=k+1`` gate, ``E[=k]`` the AND
-of both, and equalities, ``true`` and ``false`` fold away.  Block parts
-are placed by :func:`unifrag.semantics.block_parts`, so a vacuous block
-variable does not multiply the circuit.  The root is required true; a
-conflict backtracks, a true root completes with every undecided cell
-false.  Forcing only removes non-models, so outcomes match an exhaustive
-enumeration exactly.  A model is re-checked on the built structure,
-through the structure's own tuples, before it is returned.
+The sentence is compiled once (``grounder``, which checks its atoms against
+the vocabulary as it compiles them) and grounded at each size into a
+``Circuit`` of gates over the cells: ``A`` and ``E`` give AND and OR gates,
+``E[>=k]`` a threshold gate, ``E[<=k]`` the negated ``>=k+1`` gate,
+``E[=k]`` the AND of both, and equalities, ``true`` and ``false`` fold
+away.  Block parts are placed by :func:`unifrag.semantics.block_parts`, so
+a vacuous block variable does not multiply the circuit.  The root is
+required true; a conflict backtracks, a true root completes with every
+undecided cell false.  Forcing only removes non-models, so outcomes match
+an exhaustive enumeration exactly.  A model is re-checked on the built
+structure, through the structure's own tuples, before it is returned.
 
 NoModelUpTo is a bounded verdict only.  Sentences of the uniform fragment
 that are satisfiable at all have models of size exponentially bounded in
@@ -38,12 +39,12 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
-from .errors import CellLimitError, CircuitLimitError, EvalError
+from .errors import CellLimitError, CircuitLimitError, EvalError, LogicError
 from .semantics import block_parts, evaluate
 from .structures import Structure
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     free_variables, validate_formula)
+                     check_atom, free_variables)
 
 DEFAULT_CELL_LIMIT = 64
 # ground circuit nodes at the largest size (before folding), and sizes searched
@@ -51,6 +52,7 @@ CIRCUIT_LIMIT = 100_000
 
 # a gate input or root: (node, negated), or a constant folded while grounding
 Lit = Union[tuple[int, bool], bool]
+Ground = Callable[["Circuit", dict], Lit]  # a grounder closure, see ``grounder``
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,25 @@ def find_model(f: Formula, vocab: Vocabulary, max_size: int,
     first (lexicographically least) satisfying structure, if any."""
     if max_size < 1:
         raise EvalError(f"max_size must be >= 1, got {max_size}")
-    fv = free_variables(f)
-    if fv:
-        raise EvalError(f"model search needs a sentence, free: {', '.join(sorted(fv))}")
-    validate_formula(f, vocab)
+    try:
+        free, nodes, root = grounder(f, vocab, max_size)
+    except LogicError:  # needing a sentence comes before a vocabulary error
+        if not (free := free_variables(f)):
+            raise
+    if free:
+        raise EvalError(f"model search needs a sentence, free: {', '.join(sorted(free))}")
     worst = cell_count(vocab, max_size)
     if worst > cell_limit:
         raise CellLimitError(
             f"{worst} interpretation cells at size {max_size} exceed the limit "
             f"of {cell_limit}; raise cell_limit explicitly to search anyway")
-    ground, nodes = grounder(f, max_size)
     if max(nodes, max_size) > CIRCUIT_LIMIT:
         raise CircuitLimitError(f"the ground circuits up to size {max_size} would exceed "
                                 f"the limit of {CIRCUIT_LIMIT} nodes")
     started = time.perf_counter()
     counter = [0]
     for size in range(1, max_size + 1):
-        model = _search_size(ground, vocab, size, prune, counter)
+        model = _search_size(root, vocab, size, prune, counter)
         if model is not None:
             if not evaluate(model, {}, f):  # soundness re-check before returning
                 raise AssertionError("search returned a non-model; this is a bug")
@@ -211,34 +215,35 @@ def _negate(lit: Lit) -> Lit:
     return not lit if lit is True or lit is False else (lit[0], not lit[1])
 
 
-def grounder(f: Formula, max_size: int) -> tuple[Callable[..., tuple[Circuit, Lit]], int]:
-    """Compile ``f`` once into ``ground(vocab, size, asg={})``, which
-    builds the circuit at one domain size and returns it with the literal
-    of ``f`` under ``asg`` (variables to element indices).  Also returns
-    the number of nodes grounding makes at ``max_size`` before any folds:
-    one per gate and per gate input."""
-    asg: dict[str, int] = {}
+def grounder(f: Formula, vocab: Vocabulary, max_size: int) -> tuple[frozenset[str], int, Ground]:
+    """Compile ``f`` once, checking each atom against ``vocab`` as it is
+    compiled, into its free variables, the number of nodes grounding makes
+    at ``max_size`` before any folds (one per gate and per gate input), and
+    ``root(c, asg)``: the literal of ``f`` grounded into the circuit ``c``
+    under the dict ``asg`` (variables to element indices), which ``root``
+    writes quantified variables into, so each call passes its own."""
 
-    def each(var: str, g: Callable, c: Circuit) -> list[Lit]:
+    def each(var: str, g: Ground, c: Circuit, asg: dict) -> list[Lit]:
         """The literals of ``g`` for every value of ``var``."""
         saved, lits = asg.get(var), []
         for d in range(c.size):
             asg[var] = d
-            lits.append(g(c))
+            lits.append(g(c, asg))
         asg[var] = saved  # None out of scope, where nothing reads it
         return lits
 
-    def negate(compiled: tuple) -> tuple[Callable[[Circuit], Lit], int]:
+    def negate(compiled: tuple) -> tuple[Ground, int]:
         g, nodes = compiled
-        return (lambda c: _negate(g(c))), nodes
+        return (lambda c, asg: _negate(g(c, asg))), nodes
 
-    def comp(f: Formula) -> tuple[tuple[Callable[[Circuit], Lit], int], frozenset[str]]:
+    def comp(f: Formula) -> tuple[tuple[Ground, int], frozenset[str]]:
         """``(ground, nodes)`` of ``f``, and the free variables of ``f``."""
         if isinstance(f, Atom):
+            check_atom(f, vocab)
             rel, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
             if len(f.args) == 1:
-                return ((lambda c: (c.index[rel, (key(asg),)], False)), 1), frozenset(f.args)
-            return ((lambda c: (c.index[rel, key(asg)], False)), 1), frozenset(f.args)
+                return ((lambda c, asg: (c.index[rel, (key(asg),)], False)), 1), frozenset(f.args)
+            return ((lambda c, asg: (c.index[rel, key(asg)], False)), 1), frozenset(f.args)
         if isinstance(f, Not):
             g, free = comp(f.body)
             return negate(g), free
@@ -252,16 +257,16 @@ def grounder(f: Formula, max_size: int) -> tuple[Callable[..., tuple[Circuit, Li
             return (g, nodes), free
         if isinstance(f, Equals):
             left, right = f.left, f.right
-            return ((lambda c: asg[left] == asg[right]), 1), frozenset((left, right))
+            return ((lambda c, asg: asg[left] == asg[right]), 1), frozenset((left, right))
         if isinstance(f, (Top, Bottom)):
             const = isinstance(f, Top)
-            return ((lambda c: const), 1), frozenset()
+            return ((lambda c, asg: const), 1), frozenset()
         if isinstance(f, CountExists):
             (body, nodes), free = comp(f.body)
             var, cmp, k = f.var, f.cmp, f.bound
 
-            def count(c: Circuit) -> Lit:
-                lits = each(var, body, c)
+            def count(c: Circuit, asg: dict) -> Lit:
+                lits = each(var, body, c, asg)
                 if cmp == ">=":
                     return c.gate(k, lits)
                 at_most = _negate(c.gate(k + 1, lits))
@@ -270,33 +275,27 @@ def grounder(f: Formula, max_size: int) -> tuple[Callable[..., tuple[Circuit, Li
             return (count, 3 + max_size * nodes), free - {var}
         raise TypeError(f"not a formula: {f!r}")
 
-    def level(parts: list, var: Optional[str], inner: Optional[Callable], exists: bool,
-              c: Circuit) -> Lit:
+    def level(parts: list, var: Optional[str], inner: Optional[Ground], exists: bool,
+              c: Circuit, asg: dict) -> Lit:
         """The join of ``parts`` and of the loop of ``var`` over ``inner``."""
-        lits = [p(c) for p in parts]
+        lits = [p(c, asg) for p in parts]
         if inner is not None:
-            loop = each(var, inner, c)
+            loop = each(var, inner, c, asg)
             lits.append(c.gate(1 if exists else len(loop), loop))
         return c.gate(len(lits) if exists else 1, lits)
 
-    (root, nodes), _ = comp(f)
-
-    def ground(vocab: Vocabulary, size: int, start: Optional[dict] = None):
-        asg.clear()
-        asg.update(start or {})
-        c = Circuit(vocab, size)
-        return c, root(c)
-
-    return ground, nodes
+    (root, nodes), free = comp(f)
+    return free, nodes, root
 
 
 # ---------------------------------------------------------------------------
 # One domain size
 # ---------------------------------------------------------------------------
 
-def _search_size(ground: Callable, vocab: Vocabulary, n: int, prune: bool,
+def _search_size(ground: Ground, vocab: Vocabulary, n: int, prune: bool,
                  counter: list[int]) -> Optional[Structure]:
-    c, root = ground(vocab, n)
+    c = Circuit(vocab, n)
+    root = ground(c, {})
     counter[0] += 1
     if root is False or (root is not True and not c.propagate(root[0], not root[1])):
         return None

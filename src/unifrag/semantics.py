@@ -12,7 +12,7 @@ the domain.  ``evaluate`` and ``satisfaction_set`` run the core;
 ``evaluate_naive`` enumerates every branch with its own plain recursion
 and serves as the reference the compiled evaluator is tested against.
 
-``evaluate`` and ``satisfaction_set`` validate and compile a formula once
+``evaluate`` and ``satisfaction_set`` compile, and so check, a formula once
 per vocabulary and reuse the test across structures, through the one-entry
 cache of :func:`unifrag.syntax.compiled`.  A test holds no structure and no
 assignment: each call passes its structure and a copy of its assignment.
@@ -28,7 +28,7 @@ from .errors import EvalError, LogicError
 from .structures import Structure
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     compiled, free_variables, validate_formula)
+                     check_atom, compiled, free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
 Test = Callable[[Structure, dict], bool]
@@ -61,16 +61,9 @@ def _check_assignment(s: Structure, a: Assignment, free: frozenset[str]):
 def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
     """Standard satisfaction; quantifier blocks are iterated quantification
     and E[cmp k] x. f counts the witnesses for x."""
-    free, test = compiled(_slot, _prepare, f, s.vocabulary)
+    free, test = compiled(_slot, compile_formula, f, s.vocabulary)
     _check_assignment(s, a, free)
     return test(s, dict(a))
-
-
-def _prepare(f: Formula, vocabulary: Vocabulary) -> tuple[frozenset[str], Test]:
-    """The free variables of ``f`` and its test, once ``f`` is validated
-    against ``vocabulary``."""
-    validate_formula(f, vocabulary)
-    return free_variables(f), compile_formula(f)
 
 
 _slot: list = [None] * 5  # the last formula compiled, see syntax.compiled
@@ -80,11 +73,11 @@ _slot: list = [None] * 5  # the last formula compiled, see syntax.compiled
 # The evaluator core: two-valued evaluation compiled to closures
 # ---------------------------------------------------------------------------
 
-def compile_formula(f: Formula) -> Test:
-    """Compile ``f`` into a closure ``test(s, asg)``: whether ``s``, a
-    structure over a vocabulary ``f`` is valid in, satisfies ``f`` under the
-    dict ``asg``.  The test writes quantified variables into ``asg``, so
-    each call passes a dict of its own.
+def compile_formula(f: Formula, vocab: Vocabulary) -> tuple[frozenset[str], Test]:
+    """The free variables of ``f`` and its closure ``test(s, asg)``: whether
+    ``s``, a structure over ``vocab``, satisfies ``f`` under the dict ``asg``.
+    Each atom is checked against ``vocab`` as it is compiled.  The test
+    writes quantified variables into ``asg``, so each call passes its own.
 
     Quantifiers range over ``s.domain`` and atoms are looked up in
     ``s.relations``.  A quantifier block tests each part of its body in the
@@ -98,6 +91,7 @@ def compile_formula(f: Formula) -> Test:
     def comp(f: Formula) -> tuple[Test, frozenset[str]]:
         """The closure of ``f`` and the free variables of ``f``."""
         if isinstance(f, Atom):
+            check_atom(f, vocab)
             name = f.rel
             if len(f.args) == 1:
                 (v,) = f.args
@@ -126,7 +120,8 @@ def compile_formula(f: Formula) -> Test:
             return _count(f.cmp, f.bound, f.var, body), free - {f.var}
         raise TypeError(f"not a formula: {f!r}")
 
-    return comp(f)[0]
+    test, free = comp(f)
+    return free, test
 
 
 def block_parts(f: Formula, comp: Callable, negate: Callable
@@ -307,7 +302,7 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     """All domain elements satisfying a formula with at most one free
     variable; a sentence yields the full domain or the empty set."""
     try:
-        free, test = compiled(_slot, _prepare, f, s.vocabulary)
+        free, test = compiled(_slot, compile_formula, f, s.vocabulary)
     except LogicError:
         _at_most_one(free_variables(f))  # this error comes before the vocabulary's
         raise

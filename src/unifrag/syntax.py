@@ -255,14 +255,19 @@ def free_variables(f: Formula) -> frozenset[str]:
     return frozenset()
 
 
+def check_atom(atom: Atom, vocab: Vocabulary) -> None:
+    """The atom rule: ``atom`` names a relation of ``vocab`` at its arity."""
+    arity = vocab.arity(atom.rel)
+    if arity != len(atom.args):
+        raise ArityError(
+            f"relation {atom.rel!r} has arity {arity}, got {len(atom.args)} arguments")
+
+
 def validate_formula(f: Formula, vocab: Vocabulary) -> None:
-    """Check every atom against the vocabulary (name known, arity matches)."""
+    """Check every atom of ``f`` against the vocabulary (``check_atom``)."""
     for g in walk(f):
         if isinstance(g, Atom):
-            arity = vocab.arity(g.rel)
-            if arity != len(g.args):
-                raise ArityError(
-                    f"relation {g.rel!r} has arity {arity}, got {len(g.args)} arguments")
+            check_atom(g, vocab)
 
 
 def infer_vocabulary(f: Formula) -> Vocabulary:

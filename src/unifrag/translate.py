@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, groupby
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import dl, dlr
 from .errors import DnfLimitError, FragmentGateError, VocabularyError
@@ -356,10 +356,10 @@ def _formula_of(c: Union[dl.Concept, dlr.DlrConcept], x: str, ctr: Iterator[int]
         return And(_formula_of(c.left, x, ctr, vocab, topn),
                    _formula_of(c.right, x, ctr, vocab, topn))
     if isinstance(c, dl.ExistsRole):
-        n = dl.role_arity(c.role, vocab)
+        n, role = _role_formula(c.role, vocab)
         dl.check_existential_args(n, c.args)
         ys = tuple(f"y{next(ctr)}" for _ in range(n - 1))
-        parts = [_role_formula(c.role, (x,) + ys, vocab)]
+        parts = [role((x,) + ys)]
         parts += [_formula_of(arg, y, ctr, vocab, topn) for arg, y in zip(c.args, ys)]
         return ExistsBlock(ys, fold(And, parts, Top()))
     if isinstance(c, dlr.ExistsE):
@@ -384,22 +384,26 @@ def _formula_of(c: Union[dl.Concept, dlr.DlrConcept], x: str, ctr: Iterator[int]
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _role_formula(r: dl.RoleTerm, tup: tuple[str, ...], vocab: Vocabulary) -> Formula:
+def _role_formula(r: dl.RoleTerm, vocab: Vocabulary) -> tuple[int, Callable]:
+    """The arity of ``r`` (as :func:`dl.role_arity` gives it) and the builder
+    of its standard translation at a tuple of that many variables, in one walk."""
     if isinstance(r, dl.AtomicRole):
-        return Atom(r.name, tup)
+        return dl.atomic_role_arity(r.name, vocab), lambda tup: Atom(r.name, tup)
     if isinstance(r, dl.Epsilon):
-        return Equals(tup[0], tup[1])
+        return 2, lambda tup: Equals(tup[0], tup[1])
     if isinstance(r, dl.NotRole):
-        return Not(_role_formula(r.role, tup, vocab))
+        n, body = _role_formula(r.role, vocab)
+        return n, lambda tup: Not(body(tup))
     if isinstance(r, dl.AndRole):
-        if dl.role_arity(r.left, vocab) != dl.role_arity(r.right, vocab):
-            return Bottom()
-        return And(_role_formula(r.left, tup, vocab),
-                   _role_formula(r.right, tup, vocab))
+        (n, left), (n2, right) = _role_formula(r.left, vocab), _role_formula(r.right, vocab)
+        if n != n2:
+            return 2, lambda tup: Bottom()
+        return n, lambda tup: And(left(tup), right(tup))
     if isinstance(r, dl.Apply):
-        if r.srj.source != dl.role_arity(r.role, vocab):
-            return Bottom()
-        return _role_formula(r.role, tuple(tup[i - 1] for i in r.srj.map), vocab)
+        k, inner = _role_formula(r.role, vocab)
+        if r.srj.source != k:
+            return 2, lambda tup: Bottom()
+        return r.srj.target, lambda tup: inner(tuple(tup[i - 1] for i in r.srj.map))
     raise TypeError(f"not a role term: {r!r}")
 
 

@@ -213,7 +213,7 @@ def _role_oracle(s, r):
     """The tuples satisfying the standard translation of r."""
     n = role_arity(r, VOCAB)
     xs = tuple(f"x{i}" for i in range(n))
-    f = _role_formula(r, xs, VOCAB)
+    f = _role_formula(r, VOCAB)[1](xs)
     return frozenset(t for t in itertools.product(s.domain, repeat=n)
                      if evaluate(s, dict(zip(xs, t)), f))
 

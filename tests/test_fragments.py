@@ -79,6 +79,21 @@ def test_equality_only_blocks_in_fu1_need_one_set():
         parse_formula("E x y z. (~(x = y) & ~(x = z) & ~(y = z))"), F.FU1)
     assert not diag.verdict
     assert ViolationKind.EQUALITY_PLACEMENT in {v.kind for v in diag.violations}
+    # outside a block an equality between distinct variables is misplaced
+    diag = check_fragment(parse_formula("x = y"), F.FU1)
+    assert [(v.kind, v.path) for v in diag.violations] == [
+        (ViolationKind.EQUALITY_PLACEMENT, ())]
+    # once the atoms break uniformity, the equality adds no violation of its own
+    diag = check_fragment(parse_formula("E x y z. ((R(x,y) & R(y,z)) & x = z)"), F.FU1)
+    assert [(v.kind, v.path) for v in diag.violations] == [
+        (ViolationKind.UNIFORMITY, (0, 0, 0)), (ViolationKind.UNIFORMITY, (0, 0, 1))]
+
+
+def test_block_violation_comes_before_its_body():
+    diag = check_fragment(parse_formula("E y. (R(y,z,x) & E w. (S(w,y) & S(w,x)))"), F.U1)
+    assert [(v.kind, v.path) for v in diag.violations] == [
+        (ViolationKind.ONE_DIMENSIONALITY, ()), (ViolationKind.ONE_DIMENSIONALITY, (0, 1)),
+        (ViolationKind.UNIFORMITY, (0, 1, 0, 0)), (ViolationKind.UNIFORMITY, (0, 1, 0, 1))]
 
 
 def test_arity_diagnostics_with_vocabulary():

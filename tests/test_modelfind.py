@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (CellLimitError, EvalError, Vocabulary, evaluate,
-                     parse_formula)
+from unifrag import (ArityError, CellLimitError, EvalError, Vocabulary,
+                     VocabularyError, evaluate, parse_formula)
 from unifrag.modelfind import cell_count, find_model
 from unifrag.syntax import Bottom, Top
 
@@ -70,6 +70,16 @@ def test_found_models_satisfy_the_sentence():
 def test_free_variables_rejected():
     with pytest.raises(EvalError):
         find_model(parse_formula("P(x)"), Vocabulary({"P": 1}), 2)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("(W(x) & P(y))", EvalError),  # needing a sentence comes before the vocabulary
+    ("E x. W(x)", VocabularyError),
+    ("E x. P(x,x)", ArityError),
+])
+def test_error_precedence(text, error):
+    with pytest.raises(error):
+        find_model(parse_formula(text), Vocabulary({"P": 1}), 2)
 
 
 def test_cell_limit_refuses():

@@ -16,7 +16,7 @@ from unifrag import (EvalError, Vocabulary, disjoint_union, dump_structure, eval
                      evaluate_naive, make_structure, parse_formula, print_formula,
                      satisfaction_set, structure_to_doc)
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
-from unifrag.modelfind import grounder
+from unifrag.modelfind import Circuit, grounder
 from unifrag.semantics import block_parts
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Implies, Not, Or, Top,
@@ -605,9 +605,10 @@ def test_three_valued_answers_match_a_kleene_reference():
                  for t in itertools.product(domain, repeat=arity)}
         f = _blocky_formula(rng, 1, ("x",))
         rels = {g.rel for g in walk(f) if isinstance(g, Atom)}
-        ground, _ = grounder(f, len(domain))
+        _, _, ground = grounder(f, VOCAB, len(domain))
         for d in range(len(domain)):
-            circuit, root = ground(VOCAB, len(domain), {"x": d})
+            circuit = Circuit(VOCAB, len(domain))
+            root = ground(circuit, {"x": d})
             keys = [(rel, tuple(domain[i] for i in t)) for rel, t in circuit.cells]
             pending = [i for i, key in enumerate(keys) if table[key] is not None and key[0] in rels]
             rng.shuffle(pending)
