@@ -17,6 +17,13 @@ diagnostic line to stderr, plus a JSON body on stdout in json mode; a
 command line that argparse refuses is an error of kind ``"usage"`` (exit
 2), in json mode when it asks for ``--format json``.  The argument parser
 is built once per process.
+
+Each subcommand imports only the modules it runs.  This module imports
+:mod:`unifrag.syntax` and :mod:`unifrag.fragments`, all that ``parse`` and
+``check`` need, and each other subcommand imports its modules in its own
+body, so a fresh process pays for no module it does not use.  The parser's
+choices and defaults that belong to other modules (``TOPN_MODES``,
+``DEFAULT_CELL_LIMIT``) live in :mod:`unifrag.syntax` for that reason.
 """
 
 from __future__ import annotations
@@ -28,15 +35,10 @@ from functools import cache
 from pathlib import Path
 from typing import Optional
 
-from . import dl, dlr, lab
 from .errors import FragmentGateError, LogicError, ParseError
 from .fragments import FragmentId, check_fragment
-from .modelfind import DEFAULT_CELL_LIMIT, find_model
-from .semantics import evaluate
-from .structures import (dump_structure, parse_structure, structure_to_doc)
-from .syntax import (Vocabulary, free_variables, infer_vocabulary,
-                     parse_formula, print_formula)
-from .translate import dl_to_fu1, dlr0_to_fu1, fu1_to_dl, gate_dlr0
+from .syntax import (DEFAULT_CELL_LIMIT, TOPN_MODES, Vocabulary, free_variables,
+                     infer_vocabulary, parse_formula, print_formula)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -132,6 +134,8 @@ def _cmd_check(args, rep: _Reporter) -> int:
 
 
 def _cmd_eval(args, rep: _Reporter) -> int:
+    from .semantics import evaluate
+    from .structures import parse_structure
     structure = parse_structure(Path(args.model).read_text())
     f = parse_formula(_read_input(args), structure.vocabulary)
     assignment = _parse_assignment(args.assign)
@@ -143,6 +147,8 @@ def _cmd_eval(args, rep: _Reporter) -> int:
 
 
 def _cmd_translate(args, rep: _Reporter) -> int:
+    from . import dl, dlr
+    from .translate import dl_to_fu1, dlr0_to_fu1, fu1_to_dl, gate_dlr0
     source, target = args.source, args.target
     vocab = _load_vocab(args.vocab)
     text = _read_input(args)
@@ -176,6 +182,8 @@ def _cmd_translate(args, rep: _Reporter) -> int:
 
 
 def _cmd_sat(args, rep: _Reporter) -> int:
+    from .modelfind import find_model
+    from .structures import dump_structure, structure_to_doc
     vocab = _load_vocab(args.vocab)
     f = parse_formula(_read_input(args), vocab)
     if vocab is None:
@@ -202,8 +210,9 @@ def _cmd_sat(args, rep: _Reporter) -> int:
 
 
 def _cmd_lab_run(args, rep: _Reporter) -> int:
+    from .lab import run_experiments
     names = [args.name] if args.name else None
-    results = lab.run_experiments(names)
+    results = run_experiments(names)
     all_passed = all(r.passed for r in results)
     doc = {
         "command": "lab-run",
@@ -227,10 +236,12 @@ def _cmd_lab_run(args, rep: _Reporter) -> int:
 
 
 def _cmd_lab_dump(args, rep: _Reporter) -> int:
+    from .lab import all_structures
+    from .structures import dump_structure
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, structure in sorted(lab.all_structures().items()):
+    for name, structure in sorted(all_structures().items()):
         path = out_dir / f"{name}.json"
         path.write_text(dump_structure(structure) + "\n")
         written.append(str(path))
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", choices=("fu1", "dl", "dlr0"), required=True)
     p.add_argument("--to", dest="target", choices=("fu1", "dl"), required=True)
     p.add_argument("--vocab", help="JSON vocabulary file")
-    p.add_argument("--topn-mode", choices=dlr.TOPN_MODES, default="delta")
+    p.add_argument("--topn-mode", choices=TOPN_MODES, default="delta")
     p.set_defaults(fn="_cmd_translate")
 
     p = sub.add_parser("sat", help="bounded model search for a sentence")

@@ -196,11 +196,6 @@ def check_existential_args(n: int, args: tuple) -> None:
             f"concepts, got {len(args)}")
 
 
-def role_arity(r: RoleTerm, vocab: Vocabulary) -> int:
-    """Arity of a role term; mismatches collapse to the empty binary relation."""
-    return _compile_role(r, vocab)[0]
-
-
 # A compiled term: the closure ``f(s, dom)`` that gives its extension on a
 # structure ``s`` over its vocabulary with the domain ``dom`` as a frozenset.
 Compiled = Callable[[Structure, frozenset], frozenset]
@@ -370,11 +365,6 @@ class _DlParser(TokenParser):
 def parse_concept(text: str) -> Concept:
     p = _DlParser(text)
     return p.finish(p.concept())
-
-
-def parse_role(text: str) -> RoleTerm:
-    p = _DlParser(text)
-    return p.finish(p.role())
 
 
 def print_role(r: RoleTerm) -> str:

@@ -62,9 +62,7 @@ from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_ar
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import MAX_ARITY, TokenParser, Vocabulary, compiled, nested
-
-TOPN_MODES = ("delta", "explicit")
+from .syntax import MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, compiled, nested
 
 
 def check_topn_mode(topn: str) -> None:
@@ -329,10 +327,6 @@ _slot: list = [None] * 5  # the last term compiled, see syntax.compiled
 def _extension(kind: str, x, s: Structure, topn: str) -> frozenset:
     check_topn_mode(topn)
     return compiled(_slot, _compile, x, s.vocabulary, topn, kind)(s, frozenset(s.domain))
-
-
-def dlr_role_extension(s: Structure, r: DlrRole, topn: str = "delta") -> frozenset[tuple[str, ...]]:
-    return _extension("role", r, s, topn)
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:

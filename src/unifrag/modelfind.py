@@ -42,11 +42,10 @@ from typing import Callable, Optional, Union
 from .errors import CellLimitError, CircuitLimitError, EvalError, LogicError
 from .semantics import block_parts, evaluate
 from .structures import Structure
-from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     check_atom, free_variables)
+from .syntax import (DEFAULT_CELL_LIMIT, And, Atom, Bottom, CountExists, Equals,
+                     ExistsBlock, ForallBlock, Formula, Implies, Not, Or, Top,
+                     Vocabulary, check_atom, free_variables)
 
-DEFAULT_CELL_LIMIT = 64
 # ground circuit nodes at the largest size (before folding), and sizes searched
 CIRCUIT_LIMIT = 100_000
 

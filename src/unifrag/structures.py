@@ -156,8 +156,3 @@ def disjoint_union(s1: Structure, s2: Structure) -> Structure:
         for name in s1.vocabulary.symbols
     }
     return Structure(domain, relations, s1.vocabulary)
-
-
-def tag_elements(elements: Iterable[str], copy: int) -> frozenset[str]:
-    """Elements of one copy inside a disjoint union, by tag index (1 or 2)."""
-    return frozenset(f"{e}{COPY_SEP}{copy}" for e in elements)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce, wraps
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, VocabularyError
 
@@ -45,6 +45,13 @@ MAX_ARITY = 32
 
 # Most digits of an integer literal in any of the text grammars.
 MAX_DIGITS = 18
+
+# Stated here, where the command line's parser can read them without loading
+# the modules that use them: the ways of reading DLR's top relations (see
+# :mod:`unifrag.dlr`), and the default limit on interpretation cells of
+# :func:`unifrag.modelfind.find_model`.
+TOPN_MODES = ("delta", "explicit")
+DEFAULT_CELL_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +234,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    for i in path:
-        f = children(f)[i]
-    return f
-
-
 def walk(f: Formula) -> Iterator[Formula]:
     yield f
     for c in children(f):
@@ -286,8 +287,7 @@ def infer_vocabulary(f: Formula) -> Vocabulary:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):  # a tuple builds faster than a frozen dataclass
     kind: str
     text: str
     line: int

@@ -43,9 +43,6 @@ class Literal:
     positive: bool
     atom: LeafAtom
 
-    def to_formula(self) -> Formula:
-        return self.atom if self.positive else Not(self.atom)
-
 
 @dataclass(frozen=True)
 class Disjunct:
@@ -385,8 +382,9 @@ def _formula_of(c: Union[dl.Concept, dlr.DlrConcept], x: str, ctr: Iterator[int]
 
 
 def _role_formula(r: dl.RoleTerm, vocab: Vocabulary) -> tuple[int, Callable]:
-    """The arity of ``r`` (as :func:`dl.role_arity` gives it) and the builder
-    of its standard translation at a tuple of that many variables, in one walk."""
+    """The arity of ``r`` (as :func:`dl.role_extension` reads it; a mismatch
+    is the empty binary relation) and the builder of its standard
+    translation at a tuple of that many variables, in one walk."""
     if isinstance(r, dl.AtomicRole):
         return dl.atomic_role_arity(r.name, vocab), lambda tup: Atom(r.name, tup)
     if isinstance(r, dl.Epsilon):

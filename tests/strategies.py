@@ -4,7 +4,8 @@ The formula generator follows the fragment grammars construction rule by
 construction rule, so everything it emits must be accepted by the checker
 (that is itself one of the properties under test).  Plain random.Random
 keeps the acceptance runs deterministic; the hypothesis strategies wrap
-the same generators.
+the same generators.  The module also holds oracles, views of the library's
+internals that only the tests need.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Optional
 
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId
-from unifrag.structures import Structure, make_structure
+from unifrag.structures import COPY_SEP, Structure, make_structure
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Formula, Implies, Not,
-                            Or, Top, Vocabulary)
+                            Or, Top, Vocabulary, children)
 
 # vocabulary used throughout the oracle tests: one binary, one ternary, two unary
 VOCAB = Vocabulary({"R": 2, "T": 3, "P": 1, "Q": 1})
@@ -182,6 +183,40 @@ def gen_any_formula(rng: random.Random, depth: int = 3,
 
 
 # ---------------------------------------------------------------------------
+# Oracles: views of the library's internals that only the tests need
+# ---------------------------------------------------------------------------
+
+def role_arity(r: dl.RoleTerm, vocab: Vocabulary) -> int:
+    """Arity of a DL role term; mismatches collapse to the empty binary relation."""
+    return dl._compile_role(r, vocab)[0]
+
+
+def parse_role(text: str) -> dl.RoleTerm:
+    p = dl._DlParser(text)
+    return p.finish(p.role())
+
+
+def dlr_role_extension(s: Structure, r: dlr.DlrRole, topn: str = "delta") -> frozenset:
+    return dlr._extension("role", r, s, topn)
+
+
+def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
+    for i in path:
+        f = children(f)[i]
+    return f
+
+
+def tag_elements(elements, copy: int) -> frozenset[str]:
+    """Elements of one copy inside a disjoint union, by tag index (1 or 2)."""
+    return frozenset(f"{e}{COPY_SEP}{copy}" for e in elements)
+
+
+def literal_formula(lit) -> Formula:
+    """The formula of a DNF literal (``translate.Literal``)."""
+    return lit.atom if lit.positive else Not(lit.atom)
+
+
+# ---------------------------------------------------------------------------
 # Structures
 # ---------------------------------------------------------------------------
 
@@ -225,7 +260,7 @@ def gen_dl_role(rng: random.Random, depth: int, vocab: Vocabulary = VOCAB) -> dl
         return dl.AndRole(gen_dl_role(rng, depth - 1, vocab),
                           gen_dl_role(rng, depth - 1, vocab))
     inner = gen_dl_role(rng, depth - 1, vocab)
-    k = dl.role_arity(inner, vocab)
+    k = role_arity(inner, vocab)
     if rng.random() < 0.15:
         k = rng.choice([s for s in (2, 3) if s != k] or [k])  # pathological on purpose
     m = rng.randint(2, k)
@@ -247,7 +282,7 @@ def gen_dl_concept(rng: random.Random, depth: int, vocab: Vocabulary = VOCAB) ->
         return dl.AndC(gen_dl_concept(rng, depth - 1, vocab),
                        gen_dl_concept(rng, depth - 1, vocab))
     role = gen_dl_role(rng, depth - 1, vocab)
-    n = dl.role_arity(role, vocab)
+    n = role_arity(role, vocab)
     args = tuple(gen_dl_concept(rng, depth - 1, vocab) for _ in range(n - 1))
     return dl.ExistsRole(role, args)
 

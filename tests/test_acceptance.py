@@ -14,13 +14,12 @@ from unifrag import (dl, dlr, disjoint_union, evaluate, make_structure,
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.lab import run_experiments
 from unifrag.modelfind import find_model
-from unifrag.structures import tag_elements
 from unifrag.syntax import Vocabulary, parse_formula as parse
 from unifrag.translate import dlr0_to_fu1, eliminate_comp_union, fu1_to_dl
 
 from strategies import (DLR_VOCAB, VOCAB, alpha_rename_once, enum_structures,
                         gen_any_formula, gen_dlr_concept, gen_formula,
-                        gen_structure)
+                        gen_structure, tag_elements)
 
 F = FragmentId
 

@@ -152,6 +152,25 @@ def test_eval_refuses_an_unnamed_or_repeated_variable(tmp_path, capsys, assign, 
     assert json.loads(out)["error"] == {"kind": "LogicError", "message": message}
 
 
+@pytest.mark.parametrize("argv", [
+    # before the malformed assignment
+    ["eval", "--model", "MODEL", "--assign", "x", "-e", "E y. (P(y) & W(x))"],
+    # before model search's need for a sentence
+    ["sat", "--max-size", "2", "--vocab", "VOCAB", "-e", "E y. (P(y) & W(x))"],
+], ids=["eval", "sat"])
+def test_an_unknown_relation_is_reported_first(tmp_path, capsys, argv):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"domain": ["a"], "arities": {"P": 1},
+                                 "relations": {"P": [["a"]]}}))
+    vocab = tmp_path / "v.json"
+    vocab.write_text(json.dumps({"P": 1}))
+    files = {"MODEL": str(model), "VOCAB": str(vocab)}
+    code, out, err = invoke(capsys, *(files.get(a, a) for a in argv), "--format", "json")
+    assert (code, err) == (2, "error: unknown relation symbol 'W'\n")
+    assert out == ('{"error":{"kind":"VocabularyError",'
+                   '"message":"unknown relation symbol \'W\'"}}\n')
+
+
 def test_translate_round_and_gate(tmp_path, capsys):
     vocab = tmp_path / "v.json"
     vocab.write_text(json.dumps({"R": 2, "A": 1}))

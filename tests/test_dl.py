@@ -10,14 +10,14 @@ from unifrag import (VocabularyError, disjoint_union, evaluate, make_structure,
                      satisfaction_set)
 from unifrag.dl import (AndC, AndRole, Apply, AtomicConcept, AtomicRole,
                         Epsilon, ExistsRole, NotC, NotRole, Surjection, TopC,
-                        concept_extension, parse_concept, parse_role,
-                        print_concept, print_role, role_arity, role_extension,
-                        universal_role)
+                        concept_extension, parse_concept, print_concept,
+                        print_role, role_extension, universal_role)
 from unifrag.lab import disjoint_copies, gen_clique
 from unifrag.syntax import Vocabulary
 from unifrag.translate import _role_formula, dl_to_fu1
 
-from strategies import VOCAB, gen_dl_concept, gen_dl_role, gen_structure
+from strategies import (VOCAB, gen_dl_concept, gen_dl_role, gen_structure, parse_role,
+                        role_arity)
 
 
 def test_surjection_validation():

@@ -16,14 +16,12 @@ from unifrag import (ArityError, ParseError, StructureError, VocabularyError,
 from unifrag.dlr import (AndC, AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
-                         dlr_concept_extension, dlr_role_extension,
-                         parse_dlr_concept, print_dlr_concept)
+                         dlr_concept_extension, parse_dlr_concept, print_dlr_concept)
 from unifrag.lab import disjoint_copies, gen_clique
-from unifrag.structures import tag_elements
 from unifrag.syntax import Vocabulary
 
-from strategies import (DLR_VOCAB, gen_dlr_binrel, gen_dlr_concept,
-                        gen_structure)
+from strategies import (DLR_VOCAB, dlr_role_extension, gen_dlr_binrel, gen_dlr_concept,
+                        gen_structure, tag_elements)
 
 
 def test_topn_default_is_domain_power():

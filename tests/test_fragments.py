@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from unifrag import (Atom, Vocabulary, check_fo2, check_fragment,
                      free_variables, parse_formula)
 from unifrag.fragments import FragmentId, ViolationKind
-from unifrag.syntax import And, ExistsBlock, Not, subformula_at
+from unifrag.syntax import And, ExistsBlock, Not
 
-from strategies import gen_formula, rebuild
+from strategies import gen_formula, rebuild, subformula_at
 
 F = FragmentId
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import unifrag
@@ -34,3 +37,27 @@ def test_readme_states_each_limit_as_its_constant():
     # and a number written with thousands separators is one of the limits
     for number in re.findall(r"\d{1,3}(?:,\d{3})+", README):
         assert _value(number) in LIMITS.values(), number
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's unifrag."""
+    src = str(Path(unifrag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True)
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'unifrag'))"
+
+
+def test_each_subcommand_imports_only_what_it_uses():
+    parse = _python("-c", "import sys\nfrom unifrag import cli\n"
+                          f"cli.run(['parse', '-e', 'P(x)'])\n{LOADED}")
+    assert parse.stdout.splitlines() == ["P(x)", repr(sorted([
+        "unifrag", "unifrag.cli", "unifrag.errors", "unifrag.fragments", "unifrag.syntax"]))]
+    assert _python("-c", f"import sys, unifrag\n{LOADED}").stdout == "['unifrag']\n"
+    # run as a module, with no warning that the package imported it first
+    command = _python("-m", "unifrag.cli", "parse", "-e", "P(x)")
+    assert (command.stdout, command.stderr) == ("P(x)\n", "")
+    assert set(unifrag.__all__) <= set(dir(unifrag))

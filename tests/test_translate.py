@@ -15,8 +15,9 @@ from unifrag.syntax import (And, Atom, Equals, ExistsBlock, ForallBlock, Not, To
 from unifrag.translate import (Disjunct, dl_to_fu1, dlr0_to_fu1,
                                eliminate_comp_union, fu1_to_dl, to_dnf_block)
 
-from strategies import (DLR_VOCAB, VOCAB, enum_structures, gen_dl_concept,
-                        gen_dlr_concept, gen_formula, gen_structure)
+from strategies import (DLR_VOCAB, VOCAB, dlr_role_extension, enum_structures,
+                        gen_dl_concept, gen_dlr_concept, gen_formula, gen_structure,
+                        literal_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def _eval_with(s, f, x):
 
 def _eval_disjunct(s, block, d: Disjunct, x):
     from unifrag import evaluate
-    parts = [lit.to_formula() for lit in d.relation_literals + d.equality_literals]
+    parts = [literal_formula(lit) for lit in d.relation_literals + d.equality_literals]
     parts += [chi for _, chi in d.unary_parts]
     body = parts[0]
     for p in parts[1:]:
@@ -484,7 +485,7 @@ _BOGUS_MODE = "topn mode must be one of ('delta', 'explicit'), got 'bogus'"
     lambda s, vocab: dlr.dlr_concept_extension(s, dlr.AtomicConcept("A"), "bogus"),
     lambda s, vocab: dlr.dlr_concept_extension(s, dlr.ExistsProj(1, dlr.AtomicRole("R")), "bogus"),
     lambda s, vocab: dlr.dlr_binrel_extension(s, dlr.Eps(), "bogus"),
-    lambda s, vocab: dlr.dlr_role_extension(s, dlr.AtomicRole("R"), "bogus"),
+    lambda s, vocab: dlr_role_extension(s, dlr.AtomicRole("R"), "bogus"),
     lambda s, vocab: dlr0_to_fu1(dlr.AtomicConcept("A"), vocab, "bogus"),
     lambda s, vocab: dlr0_to_fu1(dlr.ExistsProj(1, dlr.AtomicRole("R")), vocab, "bogus"),
 ], ids=["concept", "concept-exists-proj", "binrel", "role", "dlr0_to_fu1",
