@@ -82,14 +82,6 @@ class Surjection:
     def target(self) -> int:
         return max(self.map)
 
-    def inverse(self) -> "Surjection":
-        if self.source != self.target:
-            raise ValueError("only permutations have an inverse")
-        inv = [0] * self.source
-        for j, i in enumerate(self.map, start=1):
-            inv[i - 1] = j
-        return Surjection(tuple(inv))
-
 
 @dataclass(frozen=True)
 class AtomicRole:

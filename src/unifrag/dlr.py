@@ -243,9 +243,9 @@ def _compose(first, second) -> set:
 
 
 def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
-    """``x`` compiled as a ``kind`` ("concept", "binrel" or "role") over
-    ``vocab`` in top mode ``topn``; a term that fails a vocabulary or
-    arity check raises here, before any structure is read."""
+    """``x`` compiled as a ``kind`` ("concept" or "binrel") over ``vocab``
+    in top mode ``topn``; a term that fails a vocabulary or arity check
+    raises here, before any structure is read."""
 
     def role(r: DlrRole, n: int) -> Compiled:
         """A role that :func:`dlr_role_arity` has checked to have arity
@@ -316,8 +316,6 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
         raise TypeError(f"not a concept: {c!r}")
 
     concept = concept_compiler(vocab, own)
-    if kind == "role":
-        return role(x, dlr_role_arity(x, vocab))
     return concept(x) if kind == "concept" else binrel(x)
 
 

@@ -188,21 +188,18 @@ class _SharedX:
         counts = Counter(v for v, _, _ in self.atoms)
         shared: Optional[frozenset[str]] = None
         if counts:
-            if len(counts) == 1:
-                shared = next(iter(counts))
-            else:
-                best = max(counts.values())
-                majority = [v for v, c in counts.items() if c == best]
-                keep = majority[0] if len(majority) == 1 else None
-                for varset, path, rel in self.atoms:
-                    if varset != keep:
-                        others = sorted("{%s}" % ",".join(sorted(v))
-                                        for v in counts if v != varset)
-                        checker.emit(
-                            ViolationKind.UNIFORMITY, path,
-                            f"atom {rel} has variable set {{{','.join(sorted(varset))}}} "
-                            f"but the block also uses {', '.join(others)}")
-                shared = keep
+            best = max(counts.values())
+            majority = [v for v, c in counts.items() if c == best]
+            keep = majority[0] if len(majority) == 1 else None
+            for varset, path, rel in self.atoms:
+                if varset != keep:
+                    others = sorted("{%s}" % ",".join(sorted(v))
+                                    for v in counts if v != varset)
+                    checker.emit(
+                        ViolationKind.UNIFORMITY, path,
+                        f"atom {rel} has variable set {{{','.join(sorted(varset))}}} "
+                        f"but the block also uses {', '.join(others)}")
+            shared = keep
         if not self.equalities:
             return
         # FU1 only: equalities behave like binary atoms and share the same X

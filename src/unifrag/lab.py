@@ -28,15 +28,13 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import combinations
 from typing import Callable, Optional
 
 from . import dl, dlr
 from .errors import LogicError
 from .semantics import evaluate
 from .structures import Structure, disjoint_union, make_structure
-from .syntax import (And, Atom, Equals, ExistsBlock, Formula, Not, Top, fold,
-                     parse_formula, print_formula)
+from .syntax import Formula, parse_formula, print_formula
 
 RELATION = "R"  # the binary relation all generated structures interpret
 
@@ -72,27 +70,6 @@ def one_point_loop() -> Structure:
     """A single element satisfying A and connected to itself by R."""
     return make_structure(["u"], {RELATION: 2, "A": 1},
                           {RELATION: {("u", "u")}, "A": {("u",)}})
-
-
-def counting_formula(predicate: str, cmp: str, k: int) -> Formula:
-    """A sentence of the uniform fragment, built from equality and a block
-    of k (respectively k+1) variables, saying |P| >= k, <= k or = k."""
-    if k < 0:
-        raise ValueError("count bound must be >= 0")
-    if cmp == ">=":
-        if k == 0:
-            return Top()
-        vars = tuple(f"x{i}" for i in range(1, k + 1))
-        parts = [Not(Equals(a, b)) for a, b in combinations(vars, 2)]
-        parts += [Atom(predicate, (v,)) for v in vars]
-        return ExistsBlock(vars, fold(And, parts))
-    if cmp == "<=":
-        return Not(counting_formula(predicate, ">=", k + 1))
-    if cmp == "=":
-        above = counting_formula(predicate, ">=", k)
-        below = counting_formula(predicate, "<=", k)
-        return below if isinstance(above, Top) else And(above, below)
-    raise ValueError(f"comparator must be '>=', '<=' or '=', got {cmp!r}")
 
 
 # ---------------------------------------------------------------------------

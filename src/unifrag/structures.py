@@ -60,11 +60,6 @@ class Structure:
             rels.setdefault(name, frozenset())
         object.__setattr__(self, "relations", rels)
 
-    def rel(self, name: str) -> frozenset[tuple[str, ...]]:
-        if name not in self.vocabulary:
-            raise VocabularyError(f"unknown relation symbol {name!r}")
-        return self.relations[name]
-
     def index(self, name: str, pos: int) -> dict[tuple[str, ...], tuple[str, ...]]:
         """The components at ``pos`` of ``name``'s tuples, keyed by the others; built once."""
         index = self._indexes.get((name, pos))

@@ -19,7 +19,7 @@ from unifrag.fragments import FragmentId
 from unifrag.structures import COPY_SEP, Structure, make_structure
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Formula, Implies, Not,
-                            Or, Top, Vocabulary, children)
+                            Or, Top, Vocabulary, children, fold)
 
 # vocabulary used throughout the oracle tests: one binary, one ternary, two unary
 VOCAB = Vocabulary({"R": 2, "T": 3, "P": 1, "Q": 1})
@@ -182,6 +182,27 @@ def gen_any_formula(rng: random.Random, depth: int = 3,
     return ctor(vars, gen_any_formula(rng, depth - 1, pool + vars, vocab))
 
 
+def counting_formula(predicate: str, cmp: str, k: int) -> Formula:
+    """A sentence of the uniform fragment, built from equality and a block
+    of k (respectively k+1) variables, saying |P| >= k, <= k or = k."""
+    if k < 0:
+        raise ValueError("count bound must be >= 0")
+    if cmp == ">=":
+        if k == 0:
+            return Top()
+        vars = tuple(f"x{i}" for i in range(1, k + 1))
+        parts = [Not(Equals(a, b)) for a, b in itertools.combinations(vars, 2)]
+        parts += [Atom(predicate, (v,)) for v in vars]
+        return ExistsBlock(vars, fold(And, parts))
+    if cmp == "<=":
+        return Not(counting_formula(predicate, ">=", k + 1))
+    if cmp == "=":
+        above = counting_formula(predicate, ">=", k)
+        below = counting_formula(predicate, "<=", k)
+        return below if isinstance(above, Top) else And(above, below)
+    raise ValueError(f"comparator must be '>=', '<=' or '=', got {cmp!r}")
+
+
 # ---------------------------------------------------------------------------
 # Oracles: views of the library's internals that only the tests need
 # ---------------------------------------------------------------------------
@@ -197,7 +218,18 @@ def parse_role(text: str) -> dl.RoleTerm:
 
 
 def dlr_role_extension(s: Structure, r: dlr.DlrRole, topn: str = "delta") -> frozenset:
-    return dlr._extension("role", r, s, topn)
+    """Extension of a binary DLR role, read as its projection on $1,$2."""
+    return dlr.dlr_binrel_extension(s, dlr.Proj(r, 1, 2), topn)
+
+
+def inverse(srj: dl.Surjection) -> dl.Surjection:
+    """The inverse of a permutation."""
+    if srj.source != srj.target:
+        raise ValueError("only permutations have an inverse")
+    inv = [0] * srj.source
+    for j, i in enumerate(srj.map, start=1):
+        inv[i - 1] = j
+    return dl.Surjection(tuple(inv))
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:

@@ -390,6 +390,45 @@ def test_input_refusals_are_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+EVAL_MODEL = ["eval", "-e", "E x. true", "--model", "FILE"]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("argv, text, kind, message", [
+    (EVAL_MODEL, "[1,2]", "StructureError", "structure document must be a JSON object"),
+    (EVAL_MODEL, '{"domain": ["a"]}', "StructureError",
+     "structure document lacks required keys: ['arities']"),
+    (EVAL_MODEL, '{"domain": "a", "arities": {}}', "StructureError",
+     "'domain' must be a list of strings"),
+    (EVAL_MODEL, '{"domain": ["a"], "arities": []}', "StructureError",
+     "'arities' must be an object mapping names to integers"),
+    (EVAL_MODEL, '{"domain": ["a"], "arities": {}, "relations": []}', "StructureError",
+     "'relations' must be an object mapping names to tuple lists"),
+    (EVAL_MODEL, '{"domain": ["a"], "arities": {"R": 1}, "relations": {"R": [1]}}',
+     "StructureError", "relation 'R' must be a list of tuples (lists)"),
+    (["parse", "-e", "P(x) Q(x)"], None, "parse", "1:6: unexpected trailing input 'Q'"),
+    (["parse", "--vocab", "FILE", "-e", "P(x)"], '{"1R": 2}', "VocabularyError",
+     "invalid relation name '1R'"),
+    (["translate", "--from", "dlr0", "--to", "fu1", "-e", "exists[$1] top1"], None, "parse",
+     "1:12: top_n roles need n >= 2 (use top1 as a concept)"),
+], ids=["model-not-object", "model-lacks-arities", "model-domain", "model-arities",
+        "model-relations", "model-tuples", "trailing-input", "vocab-name", "dlr-top1-role"])
+def test_refusals_report_their_kind_and_message(capsys, tmp_path, argv, text, kind,
+                                                message, fmt):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = invoke(capsys, *(str(path) if a == "FILE" else a for a in argv),
+                            "--format", fmt)
+    assert (code, err) == (2, f"error: {message}\n")
+    if fmt == "human":
+        assert out == ""
+    else:
+        doc = json.loads(out)
+        check_schema(doc, "error.schema.json")
+        assert doc == {"error": {"kind": kind, "message": message}}
+
+
 def test_a_translation_taller_than_the_parsers_accept_is_a_parse_error(capsys, tmp_path):
     # dl_to_fu1 of the deepest DL concept is about 400 levels tall: it is
     # printed, and reading it back is refused by the height bound

@@ -16,8 +16,8 @@ from unifrag.lab import disjoint_copies, gen_clique
 from unifrag.syntax import Vocabulary
 from unifrag.translate import _role_formula, dl_to_fu1
 
-from strategies import (VOCAB, gen_dl_concept, gen_dl_role, gen_structure, parse_role,
-                        role_arity)
+from strategies import (VOCAB, gen_dl_concept, gen_dl_role, gen_structure, inverse,
+                        parse_role, role_arity)
 
 
 def test_surjection_validation():
@@ -162,7 +162,7 @@ def test_permutation_inverse(seed):
     perm = list(range(1, k + 1))
     rng.shuffle(perm)
     sigma = Surjection(tuple(perm))
-    round_trip = Apply(sigma.inverse(), Apply(sigma, r))
+    round_trip = Apply(inverse(sigma), Apply(sigma, r))
     assert role_extension(s, round_trip) == role_extension(s, r)
 
 

@@ -200,12 +200,18 @@ def test_explicit_top_missing_declaration():
         dlr_role_extension(s, TopN(2), topn="explicit")
 
 
+def test_explicit_top_of_the_wrong_arity():
+    s = make_structure(["a"], {"R": 2, "top2": 3})
+    with pytest.raises(StructureError, match="^'top2' must have arity 2$"):
+        dlr_role_extension(s, TopN(2), topn="explicit")
+
+
 def test_topn_covers_declared_relations_in_both_modes():
     rng = random.Random(9)
     s = _with_explicit_tops(rng)
     for mode in ("delta", "explicit"):
         top2 = dlr_role_extension(s, TopN(2), topn=mode)
-        assert s.rel("R") <= top2
+        assert s.relations["R"] <= top2
 
 
 @settings(max_examples=80, deadline=None)

@@ -120,6 +120,12 @@ def test_fo2_examples():
     assert ViolationKind.COUNTING_QUANTIFIER in {v.kind for v in diag.violations}
 
 
+def test_fo2_reports_arity_with_vocabulary():
+    diag = check_fo2(parse_formula("A x. E y. S(x,y)"), Vocabulary({"S": 3}))
+    assert [(v.kind, v.path, v.message) for v in diag.violations] == [
+        (ViolationKind.ARITY, (0, 0), "relation 'S' has arity 3, got 2 arguments")]
+
+
 def test_fo2_multi_variable_block():
     diag = check_fo2(parse_formula("E x y. S(x,y)"))
     assert not diag.verdict

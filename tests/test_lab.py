@@ -4,25 +4,25 @@ import pytest
 
 from unifrag import evaluate
 from unifrag.fragments import FragmentId, check_fragment
-from unifrag.lab import (agreement_corpus, all_structures, counting_formula,
+from unifrag.lab import (agreement_corpus, all_structures,
                          disjoint_copies, gen_clique, gen_directed_cycle,
                          one_point_loop,
                          run_experiments, separation_experiments)
 
-from strategies import gen_structure
+from strategies import counting_formula, gen_structure
 from unifrag.syntax import Vocabulary
 
 
 def test_clique_shapes():
     k2 = gen_clique(2)
-    assert k2.size == 2 and len(k2.rel("R")) == 2
+    assert k2.size == 2 and len(k2.relations["R"]) == 2
     k3 = gen_clique(3)
-    assert len(k3.rel("R")) == 6
+    assert len(k3.relations["R"]) == 6
     for k in (2, 3, 4, 5):
         s = gen_clique(k)
-        assert len(s.rel("R")) == k * (k - 1)
+        assert len(s.relations["R"]) == k * (k - 1)
         for v in s.domain:
-            assert sum(1 for (_, b) in s.rel("R") if b == v) == k - 1
+            assert sum(1 for (_, b) in s.relations["R"] if b == v) == k - 1
 
 
 def test_clique_needs_two_elements():
@@ -31,11 +31,11 @@ def test_clique_needs_two_elements():
 
 
 def test_cycle_shapes():
-    assert len(gen_directed_cycle(3).rel("R")) == 3
+    assert len(gen_directed_cycle(3).relations["R"]) == 3
     loop = gen_directed_cycle(1)
-    assert loop.size == 1 and len(loop.rel("R")) == 1
+    assert loop.size == 1 and len(loop.relations["R"]) == 1
     for n in range(1, 7):
-        assert len(gen_directed_cycle(n).rel("R")) == n
+        assert len(gen_directed_cycle(n).relations["R"]) == n
     with pytest.raises(ValueError):
         gen_directed_cycle(0)
 
@@ -45,7 +45,7 @@ def test_counting_formula_against_direct_counting():
     vocab = Vocabulary({"P": 1})
     for _ in range(120):
         s = gen_structure(rng, vocab, max_size=4)
-        size = len(s.rel("P"))
+        size = len(s.relations["P"])
         for cmp in (">=", "<=", "="):
             k = rng.randint(0, 4)
             f = counting_formula("P", cmp, k)
@@ -116,5 +116,5 @@ def test_dump_catalogue_is_complete():
 
 def test_one_point_loop_shape():
     s = one_point_loop()
-    assert s.rel("R") == {("u", "u")}
-    assert s.rel("A") == {("u",)}
+    assert s.relations["R"] == {("u", "u")}
+    assert s.relations["A"] == {("u",)}

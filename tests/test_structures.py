@@ -17,14 +17,14 @@ ONE_POINT_LOOP = '{"domain": ["a"], "arities": {"R": 2}, "relations": {"R": [["a
 def test_parse_one_point_loop():
     s = parse_structure(ONE_POINT_LOOP)
     assert s.domain == ("a",)
-    assert s.rel("R") == {("a", "a")}
+    assert s.relations["R"] == {("a", "a")}
 
 
 def test_parse_two_disjoint_loops():
     s = parse_structure(
         '{"domain": ["a", "b"], "arities": {"R": 2},'
         ' "relations": {"R": [["a", "a"], ["b", "b"]]}}')
-    assert s.rel("R") == {("a", "a"), ("b", "b")}
+    assert s.relations["R"] == {("a", "a"), ("b", "b")}
 
 
 def test_component_outside_domain_rejected():
@@ -69,7 +69,7 @@ def test_malformed_document_rejected():
 
 def test_missing_relations_default_empty():
     s = parse_structure('{"domain": ["a"], "arities": {"R": 2}}')
-    assert s.rel("R") == frozenset()
+    assert s.relations["R"] == frozenset()
 
 
 def test_doc_round_trip():
@@ -81,7 +81,7 @@ def test_disjoint_union_of_loops():
     loop = parse_structure(ONE_POINT_LOOP)
     d = disjoint_union(loop, loop)
     assert d.size == 2
-    assert d.rel("R") == {("a#1", "a#1"), ("a#2", "a#2")}
+    assert d.relations["R"] == {("a#1", "a#1"), ("a#2", "a#2")}
 
 
 def test_disjoint_union_vocabulary_mismatch():
@@ -100,4 +100,4 @@ def test_disjoint_union_cardinalities(seed):
     d = disjoint_union(s1, s2)
     assert d.size == s1.size + s2.size
     for name in VOCAB.symbols:
-        assert len(d.rel(name)) == len(s1.rel(name)) + len(s2.rel(name))
+        assert len(d.relations[name]) == len(s1.relations[name]) + len(s2.relations[name])
