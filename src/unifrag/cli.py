@@ -70,14 +70,14 @@ def _read_input(args) -> str:
         return args.expr
     if args.file is None:
         raise LogicError("provide inline input with -e TEXT or a file path")
-    return Path(args.file).read_text()
+    return Path(args.file).read_text("utf-8")
 
 
 def _load_vocab(path: Optional[str]) -> Optional[Vocabulary]:
     if path is None:
         return None
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text("utf-8"))
     except RecursionError:
         raise LogicError("vocabulary file nests too deeply to decode") from None
     if not isinstance(raw, dict):
@@ -136,7 +136,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
 def _cmd_eval(args, rep: _Reporter) -> int:
     from .semantics import evaluate
     from .structures import parse_structure
-    structure = parse_structure(Path(args.model).read_text())
+    structure = parse_structure(Path(args.model).read_text("utf-8"))
     f = parse_formula(_read_input(args), structure.vocabulary)
     assignment = _parse_assignment(args.assign)
     value = evaluate(structure, assignment, f)
@@ -347,7 +347,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except LogicError as e:
         rep.error(type(e).__name__, str(e))
         return EXIT_INPUT_ERROR
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         rep.error("io", str(e))
         return EXIT_INPUT_ERROR
     except Exception as e:  # last resort: a crash must never read as a verdict

@@ -55,14 +55,15 @@ from collections import Counter
 from dataclasses import dataclass, is_dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Union
+from typing import Iterator, Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
                  concept_compiler, identity)
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, compiled, nested
+from .syntax import (MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, _Token, _tokenize,
+                     compiled, nested)
 
 
 def check_topn_mode(topn: str) -> None:
@@ -355,12 +356,15 @@ _RESERVED = frozenset({"eps", "exists", "o", "u"})
 
 
 class _DlrParser(TokenParser):
-    def __init__(self, text: str):
-        super().__init__(text)
-        # the positions of each '(' whose top level holds a token that no role
-        # group '(' role '&' role ')' holds there, and of each unclosed '(' before one
+    def read(self, text: str) -> Iterator[_Token]:
+        """Every token of ``text`` at once (a bad character is refused before
+        any is parsed), since whether a '(' opens a role group depends on the
+        whole of its top level.  Marks the positions of each '(' whose top
+        level holds a token that no role group '(' role '&' role ')' holds
+        there, and of each unclosed '(' before one."""
+        toks = _tokenize(text)
         self.marked, opened = set(), []
-        for i, t in enumerate(self.toks):
+        for i, t in enumerate(toks):
             if t.kind == "LPAREN":
                 opened.append(i)
             elif t.kind == "RPAREN" and opened:
@@ -369,6 +373,7 @@ class _DlrParser(TokenParser):
                 self.marked.add(opened[-1])
         last = max(self.marked, default=-1)
         self.marked.update(i for i in opened if i < last)
+        return iter(toks)
 
     # concepts ---------------------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce, wraps
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, VocabularyError
@@ -310,19 +311,32 @@ _TOKEN_RE = re.compile("|".join(
     + [f"(?P<{kind}>{re.escape(lit)})" for lit, kind in _PUNCT.items()] + ["(?P<BAD>.)"]))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
+def _tokens(text: str) -> Iterator[_Token]:
+    """The tokens of ``text`` in reading order, made as they are asked for:
+    an EOF token last or, at the first character that starts no token, a
+    BAD token and nothing after it."""
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):  # every character matches, so no gaps
-        kind, col = m.lastgroup, m.start() - line_start + 1
+        kind = m.lastgroup
         if kind == "NL":
             line += 1
             line_start = m.end()
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
         elif kind != "WS":
-            toks.append(_Token(kind, m.group(), line, col))
-    toks.append(_Token("EOF", "", line, len(text) - line_start + 1))
+            yield _Token(kind, m.group(), line, m.start() - line_start + 1)
+            if kind == "BAD":
+                return
+    yield _Token("EOF", "", line, len(text) - line_start + 1)
+
+
+def _unexpected(t: _Token) -> ParseError:
+    return ParseError(f"unexpected character {t.text!r}", t.line, t.col)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """Every token of ``text``, refusing a bad character before any is parsed."""
+    toks = list(_tokens(text))
+    if toks[-1].kind == "BAD":
+        raise _unexpected(toks[-1])
     return toks
 
 
@@ -365,21 +379,51 @@ class TokenParser:
     :meth:`expect` a required one, :meth:`word` a NAME outside a reserved
     set, :meth:`items` a comma list, :meth:`integer` an INT and
     :meth:`chain` a parenthesised operator chain.  They refuse a token with
-    :meth:`expected`: "expected X, found Y", Y being 'end of input' at EOF."""
+    :meth:`expected`: "expected X, found Y", Y being 'end of input' at EOF.
+
+    Tokens are read on demand from the stream of :meth:`read` into the list
+    ``toks``, in batches as large as what has been read (:meth:`pull`), so
+    a refusal reads about twice the tokens it looked at, and the first fault
+    in reading order is reported: a bad character only once it is the
+    current token.  The productions look at most one token ahead
+    (:meth:`peek`)."""
 
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.stream = self.read(text)
+        self.toks: list[_Token] = []  # the tokens read so far
         self.pos = 0
         self.depth = 0   # nested productions open at the current token
         self.height = 0  # tallest part the innermost of them has built
+        self.pull()
+
+    def read(self, text: str) -> Iterator[_Token]:
+        """The stream of tokens of ``text`` that :meth:`pull` reads from."""
+        return _tokens(text)
+
+    def pull(self) -> None:
+        """Read as many tokens again as have been read, at least 32, so that
+        the token after the current one is read, EOF standing twice at the
+        end; refuse a bad character once it is the current token."""
+        toks = self.toks
+        toks.extend(islice(self.stream, len(toks) or 32))
+        t = toks[-1]
+        if t.kind == "EOF":
+            toks.append(t)
+        elif t.kind == "BAD" and self.pos == len(toks) - 1:
+            raise _unexpected(t)
+        self.last = len(toks) - 2  # :meth:`next` reads more here, or stays at EOF
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        """The current token (``ahead`` 0) or the one after it (1)."""
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
-        if t.kind != "EOF":
+        if self.pos < self.last:
             self.pos += 1
+        elif t.kind != "EOF":
+            self.pos += 1
+            self.pull()
         return t
 
     def accept(self, kind: str, text: str | None = None) -> _Token | None:

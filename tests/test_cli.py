@@ -429,6 +429,23 @@ def test_refusals_report_their_kind_and_message(capsys, tmp_path, argv, text, ki
         assert doc == {"error": {"kind": kind, "message": message}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "FILE"],
+    ["eval", "-e", "E x. true", "--model", "FILE"],
+    ["parse", "--vocab", "FILE", "-e", "P(x)"],
+], ids=["formula-file", "model", "vocab"])
+def test_a_file_that_is_not_utf8_is_an_io_error(capsys, tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfeP(x)")
+    code, out, err = invoke(capsys, *(str(path) if a == "FILE" else a for a in argv),
+                            "--format", "json")
+    message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (code, err) == (2, f"error: {message}\n")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == {"error": {"kind": "io", "message": message}}
+
+
 def test_a_translation_taller_than_the_parsers_accept_is_a_parse_error(capsys, tmp_path):
     # dl_to_fu1 of the deepest DL concept is about 400 levels tall: it is
     # printed, and reading it back is refused by the height bound

@@ -10,10 +10,10 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      infer_vocabulary, parse_formula, print_formula,
                      validate_formula)
 from unifrag.fragments import FragmentId
-from unifrag.dl import parse_concept, print_concept
+from unifrag.dl import _DlParser, parse_concept, print_concept
 from unifrag.dlr import parse_dlr_concept, print_dlr_concept
 from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies,
-                            _tokenize, fold)
+                            _FormulaParser, _tokenize, fold)
 
 from strategies import VOCAB, gen_any_formula, gen_formula
 
@@ -88,6 +88,20 @@ def test_nesting_limit_is_a_positioned_parse_error():
     assert print_formula(parse_formula(deepest)) == deepest
     with pytest.raises(ParseError, match=f"1:{MAX_NESTING + 1}: .*deeper than"):
         parse_formula("~" + deepest)
+
+
+@pytest.mark.parametrize("parser, start, leaf", [
+    (_FormulaParser, "formula", "P(x)"),
+    (_DlParser, "concept", "A"),
+])
+def test_a_deep_refusal_reads_a_bounded_prefix(parser, start, leaf):
+    """Tokens are read as the productions ask for them, in batches as large
+    as what has been read, so a refusal reads about twice what it looked at."""
+    p = parser("~" * 100_000 + leaf)
+    with pytest.raises(ParseError, match=f"^1:{MAX_NESTING + 1}: input nests deeper than "
+                                         f"{MAX_NESTING} levels$"):
+        getattr(p, start)()
+    assert len(p.toks) <= 2 * (MAX_NESTING + 2)
 
 
 def test_arrow_chains_block_variables_and_stars_count_against_the_bound():
@@ -194,6 +208,28 @@ def test_token_positions_across_lines_tabs_and_unicode_spaces():
         ("RPAREN", ")", 3, 6), ("RPAREN", ")", 3, 7), ("EOF", "", 3, 8)]
     with pytest.raises(ParseError, match="2:3: unexpected character 'é'"):
         _tokenize("P(x)\n\t(é")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # a parse fault before a bad character is reported first
+    (parse_formula, "(P(x) & ) @", "1:9: expected a formula, found ')'"),
+    (parse_formula, "P(x)\n\t(é", "2:2: unexpected trailing input '('"),
+    (parse_concept, "(A & ) @", "1:6: expected concept name, found ')'"),
+    # a bad character before any parse fault, wherever the reading stands
+    (parse_formula, "P(x) @", "1:6: unexpected character '@'"),
+    (parse_formula, "P @", "1:3: unexpected character '@'"),
+    (parse_formula, "@", "1:1: unexpected character '@'"),
+    # the last token of the parser's first batch of 32, and the first of the next
+    (parse_formula, "~" * 31 + "@", "1:32: unexpected character '@'"),
+    (parse_formula, "~" * 32 + "@", "1:33: unexpected character '@'"),
+    (parse_concept, "A @", "1:3: unexpected character '@'"),
+    # the DLR grammar reads every token before parsing any
+    (parse_dlr_concept, "(A & ) @", "1:8: unexpected character '@'"),
+])
+def test_the_first_fault_in_reading_order_is_reported(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
 
 
 LONG = "1" + "0" * MAX_DIGITS  # one digit more than the bound
