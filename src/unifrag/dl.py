@@ -33,8 +33,8 @@ for the tuples themselves, enumerates domain^n.
 A concept or role is compiled once per vocabulary into closures that do
 only this set work: names, arities, argument counts and coordinate maps
 are checked and settled at compile time, so a term that fails a check
-raises before any structure is read, as an FO formula does.  The last
-term compiled is kept in the one-entry cache of :func:`unifrag.syntax.compiled`,
+raises before any structure is read, as an FO formula does.  The terms
+compiled are kept in a bounded table of :func:`unifrag.syntax.compiled`,
 so a concept checked on many structures is compiled once.
 """
 
@@ -203,7 +203,7 @@ def identity(s: Structure, dom: frozenset) -> frozenset:
     return frozenset((d, d) for d in s.domain)
 
 
-_slot: list = [None] * 5  # the last term compiled, see syntax.compiled
+_cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
 
 
 def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Compiled]:
@@ -301,7 +301,7 @@ def _compile_concept(c: Concept, vocab: Vocabulary) -> Compiled:
 
 
 def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
-    n, negated, tuples = compiled(_slot, _compile_role, r, s.vocabulary)
+    n, negated, tuples = compiled(_cache, _compile_role, r, s.vocabulary)
     ext = tuples(s, frozenset(s.domain))
     if not negated:
         return ext
@@ -309,7 +309,7 @@ def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
 
 
 def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
-    return compiled(_slot, _compile_concept, c, s.vocabulary)(s, frozenset(s.domain))
+    return compiled(_cache, _compile_concept, c, s.vocabulary)(s, frozenset(s.domain))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ concept built in code may make the walkers raise RecursionError.
 
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept compiler of
-:mod:`unifrag.dl`, and the last one is kept in a one-entry cache of their
-own by :func:`unifrag.syntax.compiled`.  A term is checked against the
+:mod:`unifrag.dl`, and kept in a bounded table of their own by
+:func:`unifrag.syntax.compiled`.  A term is checked against the
 vocabulary when it is compiled, before any structure is read; structure
 errors, such as an explicit-mode ``top<n>`` that does not cover a
 relation, come only after that check.
@@ -320,12 +320,12 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
     return concept(x) if kind == "concept" else binrel(x)
 
 
-_slot: list = [None] * 5  # the last term compiled, see syntax.compiled
+_cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
 
 
 def _extension(kind: str, x, s: Structure, topn: str) -> frozenset:
     check_topn_mode(topn)
-    return compiled(_slot, _compile, x, s.vocabulary, topn, kind)(s, frozenset(s.domain))
+    return compiled(_cache, _compile, x, s.vocabulary, topn, kind)(s, frozenset(s.domain))
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:

@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 from .errors import ArityError, VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
                      ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
-                     check_atom, children)
+                     check_atom, children, compiled)
 
 
 class FragmentId(Enum):
@@ -221,8 +221,17 @@ def check_fragment(f: Formula, frag: FragmentId,
 
     Violations are returned as data, never raised.  When a vocabulary is
     supplied, each atom that :func:`unifrag.syntax.check_atom` refuses also
-    produces an ARITY violation with its message.
+    produces an ARITY violation with its message.  The diagnostic is kept
+    in a bounded table of :func:`unifrag.syntax.compiled`, so a formula
+    object checked again for the same fragment and vocabulary is walked once.
     """
+    return compiled(_cache, _check, f, vocab, frag)
+
+
+_cache: list = [None] * 5 + [{}]  # the diagnostics made, see syntax.compiled
+
+
+def _check(f: Formula, vocab: Vocabulary | None, frag: FragmentId) -> Diagnostic:
     if frag is FragmentId.FO2:
         return check_fo2(f, vocab)
     checker = _Checker(frag)

@@ -13,8 +13,8 @@ the domain.  ``evaluate`` and ``satisfaction_set`` run the core;
 and serves as the reference the compiled evaluator is tested against.
 
 ``evaluate`` and ``satisfaction_set`` compile, and so check, a formula once
-per vocabulary and reuse the test across structures, through the one-entry
-cache of :func:`unifrag.syntax.compiled`.  A test holds no structure and no
+per vocabulary and reuse the test across structures, through a bounded
+table of :func:`unifrag.syntax.compiled`.  A test holds no structure and no
 assignment: each call passes its structure and a copy of its assignment.
 """
 
@@ -61,12 +61,12 @@ def _check_assignment(s: Structure, a: Assignment, free: frozenset[str]):
 def evaluate(s: Structure, a: Assignment, f: Formula) -> bool:
     """Standard satisfaction; quantifier blocks are iterated quantification
     and E[cmp k] x. f counts the witnesses for x."""
-    free, test = compiled(_slot, compile_formula, f, s.vocabulary)
+    free, test = compiled(_cache, compile_formula, f, s.vocabulary)
     _check_assignment(s, a, free)
     return test(s, dict(a))
 
 
-_slot: list = [None] * 5  # the last formula compiled, see syntax.compiled
+_cache: list = [None] * 5 + [{}]  # the formulas compiled, see syntax.compiled
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     """All domain elements satisfying a formula with at most one free
     variable; a sentence yields the full domain or the empty set."""
     try:
-        free, test = compiled(_slot, compile_formula, f, s.vocabulary)
+        free, test = compiled(_cache, compile_formula, f, s.vocabulary)
     except LogicError:
         _at_most_one(free_variables(f))  # this error comes before the vocabulary's
         raise

@@ -93,17 +93,37 @@ class Vocabulary:
         return name in self.symbols
 
 
-def compiled(slot: list, build: Callable, term, vocab: Vocabulary, *extra):
-    """``build(term, vocab, *extra)``, kept in the one-entry cache ``slot``,
-    a list of five that each evaluator keeps for its own terms.  A hit needs
-    the same ``build``, the same term object (held, so that its id is not
-    reused), equal ``extra`` arguments and an equal vocabulary.  What is
-    built holds no structure, so that none outlives its call."""
-    b, t, v, e, out = slot
-    if b is build and t is term and e == extra and (v is vocab or v == vocab):
+# Most entries of a table of :func:`compiled`; a full table is emptied.
+MAX_COMPILED = 32
+
+_NO_ENTRY = (None,) * 5
+
+
+def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extra):
+    """``build(term, vocab, *extra)``, kept in ``cache``, a list that each
+    caller keeps for its own terms: the five fields of the entry built last,
+    looked at first, and then the table of every entry kept, a dict keyed by
+    the term's id.  A hit needs the same term object (held, so that its id
+    is not reused), the same ``build``, equal ``extra`` arguments and an
+    equal vocabulary.  A table that holds ``MAX_COMPILED`` entries is
+    emptied with one ``dict.clear`` before the next goes in, so that threads
+    may share it; an error is never kept.  What is built holds no structure,
+    so that none outlives its call."""
+    # the test is spelt out twice, and compares symbols itself rather than
+    # call Vocabulary.__eq__, because a hit is the evaluators' common case
+    b, t, v, e, out, table = cache
+    if t is term and b is build and e == extra and (v is vocab or (
+            v is not None and vocab is not None and v.symbols == vocab.symbols)):
+        return out
+    b, t, v, e, out = table.get(id(term), _NO_ENTRY)
+    if t is term and b is build and e == extra and (v is vocab or (
+            v is not None and vocab is not None and v.symbols == vocab.symbols)):
         return out
     out = build(term, vocab, *extra)
-    slot[:] = build, term, vocab, extra, out
+    if len(table) >= MAX_COMPILED:
+        table.clear()
+    table[id(term)] = entry = build, term, vocab, extra, out
+    cache[:] = *entry, table
     return out
 
 

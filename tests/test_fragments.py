@@ -140,6 +140,23 @@ def test_check_fragment_dispatches_fo2():
     assert check_fragment(parse_formula("A x. E y. S(x,y)"), F.FO2).verdict
 
 
+def test_one_formula_object_checked_many_ways():
+    # each call's own fragment and vocabulary decide, whatever the last
+    # call on the same object kept
+    text = "E y z. (R(y,z,x) & ~(x = y) & E z. S(y,z))"
+    vocab = Vocabulary({"R": 2, "S": 2})
+    calls = [(F.FU1,), (F.U1,), (F.UC1, vocab), (F.FO2,), (F.UC1,), (F.U1, vocab)]
+    expected = [check_fragment(parse_formula(text), *call) for call in calls]
+    assert [d.verdict for d in expected] == [False, True, False, False, True, False]
+    assert [ViolationKind.ARITY in {v.kind for v in d.violations} for d in expected] == [
+        False, False, True, False, False, True]
+    f = parse_formula(text)
+    for _ in range(3):
+        for call, diag in zip(calls, expected):
+            for _ in range(2):
+                assert check_fragment(f, *call) == diag
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

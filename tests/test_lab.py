@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from unifrag import evaluate
+from unifrag import evaluate, fragments, semantics
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.lab import (agreement_corpus, all_structures,
                          disjoint_copies, gen_clique, gen_directed_cycle,
@@ -11,6 +12,7 @@ from unifrag.lab import (agreement_corpus, all_structures,
 
 from strategies import counting_formula, gen_structure
 from unifrag.syntax import Vocabulary
+from unifrag.translate import fu1_to_dl
 
 
 def test_clique_shapes():
@@ -118,3 +120,38 @@ def test_one_point_loop_shape():
     s = one_point_loop()
     assert s.relations["R"] == {("u", "u")}
     assert s.relations["A"] == {("u",)}
+
+
+def test_each_corpus_sentence_is_compiled_and_walked_once(monkeypatch):
+    # the pattern of the lab-scaled benchmark: the corpus interleaved over
+    # structures of one vocabulary, each sentence checked for FU1 and its
+    # translation checking it again
+    corpus = agreement_corpus()
+    structures = [s for s in all_structures().values()
+                  if s.vocabulary == Vocabulary({"R": 2})]
+    assert len(structures) == 8
+    builds, walks = Counter(), Counter()
+    compile_formula, check_f = semantics.compile_formula, fragments._Checker.check_f
+
+    def counted_compile(f, vocab):
+        builds[id(f)] += 1
+        return compile_formula(f, vocab)
+
+    def counted_check(checker, f, path, shared=None):
+        if path == ():
+            walks[id(f)] += 1
+        return check_f(checker, f, path, shared)
+
+    monkeypatch.setattr(semantics, "compile_formula", counted_compile)
+    monkeypatch.setattr(fragments._Checker, "check_f", counted_check)
+    for module in (semantics, fragments):  # empty tables, whatever ran before
+        monkeypatch.setattr(module, "_cache", [None] * 5 + [{}], raising=False)
+    for _ in range(2):
+        for s in structures:
+            for f in corpus:
+                evaluate(s, {}, f)
+                check_fragment(f, FragmentId.FU1)
+    translated = [fu1_to_dl(f) for f in corpus if check_fragment(f, FragmentId.FU1).verdict]
+    assert len(translated) == 16
+    assert builds == {id(f): 1 for f in corpus}
+    assert walks == {id(f): 1 for f in corpus}

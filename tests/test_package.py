@@ -14,7 +14,8 @@ LIMITS = {"translate.DNF_LIMIT": translate.DNF_LIMIT,
           "modelfind.CIRCUIT_LIMIT": modelfind.CIRCUIT_LIMIT,
           "syntax.MAX_NESTING": syntax.MAX_NESTING,
           "syntax.MAX_DIGITS": syntax.MAX_DIGITS,
-          "syntax.MAX_ARITY": syntax.MAX_ARITY}
+          "syntax.MAX_ARITY": syntax.MAX_ARITY,
+          "syntax.MAX_COMPILED": syntax.MAX_COMPILED}
 
 
 def _value(number: str) -> int:

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (EvalError, Vocabulary, disjoint_union, dump_structure, evaluate,
-                     evaluate_naive, make_structure, parse_formula, print_formula,
-                     satisfaction_set, structure_to_doc)
+from unifrag import (EvalError, Vocabulary, check_fragment, disjoint_union, dl, dlr,
+                     dump_structure, evaluate, evaluate_naive, fragments, make_structure,
+                     parse_formula, print_formula, satisfaction_set, semantics,
+                     structure_to_doc)
+from unifrag.fragments import FragmentId
 from unifrag.lab import disjoint_copies, gen_clique, gen_directed_cycle
 from unifrag.modelfind import Circuit, grounder
 from unifrag.semantics import block_parts
-from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
+from unifrag.syntax import (MAX_COMPILED, And, Atom, Bottom, CountExists, Equals,
                             ExistsBlock, ForallBlock, Implies, Not, Or, Top,
                             free_variables, walk)
 
@@ -259,6 +261,93 @@ def test_threads_never_share_a_prepared_formula():
     assert not any(th.is_alive() for th in threads)
     for i in range(4):
         assert got[i] == [expected[i]] * 300
+
+
+def _target(out):
+    """A weakly referable part of what a table keeps for a term."""
+    return out[-1] if isinstance(out, tuple) else out
+
+
+def test_each_table_is_bounded_and_frees_what_it_drops():
+    s = make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("a", "b")}, "A": {("b",)}})
+    cases = [(semantics, lambda t: evaluate(s, {}, t), lambda: parse_formula("E x y. R(x,y)")),
+             (fragments, lambda t: check_fragment(t, FragmentId.FU1),
+              lambda: parse_formula("E x y. R(x,y)")),
+             (dl, lambda t: dl.concept_extension(s, t), lambda: dl.parse_concept("exists R.(A)")),
+             (dlr, lambda t: dlr.dlr_concept_extension(s, t),
+              lambda: dlr.parse_dlr_concept("exists[$1] R"))]
+    for module, call, make in cases:
+        first = make()
+        call(first)
+        refs = [weakref.ref(first), weakref.ref(_target(module._cache[-1][id(first)][-1]))]
+        del first
+        for _ in range(MAX_COMPILED + 5):
+            call(make())
+            assert len(module._cache[-1]) <= MAX_COMPILED
+        gc.collect()
+        assert [r() for r in refs] == [None, None], module.__name__
+
+
+def test_equal_formulas_and_reused_ids_answer_as_the_reference():
+    s = make_structure(["a", "b", "c"], {"R": 2}, {"R": {("a", "b"), ("b", "c")}})
+    texts = ["E y. R(x,y)", "E y. R(y,x)", "A y. ~R(x,y)", "(E y. R(x,y) & E y. R(y,x))"]
+    f, g = parse_formula(texts[0]), parse_formula(texts[0])
+    assert f == g and f is not g
+    for h in (f, g, f, g):
+        for d in s.domain:
+            assert evaluate(s, {"x": d}, h) == evaluate_naive(s, {"x": d}, h)
+        assert _set_outcome(s, h) == _naive_set(s, h)
+    # a formula dropped after its call may leave its id to the next one
+    for i in range(200):
+        h = parse_formula(texts[i % len(texts)])
+        assert _set_outcome(s, h) == _naive_set(s, h)
+        del h
+
+
+def test_threads_share_compiled_formulas_safely():
+    # four threads, each with its own structure, vocabulary and formula
+    # objects, together more than a table holds: the tables keep clearing
+    texts = ["E y. R(x,y)", "A y. (R(x,y) -> E z. (R(y,z) & ~z = x))", "E[>=2] y. R(y,x)",
+             "(P(x) | ~E y. (R(x,y) & P(y)))", "R(x,y)", "E y z. (R(x,y) & R(y,z))",
+             "X1(x)", "E y. R(x,y,y)", "A x. E y. (R(x,y) | x = y)", "~(x = x)"]
+    assert 4 * len(texts) > MAX_COMPILED
+    structures, formulas = [], []
+    for i in range(4):
+        rng = random.Random(i)
+        dom = [f"t{i}e{j}" for j in range(3 + i)]
+        edges = {(u, v) for u in dom for v in dom if rng.random() < 0.4}
+        structures.append(make_structure(dom, {"R": 2, "P": 1, f"X{i}": 1},
+                                         {"R": edges, "P": {(dom[i % 3],)}}))
+        formulas.append([parse_formula(t) for t in texts])
+
+    def answers(i):
+        s = structures[i]
+        return [(_outcome(evaluate, s, {"x": s.domain[0]}, f), _set_outcome(s, f),
+                 check_fragment(f, FragmentId.FU1),
+                 check_fragment(f, FragmentId.U1, s.vocabulary)) for f in formulas[i]]
+
+    expected = [answers(i) for i in range(4)]
+    assert {type(a[1]) for e in expected for a in e} == {frozenset, tuple}  # answers, errors
+    got: dict[int, list] = {}
+    start = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        start.wait()
+        got[i] = [answers(i) for _ in range(60)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(4):
+        assert got[i] == [expected[i]] * 60
 
 
 # ---------------------------------------------------------------------------
