@@ -12,9 +12,11 @@ Text grammar::
               | 'exists' binrel '.' concept | 'exists[$' i ']' role
               | '(<=' k '[$' i ']' role ')'
 
-The parser never backtracks: a '(' that begins a binary relation term
-opens a composition or union if its top level holds 'o', 'u', 'eps', '|'
-or '*' and no '$' follows it, else the role of a projection.
+The parser never backtracks, and reads each '(' that begins a binary
+relation term, unless '$' follows it, from its first operand: 'eps',
+another such '(', or a role, which a '|' makes a projection.  If that
+operand is a binary relation term, the '(' opens a composition or union,
+else a role group, which a '|' after its ')' projects.
 
 The built-in n-ary top relation admits two conventions, selected by the
 ``topn`` argument of the extension functions and of
@@ -55,15 +57,14 @@ from collections import Counter
 from dataclasses import dataclass, is_dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterator, Union
+from typing import Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
                  concept_compiler, identity)
 from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import (MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, _Token, _tokenize,
-                     compiled, nested)
+from .syntax import MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, compiled, nested
 
 
 def check_topn_mode(topn: str) -> None:
@@ -356,25 +357,6 @@ _RESERVED = frozenset({"eps", "exists", "o", "u"})
 
 
 class _DlrParser(TokenParser):
-    def read(self, text: str) -> Iterator[_Token]:
-        """Every token of ``text`` at once (a bad character is refused before
-        any is parsed), since whether a '(' opens a role group depends on the
-        whole of its top level.  Marks the positions of each '(' whose top
-        level holds a token that no role group '(' role '&' role ')' holds
-        there, and of each unclosed '(' before one."""
-        toks = _tokenize(text)
-        self.marked, opened = set(), []
-        for i, t in enumerate(toks):
-            if t.kind == "LPAREN":
-                opened.append(i)
-            elif t.kind == "RPAREN" and opened:
-                opened.pop()
-            elif opened and t.text in ("o", "u", "eps", "|", "*"):
-                self.marked.add(opened[-1])
-        last = max(self.marked, default=-1)
-        self.marked.update(i for i in opened if i < last)
-        return iter(toks)
-
     # concepts ---------------------------------------------------------------
 
     @nested
@@ -411,41 +393,55 @@ class _DlrParser(TokenParser):
 
     @nested
     def binrel(self) -> DlrBinRel:
-        e = self.binrel_prim()
-        while self.peek().kind == "STAR":
-            self.rise(self.height + 1)
-            self.next()
-            e = Star(e)
-        return e
+        x = self.operand()
+        return x if isinstance(x, DlrBinRel) else self.projection(x)
 
-    def binrel_prim(self) -> DlrBinRel:
+    def operand(self) -> DlrBinRel | DlrRole:
+        """A binary relation term, with its stars, or a role that '&' or ')'
+        follows."""
         if self.accept("NAME", "eps"):
-            return Eps()
-        if self.pos in self.marked and self.peek(1).kind != "DOLLAR":
-            return self.binrel_combo()
-        return self.projection()
+            return self.stars(Eps())
+        if self.peek().kind == "LPAREN" and self.peek(1).kind != "DOLLAR":
+            x = self.group()
+            if isinstance(x, DlrBinRel):
+                return x
+        else:
+            x = self.role()
+        return x if self.peek().kind in ("AMP", "RPAREN") else self.projection(x)
 
     @nested
-    def binrel_combo(self) -> DlrBinRel:
+    def group(self) -> DlrBinRel | DlrRole:
+        """A '(' read from its first operand: a composition or union, with
+        its stars, if that is a binary relation term, else a role group."""
         self.expect("LPAREN")
-        left = self.binrel()
+        first = self.operand()
+        if not isinstance(first, DlrBinRel):
+            return self.chain(self.role, {"AMP": AndR}, first)
         t = self.peek()
         if t.kind != "NAME" or t.text not in ("o", "u"):
             raise self.expected("'o' or 'u'")
         self.next()
-        right = self.binrel()
+        self.rise(self.height + 1)  # a level for the first operand, as binrel counts the second
+        second = self.binrel()
         self.expect("RPAREN")
-        return Comp(left, right) if t.text == "o" else UnionE(left, right)
+        return self.stars(Comp(first, second) if t.text == "o" else UnionE(first, second))
 
-    def projection(self) -> DlrBinRel:
-        r = self.role()
+    def projection(self, r: DlrRole) -> DlrBinRel:
+        """``r`` projected by the '|$i,$j' that follows, with its stars."""
         self.expect("PIPE")
         self.expect("DOLLAR")
         i = self.integer()
         self.expect("COMMA")
         self.expect("DOLLAR")
         j = self.integer()
-        return self.build(Proj, r, i, j)
+        return self.stars(self.build(Proj, r, i, j))
+
+    def stars(self, e: DlrBinRel) -> DlrBinRel:
+        while self.peek().kind == "STAR":
+            self.rise(self.height + 1)
+            self.next()
+            e = Star(e)
+        return e
 
     # roles --------------------------------------------------------------------
 

@@ -348,18 +348,6 @@ def _tokens(text: str) -> Iterator[_Token]:
     yield _Token("EOF", "", line, len(text) - line_start + 1)
 
 
-def _unexpected(t: _Token) -> ParseError:
-    return ParseError(f"unexpected character {t.text!r}", t.line, t.col)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Every token of ``text``, refusing a bad character before any is parsed."""
-    toks = list(_tokens(text))
-    if toks[-1].kind == "BAD":
-        raise _unexpected(toks[-1])
-    return toks
-
-
 # Deepest nesting a parser accepts, of the recursive productions in the
 # text (at most three frames a level, well inside Python's recursion limit
 # of 1000) and of the tree built: a chain counts its levels, a block one
@@ -401,24 +389,19 @@ class TokenParser:
     :meth:`chain` a parenthesised operator chain.  They refuse a token with
     :meth:`expected`: "expected X, found Y", Y being 'end of input' at EOF.
 
-    Tokens are read on demand from the stream of :meth:`read` into the list
-    ``toks``, in batches as large as what has been read (:meth:`pull`), so
-    a refusal reads about twice the tokens it looked at, and the first fault
-    in reading order is reported: a bad character only once it is the
-    current token.  The productions look at most one token ahead
-    (:meth:`peek`)."""
+    Tokens are read on demand from :func:`_tokens` into the list ``toks``,
+    in batches as large as what has been read (:meth:`pull`), so a refusal
+    reads about twice the tokens it looked at, and the first fault in
+    reading order is reported: a bad character only once it is the current
+    token.  The productions look at most one token ahead (:meth:`peek`)."""
 
     def __init__(self, text: str):
-        self.stream = self.read(text)
+        self.stream = _tokens(text)
         self.toks: list[_Token] = []  # the tokens read so far
         self.pos = 0
         self.depth = 0   # nested productions open at the current token
         self.height = 0  # tallest part the innermost of them has built
         self.pull()
-
-    def read(self, text: str) -> Iterator[_Token]:
-        """The stream of tokens of ``text`` that :meth:`pull` reads from."""
-        return _tokens(text)
 
     def pull(self) -> None:
         """Read as many tokens again as have been read, at least 32, so that
@@ -430,7 +413,7 @@ class TokenParser:
         if t.kind == "EOF":
             toks.append(t)
         elif t.kind == "BAD" and self.pos == len(toks) - 1:
-            raise _unexpected(t)
+            raise ParseError(f"unexpected character {t.text!r}", t.line, t.col)
         self.last = len(toks) - 2  # :meth:`next` reads more here, or stays at EOF
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -507,17 +490,19 @@ class TokenParser:
         except ValueError as e:
             raise self.error(str(e)) from None
 
-    def chain(self, item, ops: dict):
+    def chain(self, item, ops: dict, first=None):
         """``'(' item (OP item)* ')'``, one operator OP per group, ``ops``
-        mapping the token kinds allowed to binary constructors.  n operands
+        mapping the token kinds allowed to binary constructors, read as the
+        whole of the enclosing production; given ``first``, that production
+        has read the '(' and the first item, and nothing else.  n operands
         nest ⌈log2 n⌉ levels deep (:func:`fold`), or n - 1 under ``->``,
         which is not associative and nests to the left."""
-        self.expect("LPAREN")
-        outer, tallest, parts, op = self.height, 0, [], None
+        if first is None:
+            self.expect("LPAREN")
+            first = item()
+        tallest, parts, op = self.height, [first], None
         while True:
-            self.height = 0
-            parts.append(item())
-            tallest, n, self.height = max(tallest, self.height), len(parts), outer
+            n, self.height = len(parts), 0
             # the enclosing production counts the chain's top level
             self.rise(tallest + (n - 1 if op == "ARROW" else (n - 1).bit_length()) - 1)
             t = self.peek()
@@ -525,6 +510,9 @@ class TokenParser:
                 op = t.kind
             if not self.accept(op):  # no token is of kind None
                 break
+            self.height = 0
+            parts.append(item())
+            tallest = max(tallest, self.height)
         if t.kind in ops:
             raise self.error("mixed operators in one group need explicit parentheses")
         if op is None and t.kind != "RPAREN":

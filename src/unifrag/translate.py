@@ -28,7 +28,7 @@ from . import dl, dlr
 from .errors import DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
-                     Formula, Implies, Not, Or, Top, Vocabulary, fold,
+                     Formula, Implies, Not, Or, Top, Vocabulary, check_atom, fold,
                      free_variables, walk)
 
 # ---------------------------------------------------------------------------
@@ -500,20 +500,25 @@ def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formu
     """Membership of ``tup`` in a role that :func:`dlr.dlr_role_arity` has
     checked to have arity ``len(tup)``."""
     if isinstance(r, dlr.TopN):
-        return _topn_formula(r.n, tup, topn)
+        return _topn_formula(r.n, tup, vocab, topn)
     if isinstance(r, dlr.AtomicRole):
         return Atom(r.name, tup)
     if isinstance(r, dlr.Sel):
         return fold(And, [_formula_of(r.concept, tup[r.i - 1], ctr, vocab, topn),
-                          _topn_formula(r.n, tup, topn)], Top())
+                          _topn_formula(r.n, tup, vocab, topn)], Top())
     if isinstance(r, dlr.NotR):
-        return fold(And, [_topn_formula(len(tup), tup, topn),
+        return fold(And, [_topn_formula(len(tup), tup, vocab, topn),
                           Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
     return And(_dlr_s(r.left, tup, ctr, vocab, topn),
                _dlr_s(r.right, tup, ctr, vocab, topn))
 
 
-def _topn_formula(n: int, tup: tuple[str, ...], topn: str) -> Formula:
+def _topn_formula(n: int, tup: tuple[str, ...], vocab: Vocabulary, topn: str) -> Formula:
+    """Membership of ``tup`` in the top relation of arity n: true, or in
+    explicit mode an atom over ``top<n>``, which ``vocab`` must declare at
+    that arity."""
     if topn == "delta":
         return Top()
-    return Atom(dlr.topn_relation_name(n), tup)
+    atom = Atom(dlr.topn_relation_name(n), tup)
+    check_atom(atom, vocab)
+    return atom

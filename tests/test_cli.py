@@ -336,6 +336,8 @@ DIGITS = "9" * 5000  # past Python's 4,300-digit limit of int()
     # a sentence without relations: no cells and a one-node circuit, but one
     # circuit per size, past the circuit budget
     (["sat", "--max-size", "1000000000000", "-e", "false"], 2),
+    # an explicit-mode top atom outside the vocabulary
+    (DLR0_FU1 + ["exists[$1] ~R", "--topn-mode", "explicit"], 2),
 ])
 def test_exit_code_contract_on_former_crashes(capsys, tmp_path, argv, expected):
     vocab = tmp_path / "vocab.json"

@@ -16,9 +16,12 @@ from unifrag import (ArityError, ParseError, StructureError, VocabularyError,
 from unifrag.dlr import (AndC, AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
-                         dlr_concept_extension, parse_dlr_concept, print_dlr_concept)
+                         dlr_concept_extension, operators_used, parse_dlr_concept,
+                         print_dlr_concept)
 from unifrag.lab import disjoint_copies, gen_clique
+from unifrag.semantics import satisfaction_set
 from unifrag.syntax import Vocabulary
+from unifrag.translate import dlr0_to_fu1
 
 from strategies import (DLR_VOCAB, dlr_role_extension, gen_dlr_binrel, gen_dlr_concept,
                         gen_structure, tag_elements)
@@ -250,6 +253,12 @@ def test_parse_print_round_trip():
         "exists eps* . A",
         "~exists ($1/3:(A & top1))|$2,$3 . top1",
         "(<=0 [$1] (T & ~T))",
+        # a '(' read from its first operand: a projection of a role group,
+        # a role group of one, twice, and a union with two stars
+        "exists ((R & S)|$1,$2 o T|$1,$2)* . A",
+        "exists (R)|$1,$2 . A",
+        "exists ((R))|$1,$2 . A",
+        "exists (eps u R|$1,$2)** . A",
     ]
     for text in texts:
         c = parse_dlr_concept(text)
@@ -279,10 +288,11 @@ def test_printer_parser_round_trip_on_generated_concepts(seed):
 
 
 def test_backtracking_reports_the_error_that_got_furthest():
-    # the tokens decide the reading of a '(' in relation position: the
-    # first one holds 'o' at its top level, so it opens a composition,
-    # which fails at the 0 index; the second holds only a role group, so
-    # it opens the role of a projection, which fails at the 0 index too
+    # a '(' in relation position is read from its first operand: in the
+    # first text a projection, so the '(' opens a composition, and the
+    # projection fails at its 0 index; in the second a role that '&'
+    # follows, so the '(' opens a role group, whose projection fails at
+    # the 0 index too
     with pytest.raises(ParseError, match="1:17: projection indices are 1-based"):
         parse_dlr_concept("exists (R|$0,$1 o eps) . A")
     with pytest.raises(ParseError, match="1:23: projection indices are 1-based"):
@@ -301,6 +311,27 @@ def test_nested_selections_parse_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert parse_dlr_concept(print_dlr_concept(c)) == c
     assert isinstance(parse_dlr_concept(_nested_selections(40)), ExistsE)
+
+
+@pytest.mark.parametrize("shape, deepest", [
+    (lambda n: "exists " + "(eps o " * n + "eps" + ")" * n + " . A", 99),
+    (lambda n: "exists " + "(" * n + "eps" + " o eps)" * n + " . A", 99),
+    (lambda n: "exists " + "(" * n + "R" + " & R)" * n + "|$1,$2 . A", 197),
+    (_nested_selections, 49),
+    (lambda n: "exists " + "(" * n + "R|$1,$2*" + " o eps)*" * n + " . A", 65),
+], ids=["right-compositions", "left-compositions", "role-groups", "selections",
+        "left-compositions-with-stars"])
+def test_the_deepest_nesting_of_each_shape(shape, deepest):
+    # one level more is refused; the deepest prints, parses back and, in
+    # the core, translates to a formula of the same extension
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_dlr_concept(shape(deepest + 1))
+    c = parse_dlr_concept(shape(deepest))
+    assert parse_dlr_concept(print_dlr_concept(c)) == c
+    s = make_structure(["a", "b"], {"R": 2, "A": 1}, {"R": {("a", "b")}, "A": {("b",)}})
+    if Star not in operators_used(c):
+        f = dlr0_to_fu1(c, s.vocabulary)
+        assert satisfaction_set(s, f).elements == dlr_concept_extension(s, c)
 
 
 # ---------------------------------------------------------------------------

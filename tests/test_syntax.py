@@ -11,9 +11,9 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      validate_formula)
 from unifrag.fragments import FragmentId
 from unifrag.dl import _DlParser, parse_concept, print_concept
-from unifrag.dlr import parse_dlr_concept, print_dlr_concept
+from unifrag.dlr import _DlrParser, parse_dlr_concept, print_dlr_concept
 from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies,
-                            _FormulaParser, _tokenize, fold)
+                            _FormulaParser, _tokens, fold)
 
 from strategies import VOCAB, gen_any_formula, gen_formula
 
@@ -93,6 +93,9 @@ def test_nesting_limit_is_a_positioned_parse_error():
 @pytest.mark.parametrize("parser, start, leaf", [
     (_FormulaParser, "formula", "P(x)"),
     (_DlParser, "concept", "A"),
+    (_DlrParser, "concept", "A"),
+    # a bad character past the refusal is never read
+    (_DlrParser, "concept", "A @"),
 ])
 def test_a_deep_refusal_reads_a_bounded_prefix(parser, start, leaf):
     """Tokens are read as the productions ask for them, in batches as large
@@ -199,15 +202,15 @@ def test_round_trip_fragment_formulas(seed):
 
 def test_token_positions_across_lines_tabs_and_unicode_spaces():
     text = "E y.\n\t(P(y)\u00a0&\r\n\u3000 Q(y))"  # a no-break and an ideographic space
-    toks = [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    toks = [(t.kind, t.text, t.line, t.col) for t in _tokens(text)]
     assert toks == [
         ("NAME", "E", 1, 1), ("NAME", "y", 1, 3), ("DOT", ".", 1, 4),
         ("LPAREN", "(", 2, 2), ("NAME", "P", 2, 3), ("LPAREN", "(", 2, 4),
         ("NAME", "y", 2, 5), ("RPAREN", ")", 2, 6), ("AMP", "&", 2, 8),
         ("NAME", "Q", 3, 3), ("LPAREN", "(", 3, 4), ("NAME", "y", 3, 5),
         ("RPAREN", ")", 3, 6), ("RPAREN", ")", 3, 7), ("EOF", "", 3, 8)]
-    with pytest.raises(ParseError, match="2:3: unexpected character 'é'"):
-        _tokenize("P(x)\n\t(é")
+    # a bad character ends the stream
+    assert list(_tokens("P(x)\n\t(é"))[-1] == ("BAD", "é", 2, 3)
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -215,6 +218,7 @@ def test_token_positions_across_lines_tabs_and_unicode_spaces():
     (parse_formula, "(P(x) & ) @", "1:9: expected a formula, found ')'"),
     (parse_formula, "P(x)\n\t(é", "2:2: unexpected trailing input '('"),
     (parse_concept, "(A & ) @", "1:6: expected concept name, found ')'"),
+    (parse_dlr_concept, "(A & ) @", "1:6: expected a concept, found ')'"),
     # a bad character before any parse fault, wherever the reading stands
     (parse_formula, "P(x) @", "1:6: unexpected character '@'"),
     (parse_formula, "P @", "1:3: unexpected character '@'"),
@@ -223,8 +227,7 @@ def test_token_positions_across_lines_tabs_and_unicode_spaces():
     (parse_formula, "~" * 31 + "@", "1:32: unexpected character '@'"),
     (parse_formula, "~" * 32 + "@", "1:33: unexpected character '@'"),
     (parse_concept, "A @", "1:3: unexpected character '@'"),
-    # the DLR grammar reads every token before parsing any
-    (parse_dlr_concept, "(A & ) @", "1:8: unexpected character '@'"),
+    (parse_dlr_concept, "A @", "1:3: unexpected character '@'"),
 ])
 def test_the_first_fault_in_reading_order_is_reported(parse, text, message):
     with pytest.raises(ParseError) as e:

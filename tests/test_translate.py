@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (ArityError, DnfLimitError, FragmentGateError, ParseError, Vocabulary,
-                     VocabularyError, evaluate, make_structure, parse_formula,
+from unifrag import (ArityError, DnfLimitError, FragmentGateError, ParseError, StructureError,
+                     Vocabulary, VocabularyError, evaluate, make_structure, parse_formula,
                      print_formula, satisfaction_set)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
@@ -436,6 +436,20 @@ def test_explicit_top_mode_emits_top_atoms():
         s = make_structure(base.domain, dict(vocab.symbols), rels)
         assert (satisfaction_set(s, f).elements
                 == dlr.dlr_concept_extension(s, c, topn="explicit"))
+
+
+@pytest.mark.parametrize("symbols, error, message", [
+    ({"R": 2, "A": 1}, VocabularyError, "unknown relation symbol 'top2'"),
+    ({"R": 2, "A": 1, "top2": 3}, ArityError, "relation 'top2' has arity 3, got 2 arguments"),
+])
+def test_explicit_top_atoms_are_checked_against_the_vocabulary(symbols, error, message):
+    # the extension refuses such a vocabulary too, once it reads the structure
+    c = dlr.ExistsProj(1, dlr.NotR(dlr.AtomicRole("R")))
+    with pytest.raises(error, match=f"^{message}$"):
+        dlr0_to_fu1(c, Vocabulary(symbols), topn="explicit")
+    s = make_structure(("a",), symbols, {})
+    with pytest.raises(StructureError):
+        dlr.dlr_concept_extension(s, c, topn="explicit")
 
 
 @pytest.mark.parametrize("c", [
