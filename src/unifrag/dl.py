@@ -28,7 +28,10 @@ n-ary existential over a complemented role counts, for each element, the
 excluded tuples that start there.  Each node therefore costs time linear
 in the size of the relations and the domain, O(|relations| + |domain|),
 never domain^n; only :func:`role_extension` of a complemented role, asked
-for the tuples themselves, enumerates domain^n.
+for the tuples themselves, enumerates domain^n.  The role core
+(:func:`role_compiler`) and the counting of complements (:func:`crowded`)
+are shared with :mod:`unifrag.dlr`, whose complements also carry the
+position filters of its selections and are taken in its top relations.
 
 A concept or role is compiled once per vocabulary into closures that do
 only this set work: names, arities, argument counts and coordinate maps
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .errors import VocabularyError
 from .structures import Structure
@@ -195,7 +198,7 @@ Compiled = Callable[[Structure, frozenset], frozenset]
 _head = itemgetter(0)
 
 
-def _nothing(s: Structure, dom: frozenset) -> frozenset:
+def nothing(s: Structure, dom: frozenset) -> frozenset:
     return frozenset()
 
 
@@ -228,37 +231,125 @@ def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Co
     return comp
 
 
-def _compile_role(r: RoleTerm, vocab: Vocabulary) -> tuple[int, bool, Compiled]:
-    """``(arity, negated, tuples)``: the extension of ``r`` is
-    ``tuples(s, dom)``, or its complement in domain^arity when ``negated``.
-    Every rule costs time linear in the tuple sets it combines; none builds
-    a complement."""
-    if isinstance(r, AtomicRole):
-        name = r.name
-        return atomic_role_arity(name, vocab), False, lambda s, dom: s.relations[name]
+# A compiled role ``(arity, cuts, tuples)`` stands for the set ``tuples(s,
+# dom)`` when ``cuts`` is None, else for its complement among the tuples t
+# of domain^arity with t[i] in ``c(s, dom)`` for each filter ``(i, c)`` of
+# the tuple ``cuts`` (i 0-based).  Only the DLR's selections make filters.
+CompiledRole = tuple[int, Optional[tuple], Compiled]
+
+
+def role_compiler(vocab: Vocabulary, own: Callable) -> Callable[[RoleTerm], CompiledRole]:
+    """The compiler of roles over ``vocab``, shared with :mod:`unifrag.dlr`:
+    it compiles atomic roles, ``~`` and ``&`` of one arity, and leaves the
+    other nodes, and an ``&`` of two arities, to ``own(r, comp)``.  No rule
+    lists domain^n, but ``~`` of a cut complement other than one bare filter
+    lists the product of its cuts' sets."""
+    def comp(r) -> CompiledRole:
+        if isinstance(r, AtomicRole):
+            name = r.name
+            return atomic_role_arity(name, vocab), None, lambda s, dom: s.relations[name]
+        if isinstance(r, NotRole):
+            n, cuts, tuples = comp(r.role)
+            if cuts is None:
+                return n, (), tuples
+            if not cuts:  # the complement of a complement
+                return n, None, tuples
+            if tuples is nothing and len(cuts) == 1:  # the complement of one filter
+                (i, c), = cuts
+                return n, ((i, lambda s, dom: dom - c(s, dom)),), nothing
+
+            def listed(s: Structure, dom: frozenset) -> frozenset:
+                sets, excluded = _sets(n, cuts, s, dom), tuples(s, dom)
+                return frozenset(t for t in product(*sets) if t not in excluded)
+            return n, (), listed
+        if isinstance(r, AndRole):
+            (n, cuts1, t1), (n2, cuts2, t2) = comp(r.left), comp(r.right)
+            if n != n2:
+                return own(r, comp)
+            if t1 is t2:  # one closure, so one tuple set, as for eps & ~eps
+                if (cuts1 is None) != (cuts2 is None):
+                    return n, None, nothing
+                return n, None if cuts1 is None else cuts1 + cuts2, t1
+            if cuts1 is None:
+                if cuts2 is None:
+                    return n, None, lambda s, dom: t1(s, dom) & t2(s, dom)
+                kept, dropped, cuts = t1, t2, cuts2
+            elif cuts2 is None:
+                kept, dropped, cuts = t2, t1, cuts1
+            else:  # ~t1 & ~t2 = ~(t1 | t2)
+                return n, cuts1 + cuts2, lambda s, dom: t1(s, dom) | t2(s, dom)
+            if not cuts:
+                return n, None, lambda s, dom: kept(s, dom) - dropped(s, dom)
+
+            def cut(s: Structure, dom: frozenset) -> frozenset:
+                hits = kept(s, dom) - dropped(s, dom)
+                for i, c in cuts:
+                    ext = c(s, dom)
+                    hits = [t for t in hits if t[i] in ext]
+                return frozenset(hits)
+            return n, None, cut
+        return own(r, comp)
+    return comp
+
+
+def _sets(n: int, cuts: tuple, s: Structure, dom: frozenset) -> list:
+    """Per position, the elements that every filter at that position allows."""
+    sets = [dom] * n
+    for i, c in cuts:
+        sets[i] = c(s, dom) if sets[i] is dom else sets[i] & c(s, dom)
+    return sets
+
+
+def crowded(role: CompiledRole, filters: tuple, positions: tuple, k: int = 0) -> Compiled:
+    """The keys, the components at one position or the pairs at two, of
+    more than k tuples of ``role`` cut down by ``filters``.  A complement is
+    counted, not built: a key that the cuts allow has the product of the
+    other positions' sets for tuples, less the excluded ones it has."""
+    n, cuts, tuples = role
+    key = itemgetter(*positions)
+    if cuts is None and not k:
+        def present(s: Structure, dom: frozenset) -> frozenset:
+            hits = tuples(s, dom)
+            for p, c in filters:
+                ext = c(s, dom)
+                if ext is not dom:  # a top argument gives dom itself and keeps all
+                    hits = [t for t in hits if t[p] in ext]
+            return frozenset(map(key, hits))
+        return present
+    negated, cuts = cuts is not None, (cuts or ()) + filters
+    rest = [p for p in range(n) if p not in positions]
+    i, j = positions[0], positions[-1]
+
+    def extension(s: Structure, dom: frozenset) -> frozenset:
+        hits = tuples(s, dom)
+        sets = _sets(n, cuts, s, dom)
+        for p, _ in cuts:
+            if sets[p] is not dom:
+                ext = sets[p]
+                hits = [t for t in hits if t[p] in ext]
+        if not negated:
+            return frozenset(x for x, m in Counter(map(key, hits)).items() if m > k)
+        keys = (sets[i] if len(positions) == 1 else product(sets[i], sets[j]) if i != j
+                else ((d, d) for d in sets[i]))
+        room = prod(len(sets[p]) for p in rest)
+        if room <= k:
+            return frozenset()
+        if len(hits) < room - k:  # too few exclusions to bring a key down to k
+            return frozenset(keys)
+        if room == 1:  # a key has one tuple, there unless it is excluded
+            return frozenset(keys).difference(map(key, hits))
+        per_key = Counter(map(key, hits))
+        return frozenset(x for x in keys if room - per_key[x] > k)
+    return extension
+
+
+def _own_role(r, comp) -> CompiledRole:
     if isinstance(r, Epsilon):
-        return 2, False, identity
-    if isinstance(r, NotRole):
-        n, negated, tuples = _compile_role(r.role, vocab)
-        return n, not negated, tuples
-    if isinstance(r, AndRole):
-        n, neg1, t1 = _compile_role(r.left, vocab)
-        n2, neg2, t2 = _compile_role(r.right, vocab)
-        if n != n2:
-            return 2, False, _nothing
-        if t1 is t2:  # one closure, so one tuple set, as for eps & ~eps
-            return (n, neg1, t1) if neg1 == neg2 else (n, False, _nothing)
-        if neg1 and neg2:
-            return n, True, lambda s, dom: t1(s, dom) | t2(s, dom)  # ~t1 & ~t2 = ~(t1 | t2)
-        if neg1:
-            return n, False, lambda s, dom: t2(s, dom) - t1(s, dom)
-        if neg2:
-            return n, False, lambda s, dom: t1(s, dom) - t2(s, dom)
-        return n, False, lambda s, dom: t1(s, dom) & t2(s, dom)
+        return 2, None, identity
     if isinstance(r, Apply):
-        k, negated, inner = _compile_role(r.role, vocab)
+        k, cuts, inner = comp(r.role)
         if r.srj.source != k:
-            return 2, False, _nothing
+            return 2, None, nothing
         # t is in the result iff lift(t) = (t[map[j]-1])_j is in the inner
         # relation.  lift is injective, so it commutes with complement, and
         # the only candidate preimage of an inner tuple u is pick(u), whose
@@ -270,40 +361,33 @@ def _compile_role(r: RoleTerm, vocab: Vocabulary) -> tuple[int, bool, Compiled]:
         def apply(s: Structure, dom: frozenset) -> frozenset:
             tuples = inner(s, dom)
             return frozenset(t for t in map(pick, tuples) if lift(t) in tuples)
-        return r.srj.target, negated, apply
+        return r.srj.target, cuts, apply
+    if isinstance(r, AndRole):  # of two arities: the empty relation
+        return 2, None, nothing
     raise TypeError(f"not a role term: {r!r}")
 
 
+def _compile_role(r: RoleTerm, vocab: Vocabulary) -> CompiledRole:
+    return role_compiler(vocab, _own_role)(r)
+
+
 def _compile_concept(c: Concept, vocab: Vocabulary) -> Compiled:
+    role = role_compiler(vocab, _own_role)
+
     def exists(c, comp) -> Compiled:
         if not isinstance(c, ExistsRole):
             raise TypeError(f"not a concept: {c!r}")
-        n, negated, tuples = _compile_role(c.role, vocab)
-        check_existential_args(n, c.args)
-        args = list(map(comp, c.args))
-
-        def extension(s: Structure, dom: frozenset) -> frozenset:
-            hits = tuples(s, dom)
-            exts = [a(s, dom) for a in args]
-            for i, ext in enumerate(exts, start=1):
-                hits = [t for t in hits if t[i] in ext]
-            if not negated:
-                return frozenset(map(_head, hits))
-            # d has a witness outside the tuples iff fewer than all
-            # prod |C_i| candidate tuples (d, c_1, ..., c_n-1) are among them
-            room = prod(map(len, exts))
-            if not hits:
-                return dom if room else frozenset()
-            per_head = Counter(map(_head, hits))
-            return frozenset(d for d in dom if per_head[d] < room)
-        return extension
+        compiled_role = role(c.role)
+        check_existential_args(compiled_role[0], c.args)
+        # the heads of the role's tuples (d, c_1, ..., c_n-1) with c_i in C_i
+        return crowded(compiled_role, tuple(enumerate(map(comp, c.args), start=1)), (0,))
     return concept_compiler(vocab, exists)(c)
 
 
 def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
-    n, negated, tuples = compiled(_cache, _compile_role, r, s.vocabulary)
+    n, cuts, tuples = compiled(_cache, _compile_role, r, s.vocabulary)
     ext = tuples(s, frozenset(s.domain))
-    if not negated:
+    if cuts is None:
         return ext
     return frozenset(t for t in product(s.domain, repeat=n) if t not in ext)
 

@@ -26,14 +26,19 @@ The built-in n-ary top relation admits two conventions, selected by the
 * ``"explicit"``: a relation named ``top<n>`` read from the structure,
   which must cover every declared n-ary relation.
 
-Role negation is always relative to the top relation of the role's arity,
-unlike the absolute role negation of the surjection-based logic in
-:mod:`unifrag.dl`.  The number restriction counts tuples: the extension of
-``(<=k [$i] R)`` holds the elements occurring at most k times in position
-i over all tuples of R.
+Roles share the node classes and the signed tuple-set core of
+:mod:`unifrag.dl` (``NotR`` and ``AndR`` are its ``NotRole`` and
+``AndRole``), but a role complement here is relative to the top relation
+of the role's arity: delta mode counts it against domain^n without listing
+it, and explicit mode keeps a role's tuples within ``top<n>``.  A selection
+``($i/n:C)`` is a position filter; only ``~`` of a filtered complement
+other than one selection, as ``~(($1/3:A) & ~R)``, lists the product of
+its filters.  The number restriction counts tuples: the
+extension of ``(<=k [$i] R)`` holds the elements occurring at most k times
+in position i over all tuples of R.
 
-Atomic roles and concepts, concept negation and conjunction, ``top1``
-(:class:`unifrag.dl.TopC`, the whole domain) and ``eps``
+Atomic roles and concepts, role and concept negation and conjunction,
+``top1`` (:class:`unifrag.dl.TopC`, the whole domain) and ``eps``
 (:class:`unifrag.dl.Epsilon`, the identity relation) are the node classes
 of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
 differ between the two grammars.
@@ -43,25 +48,24 @@ Parsed ``&`` chains are balanced trees, and parsed concepts at most
 concept built in code may make the walkers raise RecursionError.
 
 Concepts, binary relation terms and roles are compiled once per
-vocabulary and top mode, the shared nodes by the concept compiler of
-:mod:`unifrag.dl`, and kept in a bounded table of their own by
-:func:`unifrag.syntax.compiled`.  A term is checked against the
-vocabulary when it is compiled, before any structure is read; structure
-errors, such as an explicit-mode ``top<n>`` that does not cover a
-relation, come only after that check.
+vocabulary and top mode, the shared nodes by the concept and role
+compilers of :mod:`unifrag.dl`, and kept in a bounded table of their own
+by :func:`unifrag.syntax.compiled`.  A term is checked against the
+vocabulary when it is compiled, before any structure is read: a role's
+names and arities first, then the positions read from it, then the
+concepts of its selections.  Structure errors, such as an explicit-mode
+``top<n>`` that does not cover a relation, come only after that check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, is_dataclass
-from itertools import product
-from operator import itemgetter
 from typing import Union
 
-from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, NotC, atomic_role_arity,
-                 concept_compiler, identity)
-from .dl import Epsilon as Eps, TopC as Top1, or_concept as or_dlr
+from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, CompiledRole, NotC,
+                 concept_compiler, crowded, identity, nothing, role_compiler)
+from .dl import (AndRole as AndR, Epsilon as Eps, NotRole as NotR, TopC as Top1,
+                 or_concept as or_dlr)
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
 from .syntax import MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, compiled, nested
@@ -107,17 +111,6 @@ class Sel:
         if not (2 <= self.n and 1 <= self.i <= self.n):
             raise ValueError(f"selection needs 1 <= i <= n and n >= 2, got i={self.i}, n={self.n}")
         _check_top_arity(self.n)
-
-
-@dataclass(frozen=True)
-class NotR:
-    role: "DlrRole"
-
-
-@dataclass(frozen=True)
-class AndR:
-    left: "DlrRole"
-    right: "DlrRole"
 
 
 DlrRole = Union[TopN, AtomicRole, Sel, NotR, AndR]
@@ -196,36 +189,21 @@ DlrConcept = Union[Top1, AtomicConcept, NotC, AndC, ExistsE, ExistsProj, AtMost]
 # Extension semantics
 # ---------------------------------------------------------------------------
 
-def dlr_role_arity(r: DlrRole, vocab: Vocabulary) -> int:
-    if isinstance(r, TopN):
-        return r.n
-    if isinstance(r, AtomicRole):
-        return atomic_role_arity(r.name, vocab)
-    if isinstance(r, Sel):
-        return r.n
-    if isinstance(r, NotR):
-        return dlr_role_arity(r.role, vocab)
-    if isinstance(r, AndR):
-        a1 = dlr_role_arity(r.left, vocab)
-        a2 = dlr_role_arity(r.right, vocab)
-        if a1 != a2:
-            raise ArityError(f"role intersection of arities {a1} and {a2}")
-        return a1
-    raise TypeError(f"not a role: {r!r}")
-
-
-def role_arity_covering(r: DlrRole, vocab: Vocabulary, what: str, *positions: int) -> int:
-    """Arity of ``r``, once every 1-based position is within it; ``what``
-    is the error's format string for the positions."""
-    n = dlr_role_arity(r, vocab)
+def check_positions(n: int, what: str, *positions: int) -> None:
+    """Every 1-based position lies within arity ``n``; ``what`` is the
+    error's format string for the positions."""
     if max(positions) > n:
         raise ArityError(f"{what.format(*positions)} out of range for a role of arity {n}")
-    return n
 
 
-def _topn_extension(s: Structure, n: int, topn: str) -> frozenset[tuple[str, ...]]:
-    if topn == "delta":
-        return frozenset(product(s.domain, repeat=n))
+def arity_mismatch(r: AndR, comp) -> ArityError:
+    """The error of an ``&`` of two arities, which ``comp`` gives first."""
+    return ArityError(f"role intersection of arities {comp(r.left)[0]} and {comp(r.right)[0]}")
+
+
+def _top(s: Structure, n: int) -> frozenset[tuple[str, ...]]:
+    """The explicit top relation of arity n, once the structure declares it
+    at that arity and it covers every n-ary relation."""
     name = topn_relation_name(n)
     if name not in s.vocabulary:
         raise StructureError(
@@ -249,34 +227,43 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
     in top mode ``topn``; a term that fails a vocabulary or arity check
     raises here, before any structure is read."""
 
-    def role(r: DlrRole, n: int) -> Compiled:
-        """A role that :func:`dlr_role_arity` has checked to have arity
-        ``n``; every role inside it has arity ``n`` too."""
-        if isinstance(r, TopN):
-            return lambda s, dom: _topn_extension(s, n, topn)
-        if isinstance(r, AtomicRole):
-            name = r.name
-            return lambda s, dom: s.relations[name]
-        if isinstance(r, Sel):
-            good, i = concept(r.concept), r.i - 1
+    late: list = []  # the concepts of selections, compiled once their role's arity is checked
 
-            def select(s: Structure, dom: frozenset) -> frozenset:
-                g = good(s, dom)
-                return frozenset(t for t in _topn_extension(s, n, topn) if t[i] in g)
-            return select
-        if isinstance(r, NotR):
-            inner = role(r.role, n)
-            return lambda s, dom: _topn_extension(s, n, topn) - inner(s, dom)
-        left, right = role(r.left, n), role(r.right, n)
-        return lambda s, dom: left(s, dom) & right(s, dom)
+    def own_role(r, comp) -> CompiledRole:
+        if isinstance(r, TopN):
+            return r.n, (), nothing  # the complement of nothing
+        if isinstance(r, Sel):
+            good: list = []
+            late.append((r.concept, good))
+            return r.n, ((r.i - 1, lambda s, dom: good[0](s, dom)),), nothing
+        if isinstance(r, AndR):
+            raise arity_mismatch(r, comp)
+        raise TypeError(f"not a role: {r!r}")
+
+    roles = role_compiler(vocab, own_role)
+
+    def counted(r: DlrRole, k: int, what: str, *positions: int) -> Compiled:
+        """The keys at the 1-based ``positions`` of more than k tuples of
+        ``r`` (see :func:`unifrag.dl.crowded`), once its arity covers them.
+        Explicit mode keeps the tuples in ``top<n>`` of a role that reads it."""
+        mark = len(late)
+        n, cuts, tuples = roles(r)
+        check_positions(n, what, *positions)
+        for c, good in late[mark:]:
+            good.append(concept(c))
+        del late[mark:]
+        at = tuple(p - 1 for p in positions)
+        if topn == "delta" or not operators_used(r) & {NotR, TopN, Sel}:
+            return crowded((n, cuts, tuples), (), at, k)
+        if cuts is None:
+            return crowded((n, None, lambda s, dom: _top(s, n) & tuples(s, dom)), (), at, k)
+        return crowded((n, None, lambda s, dom: _top(s, n) - tuples(s, dom)), cuts, at, k)
 
     def binrel(e: DlrBinRel) -> Compiled:
         if isinstance(e, Eps):
             return identity
         if isinstance(e, Proj):
-            n = role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
-            tuples, pair = role(e.role, n), itemgetter(e.i - 1, e.j - 1)
-            return lambda s, dom: frozenset(map(pair, tuples(s, dom)))
+            return counted(e.role, 0, "projection |${},${}", e.i, e.j)
         if isinstance(e, Comp):
             left, right = binrel(e.left), binrel(e.right)
             return lambda s, dom: frozenset(_compose(left(s, dom), right(s, dom)))
@@ -304,17 +291,11 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
                 g = good(s, dom)
                 return frozenset(u for u, v in pairs if v in g)
             return exists
-        if isinstance(c, (ExistsProj, AtMost)):
-            n = role_arity_covering(c.role, vocab, "position ${}", c.i)
-            tuples, at = role(c.role, n), itemgetter(c.i - 1)
-            if isinstance(c, ExistsProj):
-                return lambda s, dom: frozenset(map(at, tuples(s, dom)))
-            k = c.k
-
-            def at_most(s: Structure, dom: frozenset) -> frozenset:
-                counts = Counter(map(at, tuples(s, dom)))
-                return frozenset(d for d in dom if counts[d] <= k)
-            return at_most
+        if isinstance(c, ExistsProj):
+            return counted(c.role, 0, "position ${}", c.i)
+        if isinstance(c, AtMost):
+            more = counted(c.role, c.k, "position ${}", c.i)
+            return lambda s, dom: dom - more(s, dom)
         raise TypeError(f"not a concept: {c!r}")
 
     concept = concept_compiler(vocab, own)

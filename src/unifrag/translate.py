@@ -365,44 +365,56 @@ def _formula_of(c: Union[dl.Concept, dlr.DlrConcept], x: str, ctr: Iterator[int]
         if isinstance(e, dlr.Eps):
             return ExistsBlock((y,), And(Equals(x, y), inner))
         if isinstance(e, dlr.Proj):
-            n = dlr.role_arity_covering(e.role, vocab, "projection |${},${}", e.i, e.j)
+            n, role = _dlr_role(e.role, ctr, vocab, topn, "projection |${},${}", e.i, e.j)
             if e.i == e.j:
                 # (u,v) with u = v = t_i for some tuple t: an equality guard plus
                 # the nested membership block of exists[$i] keeps the block uniform
-                member = _formula_of(dlr.ExistsProj(e.i, e.role), x, ctr, vocab, topn)
+                tup, others = _fresh_tuple(n, {e.i: x}, ctr)
+                member = ExistsBlock(others, role(tup))
                 return ExistsBlock((y,), fold(And, [Equals(x, y), member, inner], Top()))
             tup, zs = _fresh_tuple(n, {e.i: x, e.j: y}, ctr)
-            body = fold(And, [_dlr_s(e.role, tup, ctr, vocab, topn), inner], Top())
-            return ExistsBlock((y,) + zs, body)
+            return ExistsBlock((y,) + zs, fold(And, [role(tup), inner], Top()))
     if isinstance(c, dlr.ExistsProj):
-        n = dlr.role_arity_covering(c.role, vocab, "position ${}", c.i)
+        n, role = _dlr_role(c.role, ctr, vocab, topn, "position ${}", c.i)
         tup, others = _fresh_tuple(n, {c.i: x}, ctr)
-        return ExistsBlock(others, _dlr_s(c.role, tup, ctr, vocab, topn))
+        return ExistsBlock(others, role(tup))
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _role_formula(r: dl.RoleTerm, vocab: Vocabulary) -> tuple[int, Callable]:
-    """The arity of ``r`` (as :func:`dl.role_extension` reads it; a mismatch
-    is the empty binary relation) and the builder of its standard
-    translation at a tuple of that many variables, in one walk."""
-    if isinstance(r, dl.AtomicRole):
-        return dl.atomic_role_arity(r.name, vocab), lambda tup: Atom(r.name, tup)
+def _dl_role(r: dl.RoleTerm, walk: Callable) -> tuple[int, Callable]:
     if isinstance(r, dl.Epsilon):
         return 2, lambda tup: Equals(tup[0], tup[1])
-    if isinstance(r, dl.NotRole):
-        n, body = _role_formula(r.role, vocab)
-        return n, lambda tup: Not(body(tup))
-    if isinstance(r, dl.AndRole):
-        (n, left), (n2, right) = _role_formula(r.left, vocab), _role_formula(r.right, vocab)
-        if n != n2:
-            return 2, lambda tup: Bottom()
-        return n, lambda tup: And(left(tup), right(tup))
+    if isinstance(r, dl.AndRole):  # of two arities: the empty relation
+        return 2, lambda tup: Bottom()
     if isinstance(r, dl.Apply):
-        k, inner = _role_formula(r.role, vocab)
+        k, inner = walk(r.role)
         if r.srj.source != k:
             return 2, lambda tup: Bottom()
         return r.srj.target, lambda tup: inner(tuple(tup[i - 1] for i in r.srj.map))
     raise TypeError(f"not a role term: {r!r}")
+
+
+def _role_formula(r, vocab: Vocabulary, own: Callable = _dl_role,
+                  topn: str = "delta") -> tuple[int, Callable]:
+    """The arity of ``r`` and the builder of its translation at a tuple of
+    that many variables, in one walk shaped like :func:`dl.role_compiler`'s
+    (``own`` is the DL's by default).  A complement is taken in the top
+    relation of mode ``topn``, domain^n in delta mode and so in the DL."""
+    def walk(r) -> tuple[int, Callable]:
+        if isinstance(r, dl.AtomicRole):
+            return dl.atomic_role_arity(r.name, vocab), lambda tup: Atom(r.name, tup)
+        if isinstance(r, dl.NotRole):
+            n, body = walk(r.role)
+            if topn == "delta":
+                return n, lambda tup: Not(body(tup))
+            return n, lambda tup: And(_topn_formula(n, tup, vocab, topn), Not(body(tup)))
+        if isinstance(r, dl.AndRole):
+            (n, left), (n2, right) = walk(r.left), walk(r.right)
+            if n != n2:
+                return own(r, walk)
+            return n, lambda tup: And(left(tup), right(tup))
+        return own(r, walk)
+    return walk(r)
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +508,22 @@ def _fresh_tuple(n: int, fixed: dict[int, str], ctr: Iterator[int]
     return tup, tuple(v for pos, v in enumerate(tup, start=1) if pos not in fixed)
 
 
-def _dlr_s(r: dlr.DlrRole, tup: tuple[str, ...], ctr, vocab, topn: str) -> Formula:
-    """Membership of ``tup`` in a role that :func:`dlr.dlr_role_arity` has
-    checked to have arity ``len(tup)``."""
-    if isinstance(r, dlr.TopN):
-        return _topn_formula(r.n, tup, vocab, topn)
-    if isinstance(r, dlr.AtomicRole):
-        return Atom(r.name, tup)
-    if isinstance(r, dlr.Sel):
-        return fold(And, [_formula_of(r.concept, tup[r.i - 1], ctr, vocab, topn),
-                          _topn_formula(r.n, tup, vocab, topn)], Top())
-    if isinstance(r, dlr.NotR):
-        return fold(And, [_topn_formula(len(tup), tup, vocab, topn),
-                          Not(_dlr_s(r.role, tup, ctr, vocab, topn))], Top())
-    return And(_dlr_s(r.left, tup, ctr, vocab, topn),
-               _dlr_s(r.right, tup, ctr, vocab, topn))
+def _dlr_role(r: dlr.DlrRole, ctr: Iterator[int], vocab: Vocabulary, topn: str,
+              what: str, *positions: int) -> tuple[int, Callable]:
+    """:func:`_role_formula` of a DLR role whose arity covers ``positions``;
+    the builder draws from ``ctr`` when it is called."""
+    def own(r, walk) -> tuple[int, Callable]:
+        if isinstance(r, dlr.TopN):
+            return r.n, lambda tup: _topn_formula(r.n, tup, vocab, topn)
+        if isinstance(r, dlr.Sel):
+            return r.n, lambda tup: fold(And, [_formula_of(r.concept, tup[r.i - 1], ctr, vocab, topn),
+                                               _topn_formula(r.n, tup, vocab, topn)], Top())
+        if isinstance(r, dlr.AndR):
+            raise dlr.arity_mismatch(r, walk)
+        raise TypeError(f"not a role: {r!r}")
+    n, build = _role_formula(r, vocab, own, topn)
+    dlr.check_positions(n, what, *positions)
+    return n, build
 
 
 def _topn_formula(n: int, tup: tuple[str, ...], vocab: Vocabulary, topn: str) -> Formula:

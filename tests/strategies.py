@@ -14,7 +14,7 @@ import itertools
 import random
 from typing import Optional
 
-from unifrag import dl, dlr
+from unifrag import ArityError, dl, dlr
 from unifrag.fragments import FragmentId
 from unifrag.structures import COPY_SEP, Structure, make_structure
 from unifrag.syntax import (And, Atom, Bottom, CountExists, Equals,
@@ -212,6 +212,20 @@ def role_arity(r: dl.RoleTerm, vocab: Vocabulary) -> int:
     return dl._compile_role(r, vocab)[0]
 
 
+def dlr_role_arity(r: dlr.DlrRole, vocab: Vocabulary) -> int:
+    """Arity of a DLR role term; an intersection of two arities raises."""
+    if isinstance(r, (dlr.TopN, dlr.Sel)):
+        return r.n
+    if isinstance(r, dlr.AtomicRole):
+        return dl.atomic_role_arity(r.name, vocab)
+    if isinstance(r, dlr.NotR):
+        return dlr_role_arity(r.role, vocab)
+    left, right = dlr_role_arity(r.left, vocab), dlr_role_arity(r.right, vocab)
+    if left != right:
+        raise ArityError(f"role intersection of arities {left} and {right}")
+    return left
+
+
 def parse_role(text: str) -> dl.RoleTerm:
     p = dl._DlParser(text)
     return p.finish(p.role())
@@ -336,7 +350,7 @@ def gen_dlr_role(rng: random.Random, depth: int, vocab: Vocabulary = DLR_VOCAB,
         return dlr.NotR(gen_dlr_role(rng, depth - 1, vocab, core_only))
     if kind == "and":
         left = gen_dlr_role(rng, depth - 1, vocab, core_only)
-        n = dlr.dlr_role_arity(left, vocab)
+        n = dlr_role_arity(left, vocab)
         right = _dlr_role_of_arity(rng, depth - 1, n, vocab, core_only)
         return dlr.AndR(left, right)
     n = rng.choice(arities)
@@ -347,7 +361,7 @@ def gen_dlr_role(rng: random.Random, depth: int, vocab: Vocabulary = DLR_VOCAB,
 def _dlr_role_of_arity(rng, depth, n, vocab, core_only) -> dlr.DlrRole:
     for _ in range(20):
         r = gen_dlr_role(rng, depth, vocab, core_only)
-        if dlr.dlr_role_arity(r, vocab) == n:
+        if dlr_role_arity(r, vocab) == n:
             return r
     return dlr.TopN(n)
 
@@ -358,7 +372,7 @@ def gen_dlr_binrel(rng: random.Random, depth: int, vocab: Vocabulary = DLR_VOCAB
         if rng.random() < 0.3:
             return dlr.Eps()
         role = gen_dlr_role(rng, depth - 1, vocab, core_only)
-        n = dlr.dlr_role_arity(role, vocab)
+        n = dlr_role_arity(role, vocab)
         return dlr.Proj(role, rng.randint(1, n), rng.randint(1, n))
     kinds = ["comp", "union"] + ([] if core_only else ["star"])
     kind = rng.choice(kinds)
@@ -391,7 +405,7 @@ def gen_dlr_concept(rng: random.Random, depth: int, vocab: Vocabulary = DLR_VOCA
         return dlr.ExistsE(gen_dlr_binrel(rng, depth - 1, vocab, core_only),
                            gen_dlr_concept(rng, depth - 1, vocab, core_only))
     role = gen_dlr_role(rng, depth - 1, vocab, core_only)
-    n = dlr.dlr_role_arity(role, vocab)
+    n = dlr_role_arity(role, vocab)
     if kind == "exists_proj":
         return dlr.ExistsProj(rng.randint(1, n), role)
     return dlr.AtMost(rng.randint(0, 3), rng.randint(1, n), role)

@@ -17,8 +17,8 @@ from unifrag.modelfind import find_model
 from unifrag.syntax import Vocabulary, parse_formula as parse
 from unifrag.translate import dlr0_to_fu1, eliminate_comp_union, fu1_to_dl
 
-from strategies import (DLR_VOCAB, VOCAB, alpha_rename_once, enum_structures,
-                        gen_any_formula, gen_dlr_concept, gen_formula,
+from strategies import (DLR_VOCAB, VOCAB, alpha_rename_once, dlr_role_arity,
+                        enum_structures, gen_any_formula, gen_dlr_concept, gen_formula,
                         gen_structure, tag_elements)
 
 F = FragmentId
@@ -153,7 +153,7 @@ def test_criterion_5_at_most_zero_equivalence():
     for i in range(100):
         s = gen_structure(rng, DLR_VOCAB, max_size=4)
         role = dlr.AtomicRole(rng.choice(("R", "T")))
-        idx = rng.randint(1, dlr.dlr_role_arity(role, DLR_VOCAB))
+        idx = rng.randint(1, dlr_role_arity(role, DLR_VOCAB))
         lhs = dlr.dlr_concept_extension(s, dlr.AtMost(0, idx, role))
         rhs = dlr.dlr_concept_extension(s, dlr.NotC(dlr.ExistsProj(idx, role)))
         assert lhs == rhs
@@ -286,7 +286,7 @@ def test_criterion_9_property_suites():
     for i in range(500):
         s = gen_structure(rng, DLR_VOCAB, max_size=4)
         role = dlr.AtomicRole(rng.choice(("R", "T")))
-        idx = rng.randint(1, dlr.dlr_role_arity(role, DLR_VOCAB))
+        idx = rng.randint(1, dlr_role_arity(role, DLR_VOCAB))
         k = rng.randint(0, 3)
         k2 = k + rng.randint(0, 3)
         assert (dlr.dlr_concept_extension(s, dlr.AtMost(k, idx, role))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unifrag import (ArityError, ParseError, StructureError, VocabularyError,
-                     disjoint_union, dl, make_structure)
+                     disjoint_union, dl, dlr, make_structure)
 from unifrag.dlr import (AndC, AndR, AtMost, AtomicConcept, AtomicRole, Comp, Eps,
                          ExistsE, ExistsProj, NotC, NotR, Proj, Sel, Star,
                          Top1, TopN, UnionE, dlr_binrel_extension,
@@ -159,7 +159,7 @@ def test_at_most_monotone_in_the_bound(seed):
     rng = random.Random(seed)
     s = gen_structure(rng, DLR_VOCAB, max_size=4)
     r = AtomicRole(rng.choice(("R", "T")))
-    from unifrag.dlr import dlr_role_arity
+    from strategies import dlr_role_arity
     i = rng.randint(1, dlr_role_arity(r, DLR_VOCAB))
     k = rng.randint(0, 3)
     kk = k + rng.randint(0, 3)
@@ -238,6 +238,99 @@ def test_delta_convention_breaks_closure_via_role_negation():
     assert dlr_concept_extension(loop, c, topn="delta") == frozenset()
     double = disjoint_union(loop, loop)
     assert dlr_concept_extension(double, c, topn="delta") != frozenset()
+
+
+def _with_partial_tops(rng, max_size=3):
+    """A structure whose top<n> covers its n-ary relations and, whenever
+    they leave a tuple of domain^n out, misses at least one such tuple."""
+    base = gen_structure(rng, DLR_VOCAB, max_size)
+    rels = {name: set(t) for name, t in base.relations.items()}
+    for n, name in ((2, "R"), (3, "T")):
+        outside = [t for t in itertools.product(base.domain, repeat=n) if t not in rels[name]]
+        kept = {t for t in outside if rng.random() < 0.5}
+        if outside and len(kept) == len(outside):
+            kept.discard(rng.choice(outside))
+        rels[f"top{n}"] = rels[name] | kept
+    return make_structure(base.domain, dict(EXPLICIT_VOCAB.symbols), rels)
+
+
+def test_explicit_mode_with_partial_tops_matches_the_translation():
+    # relative negation and selection, read against top relations that are
+    # proper subsets of domain^n, agree with the explicit-mode translation
+    rng = random.Random(2611)
+    used: set = set()
+    proper = differs = 0
+    for _ in range(300):
+        s = _with_partial_tops(rng)
+        c = gen_dlr_concept(rng, rng.randint(1, 4), vocab=EXPLICIT_VOCAB, core_only=True)
+        used |= operators_used(c)
+        proper += len(s.relations["top3"]) < len(s.domain) ** 3
+        f = dlr0_to_fu1(c, EXPLICIT_VOCAB, topn="explicit")
+        ext = dlr_concept_extension(s, c, "explicit")
+        assert ext == satisfaction_set(s, f).elements
+        differs += ext != dlr_concept_extension(s, c, "delta")
+    assert {Sel, NotR, AndR, TopN} <= used
+    assert proper > 200 and differs >= 5
+
+
+def _boolean_role(rng, depth, names):
+    """A role built by ~ and & over the atomic roles ``names``, all of one arity."""
+    if depth <= 0 or rng.random() < 0.3:
+        return AtomicRole(rng.choice(names))
+    if rng.random() < 0.4:
+        return NotR(_boolean_role(rng, depth - 1, names))
+    return AndR(_boolean_role(rng, depth - 1, names), _boolean_role(rng, depth - 1, names))
+
+
+def _holds(r, t, s):
+    if isinstance(r, AtomicRole):
+        return t in s.relations[r.name]
+    if isinstance(r, NotR):
+        return not _holds(r.role, t, s)
+    return _holds(r.left, t, s) and _holds(r.right, t, s)
+
+
+def _head_counts(s, r, names, n):
+    """Tuples of domain^n in r per first component, from the tuples of the
+    relations alone: a tuple in none of them is in r iff the empty one is."""
+    listed = set().union(*(s.relations[name] for name in names))
+    spare = len(s.domain) ** (n - 1) if _holds(r, None, s) else 0
+    counts = {d: spare for d in s.domain}
+    for t in listed:
+        counts[t[0]] += _holds(r, t, s) - (spare > 0)
+    return counts
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a role built a power of the domain")
+
+
+@pytest.mark.parametrize("size, cases", [(3, 150), (80, 12)], ids=["small", "ternary-80"])
+def test_one_role_term_in_both_logics(size, cases, monkeypatch):
+    # the DL and the DLR share ~ and &: exists[$1] r is exists r.(top, top),
+    # and (<=k [$1] r) counts the tuples of r at each element.  At 80
+    # elements, domain^3 is 512,000 tuples, and no path may list them.
+    rng = random.Random(size)
+    names, n = ("R", "S"), 3
+    for _ in range(cases):
+        dom = [f"e{i}" for i in range(rng.randint(1, size) if size < 10 else size)]
+        rels = {name: {tuple(rng.choice(dom) for _ in range(n))
+                       for _ in range(3 * len(dom))} for name in names}
+        s = make_structure(dom, {"R": n, "S": n}, rels)
+        r = _boolean_role(rng, 3, names)
+        counts = _head_counts(s, r, names, n)
+        if size < 10:
+            listed = dl.role_extension(s, r)
+            assert counts == {d: sum(t[0] == d for t in listed) for d in dom}
+        else:
+            monkeypatch.setattr(dl, "product", _forbidden)
+            monkeypatch.setattr(dlr, "product", _forbidden, raising=False)
+        k = rng.randint(0, 3)
+        assert dlr_concept_extension(s, ExistsProj(1, r)) == {d for d, m in counts.items() if m}
+        assert dl.concept_extension(s, dl.ExistsRole(r, (dl.TopC(),) * (n - 1))) == {
+            d for d, m in counts.items() if m}
+        assert dlr_concept_extension(s, AtMost(k, 1, r)) == {
+            d for d, m in counts.items() if m <= k}
 
 
 # ---------------------------------------------------------------------------
