@@ -17,9 +17,12 @@ nominal arity two.
 Atomic roles must be declared with arity at least two, atomic concepts
 with arity one.  ``top`` denotes the whole domain; it also lets the
 n-ary existential express "some tuple, no constraint" as exists R.(top,...).
-A chain of ``&`` is parsed as a balanced tree, and parsed terms are at
-most ``syntax.MAX_NESTING`` levels tall; a much taller term built in code
-may make the extensions, printers and translations raise RecursionError.
+Roles, concepts and coordinate maps are immutable nodes on the base
+:class:`unifrag.syntax.Node`, whose ``==``, ``hash`` and ``repr`` read
+their fields.  A chain of ``&`` is parsed as a balanced tree, and parsed
+terms are at most ``syntax.MAX_NESTING`` levels tall; a much taller term
+built in code may make the extensions, printers and translations raise
+RecursionError, though never ``==`` or ``repr``.
 
 Extensions are computed bottom-up without ever building a complement: a
 role term evaluates to a signed tuple set, the tuples of a relation or of
@@ -44,7 +47,6 @@ so a concept checked on many structures is compiled once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -52,30 +54,32 @@ from typing import Callable, Optional, Union
 
 from .errors import VocabularyError
 from .structures import Structure
-from .syntax import TokenParser, Vocabulary, compiled, nested
+from .syntax import BinaryNode, Node, TokenParser, UnaryNode, Vocabulary, compiled, nested
+
+_set = object.__setattr__  # how an __init__ sets a field of its node
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Surjection:
+class Surjection(Node):
     """A map from [k] onto [m] with 2 <= m <= k, stored as the value list
     (map[j-1] is the image of position j)."""
 
-    map: tuple[int, ...]
+    __slots__ = ("map",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
-        k = len(self.map)
+    def __init__(self, map: tuple[int, ...]):
+        map = tuple(map)
+        k = len(map)
         if k < 2:
             raise ValueError("coordinate maps need source arity >= 2")
-        m = max(self.map, default=0)
+        m = max(map, default=0)
         if m < 2:
             raise ValueError("coordinate maps need target arity >= 2")
-        if min(self.map) < 1 or len(set(self.map)) != m:  # every value is <= m
-            raise ValueError(f"map {self.map} is not onto 1..{m}")
+        if min(map) < 1 or len(set(map)) != m:  # every value is <= m
+            raise ValueError(f"map {map} is not onto 1..{m}")
+        _set(self, "map", map)
 
     @property
     def source(self) -> int:
@@ -86,31 +90,38 @@ class Surjection:
         return max(self.map)
 
 
-@dataclass(frozen=True)
-class AtomicRole:
-    name: str
+class _Named(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+class AtomicRole(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotRole:
-    role: "RoleTerm"
+class Epsilon(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AndRole:
-    left: "RoleTerm"
-    right: "RoleTerm"
+class NotRole(Node):
+    __slots__ = ("role",)
+
+    def __init__(self, role: "RoleTerm"):
+        _set(self, "role", role)
 
 
-@dataclass(frozen=True)
-class Apply:
-    srj: Surjection
-    role: "RoleTerm"
+class AndRole(BinaryNode):
+    __slots__ = ()
+
+
+class Apply(Node):
+    __slots__ = ("srj", "role")
+
+    def __init__(self, srj: Surjection, role: "RoleTerm"):
+        _set(self, "srj", srj)
+        _set(self, "role", role)
 
 
 RoleTerm = Union[AtomicRole, Epsilon, NotRole, AndRole, Apply]
@@ -120,36 +131,31 @@ RoleTerm = Union[AtomicRole, Epsilon, NotRole, AndRole, Apply]
 # Concepts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomicConcept:
-    name: str
+class AtomicConcept(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TopC:
-    pass
+class TopC(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotC:
-    body: "Concept"
+class NotC(UnaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AndC:
-    left: "Concept"
-    right: "Concept"
+class AndC(BinaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExistsRole:
-    role: RoleTerm
-    args: tuple["Concept", ...]
+class ExistsRole(Node):
+    __slots__ = ("role", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.args:
+    def __init__(self, role: RoleTerm, args: tuple["Concept", ...]):
+        args = tuple(args)
+        if not args:
             raise ValueError("n-ary existential needs at least one argument concept")
+        _set(self, "role", role)
+        _set(self, "args", args)
 
 
 Concept = Union[AtomicConcept, TopC, NotC, AndC, ExistsRole]

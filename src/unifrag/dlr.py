@@ -43,9 +43,11 @@ Atomic roles and concepts, role and concept negation and conjunction,
 of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
 differ between the two grammars.
 
-Parsed ``&`` chains are balanced trees, and parsed concepts at most
-``syntax.MAX_NESTING`` levels tall (a ``*`` counts one); a much taller
-concept built in code may make the walkers raise RecursionError.
+Every term is an immutable node on the base :class:`unifrag.syntax.Node`,
+as the shared classes are.  Parsed ``&`` chains are balanced trees, and
+parsed concepts at most ``syntax.MAX_NESTING`` levels tall (a ``*`` counts
+one); a much taller concept built in code may make the walkers raise
+RecursionError, though never ``==`` or ``repr``.
 
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept and role
@@ -59,7 +61,6 @@ concepts of its selections.  Structure errors, such as an explicit-mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
 from typing import Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, CompiledRole, NotC,
@@ -68,7 +69,10 @@ from .dl import (AndRole as AndR, Epsilon as Eps, NotRole as NotR, TopC as Top1,
                  or_concept as or_dlr)
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import MAX_ARITY, TOPN_MODES, TokenParser, Vocabulary, compiled, nested
+from .syntax import (MAX_ARITY, TOPN_MODES, BinaryNode, Node, TokenParser, UnaryNode,
+                     Vocabulary, compiled, nested)
+
+_set = object.__setattr__  # how an __init__ sets a field of its node
 
 
 def check_topn_mode(topn: str) -> None:
@@ -89,97 +93,94 @@ def _check_top_arity(n: int) -> None:
         raise ValueError(f"top relation arity {n} exceeds the limit of {MAX_ARITY}")
 
 
-@dataclass(frozen=True)
-class TopN:
-    n: int
+class TopN(Node):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValueError("top_n needs n >= 2")
-        _check_top_arity(self.n)
+        _check_top_arity(n)
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Sel:
+class Sel(Node):
     """($i/n : C): the n-ary top tuples whose i-th component lies in C."""
 
-    i: int
-    n: int
-    concept: "DlrConcept"
+    __slots__ = ("i", "n", "concept")
 
-    def __post_init__(self):
-        if not (2 <= self.n and 1 <= self.i <= self.n):
-            raise ValueError(f"selection needs 1 <= i <= n and n >= 2, got i={self.i}, n={self.n}")
-        _check_top_arity(self.n)
+    def __init__(self, i: int, n: int, concept: "DlrConcept"):
+        if not (2 <= n and 1 <= i <= n):
+            raise ValueError(f"selection needs 1 <= i <= n and n >= 2, got i={i}, n={n}")
+        _check_top_arity(n)
+        _set(self, "i", i)
+        _set(self, "n", n)
+        _set(self, "concept", concept)
 
 
 DlrRole = Union[TopN, AtomicRole, Sel, NotR, AndR]
 
 
-@dataclass(frozen=True)
-class Proj:
+class Proj(Node):
     """R|$i,$j: the pairs (t_i, t_j) over the tuples t of the role."""
 
-    role: DlrRole
-    i: int
-    j: int
+    __slots__ = ("role", "i", "j")
 
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1:
+    def __init__(self, role: DlrRole, i: int, j: int):
+        if i < 1 or j < 1:
             raise ValueError("projection indices are 1-based")
+        _set(self, "role", role)
+        _set(self, "i", i)
+        _set(self, "j", j)
 
 
-@dataclass(frozen=True)
-class Comp:
-    left: "DlrBinRel"
-    right: "DlrBinRel"
+class Comp(BinaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnionE:
-    left: "DlrBinRel"
-    right: "DlrBinRel"
+class UnionE(BinaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Star:
-    body: "DlrBinRel"
+class Star(UnaryNode):
+    __slots__ = ()
 
 
 DlrBinRel = Union[Eps, Proj, Comp, UnionE, Star]
 
 
-@dataclass(frozen=True)
-class ExistsE:
-    rel: DlrBinRel
-    concept: "DlrConcept"
+class ExistsE(Node):
+    __slots__ = ("rel", "concept")
+
+    def __init__(self, rel: DlrBinRel, concept: "DlrConcept"):
+        _set(self, "rel", rel)
+        _set(self, "concept", concept)
 
 
-@dataclass(frozen=True)
-class ExistsProj:
+class ExistsProj(Node):
     """exists[$i] R: elements occurring at position i of some tuple of R."""
 
-    i: int
-    role: DlrRole
+    __slots__ = ("i", "role")
 
-    def __post_init__(self):
-        if self.i < 1:
+    def __init__(self, i: int, role: DlrRole):
+        if i < 1:
             raise ValueError("position index is 1-based")
+        _set(self, "i", i)
+        _set(self, "role", role)
 
 
-@dataclass(frozen=True)
-class AtMost:
+class AtMost(Node):
     """(<=k [$i] R): elements occurring at position i of at most k tuples."""
 
-    k: int
-    i: int
-    role: DlrRole
+    __slots__ = ("k", "i", "role")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, i: int, role: DlrRole):
+        if k < 0:
             raise ValueError("number restriction bound must be >= 0")
-        if self.i < 1:
+        if i < 1:
             raise ValueError("position index is 1-based")
+        _set(self, "k", k)
+        _set(self, "i", i)
+        _set(self, "role", role)
 
 
 DlrConcept = Union[Top1, AtomicConcept, NotC, AndC, ExistsE, ExistsProj, AtMost]
@@ -326,7 +327,8 @@ def operators_used(c: DlrConcept) -> frozenset[type]:
     while stack:
         node = stack.pop()
         seen.add(type(node))
-        stack.extend(v for v in vars(node).values() if is_dataclass(v))
+        stack.extend(v for v in map(node.__getattribute__, node._fields)
+                     if isinstance(v, Node))
     return frozenset(seen)
 
 

@@ -35,14 +35,15 @@ checker accepts both (single-variable atoms are simply unary leaves here).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
 from .errors import ArityError, VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
+                     ForallBlock, Formula, Implies, Node, Not, Or, Top, Vocabulary,
                      check_atom, children, compiled)
+
+_set = object.__setattr__  # how an __init__ sets a field of its node
 
 
 class FragmentId(Enum):
@@ -62,20 +63,22 @@ class ViolationKind(Enum):
     ARITY = "ARITY"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    path: tuple[int, ...]
-    message: str
+class Violation(Node):
+    __slots__ = ("kind", "path", "message")
+
+    def __init__(self, kind: ViolationKind, path: tuple[int, ...], message: str):
+        _set(self, "kind", kind)
+        _set(self, "path", path)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    verdict: bool
-    violations: tuple[Violation, ...]
+class Diagnostic(Node):
+    __slots__ = ("verdict", "violations")
 
-    def __post_init__(self):
-        assert self.verdict == (not self.violations)
+    def __init__(self, verdict: bool, violations: tuple[Violation, ...]):
+        _set(self, "verdict", verdict)
+        _set(self, "violations", violations)
+        assert verdict == (not violations)
 
     def to_doc(self) -> dict:
         return {

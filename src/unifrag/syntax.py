@@ -23,15 +23,19 @@ every walker of the package handles; a taller tree built in code, such as
 a translation, may make one raise RecursionError and its text unparsable.
 
 Variables are plain strings; distinct names denote distinct variables.
-All AST nodes are immutable and safe to share across threads.
+The AST nodes of the three grammars, :class:`Vocabulary` and the fragment
+checker's reports share one base, :class:`Node`: slotted records that are
+immutable and safe to share across threads, built by a plain ``__init__``
+per class, with ``==``, ``hash`` and ``repr`` over their fields.  ``==``
+and ``repr`` walk a tree of any height without recursing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import partial, reduce, wraps
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, VocabularyError
@@ -56,21 +60,143 @@ DEFAULT_CELL_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
+# Node base
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__  # how an __init__ sets a field of its node
+
+
+class Node:
+    """Base of the package's immutable records: the formula, DL and DLR AST
+    nodes, :class:`Vocabulary` and the fragment checker's reports.
+
+    A subclass names its fields in ``__slots__`` and sets each in its own
+    ``__init__`` with ``object.__setattr__``, after the checks of its
+    arguments; ``_fields`` lists the fields of the class and its bases in
+    order.  A field holds a node, a tuple of nodes, or a value that holds no
+    node, and cannot be assigned or deleted afterwards.  Nodes take weak
+    references.
+
+    Two nodes are equal if they are of the same class and their fields are
+    equal, so ``And(a, b) != Or(a, b)``.  ``==`` walks the nodes and tuples
+    of both sides on an explicit stack and ``repr`` builds its text on one,
+    so no nesting makes either raise RecursionError; ``repr`` prints
+    ``Atom(rel='P', args=('x',))``.  ``hash`` is that of the tuple of the
+    fields, and a copy is built again by the class's ``__init__``."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        get = attrgetter(*fields) if fields else None
+        # ``_values(node)``: the tuple of the node's fields, read in C
+        cls._values = get if len(fields) > 1 else partial(_one_value, get)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or not isinstance(a, Node):
+                if a != b:  # so are two nodes of two classes, at once
+                    return False
+                continue
+            for x, y in zip(a._values(a), b._values(b)):
+                if isinstance(x, Node):
+                    stack.append((x, y))
+                elif type(x) is tuple and x and isinstance(x[0], Node):
+                    if type(y) is not tuple or len(x) != len(y):
+                        return False
+                    stack += zip(x, y)
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:  # text to print: _piece turns values into it
+                out.append(x)
+                continue
+            if type(x) is tuple:
+                parts, sep = ["("], ""
+                for v in x:
+                    parts += sep, _piece(v)
+                    sep = ", "
+                parts.append(",)" if len(x) == 1 else ")")
+            else:
+                parts, sep = [type(x).__qualname__ + "("], ""
+                for f, v in zip(x._fields, x._values(x)):
+                    parts += f"{sep}{f}=", _piece(v)
+                    sep = ", "
+                parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+def _one_value(get, node) -> tuple:
+    """The tuple of the fields of a node with one field, which ``get``
+    reads, or with none."""
+    return () if get is None else (get(node),)
+
+
+def _piece(v):
+    """A field value as :meth:`Node.__repr__` stacks it: a node or a tuple,
+    to be walked, or else the text of its repr."""
+    return v if isinstance(v, Node) or type(v) is tuple else repr(v)
+
+
+class UnaryNode(Node):
+    """A node of one field, ``body``."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, body):
+        _set(self, "body", body)
+
+
+class BinaryNode(Node):
+    """A node of two fields, ``left`` and ``right``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+# ---------------------------------------------------------------------------
 # Vocabulary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Node):
     """Finite relational vocabulary: a map from relation name to arity.
 
     Equality is built in and the name ``=`` is therefore rejected.
     """
 
-    symbols: Mapping[str, int]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", dict(self.symbols))
-        for name, arity in self.symbols.items():
+    def __init__(self, symbols: Mapping[str, int]):
+        symbols = dict(symbols)
+        for name, arity in symbols.items():
             if name == "=":
                 raise VocabularyError("'=' is reserved for built-in equality")
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
@@ -82,6 +208,7 @@ class Vocabulary:
             # followed by '(' as a relation
             if not NAME_RE.fullmatch(name):
                 raise VocabularyError(f"invalid relation name {name!r}")
+        _set(self, "symbols", symbols)
 
     def arity(self, name: str) -> int:
         try:
@@ -131,100 +258,83 @@ def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extr
 # Formula AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Bottom(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom:
-    rel: str
-    args: tuple[str, ...]
+class Atom(Node):
+    __slots__ = ("rel", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.args:
+    def __init__(self, rel: str, args: tuple[str, ...]):
+        args = tuple(args)
+        if not args:
             raise ValueError("atoms take at least one argument (arity >= 1)")
+        _set(self, "rel", rel)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Equals:
-    left: str
-    right: str
+class Equals(BinaryNode):  # of two variables
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(UnaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(BinaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(BinaryNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(BinaryNode):
+    __slots__ = ()
 
 
-def _check_block_vars(vars: tuple[str, ...]):
-    if not vars:
-        raise ValueError("quantifier block needs at least one variable")
-    if len(set(vars)) != len(vars):
-        raise ValueError(f"duplicate variable in quantifier block: {vars}")
+class _Block(Node):
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: tuple[str, ...], body: "Formula"):
+        vars = tuple(vars)
+        if not vars:
+            raise ValueError("quantifier block needs at least one variable")
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"duplicate variable in quantifier block: {vars}")
+        _set(self, "vars", vars)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class ExistsBlock:
-    vars: tuple[str, ...]
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        _check_block_vars(self.vars)
+class ExistsBlock(_Block):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForallBlock:
-    vars: tuple[str, ...]
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        _check_block_vars(self.vars)
+class ForallBlock(_Block):
+    __slots__ = ()
 
 
 COUNT_COMPARATORS = (">=", "<=", "=")
 
 
-@dataclass(frozen=True)
-class CountExists:
+class CountExists(Node):
     """Counting quantifier over a single variable: E[cmp k] x. body."""
 
-    cmp: str
-    bound: int
-    var: str
-    body: "Formula"
+    __slots__ = ("cmp", "bound", "var", "body")
 
-    def __post_init__(self):
-        if self.cmp not in COUNT_COMPARATORS:
-            raise ValueError(f"comparator must be one of {COUNT_COMPARATORS}, got {self.cmp!r}")
-        if self.bound < 0:
+    def __init__(self, cmp: str, bound: int, var: str, body: "Formula"):
+        if cmp not in COUNT_COMPARATORS:
+            raise ValueError(f"comparator must be one of {COUNT_COMPARATORS}, got {cmp!r}")
+        if bound < 0:
             raise ValueError("counting bound must be >= 0")
+        _set(self, "cmp", cmp)
+        _set(self, "bound", bound)
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
 Formula = Union[Top, Bottom, Atom, Equals, Not, And, Or, Implies,
@@ -308,11 +418,16 @@ def infer_vocabulary(f: Formula) -> Vocabulary:
 # Lexer
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):  # a tuple builds faster than a frozen dataclass
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
+
+
+# a token from the tuple of its fields, without the NamedTuple's Python-level
+# __new__, which costs as much again
+_token = partial(tuple.__new__, _Token)
 
 
 # the last four token kinds only occur in the DL/DLR grammars
@@ -342,10 +457,10 @@ def _tokens(text: str) -> Iterator[_Token]:
             line += 1
             line_start = m.end()
         elif kind != "WS":
-            yield _Token(kind, m.group(), line, m.start() - line_start + 1)
+            yield _token((kind, m.group(), line, m.start() - line_start + 1))
             if kind == "BAD":
                 return
-    yield _Token("EOF", "", line, len(text) - line_start + 1)
+    yield _token(("EOF", "", line, len(text) - line_start + 1))
 
 
 # Deepest nesting a parser accepts, of the recursive productions in the

@@ -64,6 +64,14 @@ def test_each_subcommand_imports_only_what_it_uses():
     command = _python("-m", "unifrag.cli", "parse", "-e", "P(x)")
     assert (command.stdout, command.stderr) == ("P(x)\n", "")
     assert set(unifrag.__all__) <= set(dir(unifrag))
+    # parse and check load neither dataclasses nor the inspect module it
+    # imports, unless the bare interpreter does
+    heavy = "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    bare = _python("-c", f"import sys\n{heavy}").stdout
+    for argv in (["parse", "-e", "P(x)"],
+                 ["check", "--fragment", "fu1", "-e", "E x y. (R(x,y) & ~R(y,z))"]):
+        run = _python("-c", f"import sys\nfrom unifrag import cli\ncli.run({argv!r})\n{heavy}")
+        assert run.stdout.splitlines()[-1] == bare.strip(), argv
 
 
 def _scan(path: Path, defined: list, used: dict) -> None:

@@ -1,18 +1,19 @@
+import copy
 import random
-from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
-                     ParseError, Top, Vocabulary, free_variables,
-                     infer_vocabulary, parse_formula, print_formula,
+                     ParseError, Top, Vocabulary, VocabularyError, check_fragment,
+                     free_variables, infer_vocabulary, parse_formula, print_formula,
                      validate_formula)
+from unifrag import dl, dlr
 from unifrag.fragments import FragmentId
 from unifrag.dl import _DlParser, parse_concept, print_concept
 from unifrag.dlr import _DlrParser, parse_dlr_concept, print_dlr_concept
-from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies,
+from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies, Node, Or,
                             _FormulaParser, _tokens, fold)
 
 from strategies import VOCAB, gen_any_formula, gen_formula
@@ -278,9 +279,9 @@ def test_expected_errors_name_what_they_found(parse, text, message):
 
 def tree_height(node) -> int:
     """Levels of AST nodes on the longest root-to-leaf path."""
-    parts = [getattr(node, f.name) for f in fields(node)]
+    parts = [getattr(node, f) for f in node._fields]
     parts = [q for p in parts for q in (p if isinstance(p, tuple) else (p,))]
-    return 1 + max((tree_height(p) for p in parts if is_dataclass(p)), default=0)
+    return 1 + max((tree_height(p) for p in parts if isinstance(p, Node)), default=0)
 
 
 def _chain_levels(op: str, n: int) -> int:
@@ -339,3 +340,91 @@ def test_parsed_trees_are_as_tall_as_the_parser_counts(grammar, seed):
     assert counted <= MAX_NESTING
     assert tree_height(tree) <= counted
     assert parse(show(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# The node base
+# ---------------------------------------------------------------------------
+
+# One term or record of each node class of the three grammars and of the
+# checker, and its repr: the class name, then each field as name=repr.
+REPRS = [
+    (lambda: parse_formula("(E x y. (R(x,y) & ~x = y) | A z. (true -> E[>=2] w. false))"),
+     "Or(left=ExistsBlock(vars=('x', 'y'), body=And(left=Atom(rel='R', args=('x', 'y')), "
+     "right=Not(body=Equals(left='x', right='y')))), right=ForallBlock(vars=('z',), "
+     "body=Implies(left=Top(), right=CountExists(cmp='>=', bound=2, var='w', body=Bottom()))))"),
+    (lambda: Vocabulary({"R": 2, "P": 1}), "Vocabulary(symbols={'R': 2, 'P': 1})"),
+    (lambda: parse_concept("(exists perm[2,1](~R & eps).(top) & ~A)"),
+     "AndC(left=ExistsRole(role=Apply(srj=Surjection(map=(2, 1)), role=AndRole("
+     "left=NotRole(role=AtomicRole(name='R')), right=Epsilon())), args=(TopC(),)), "
+     "right=NotC(body=AtomicConcept(name='A')))"),
+    (lambda: parse_dlr_concept("(exists (R|$1,$2 u (eps o ($1/2:top1)|$2,$1))* . A & "
+                               "(exists[$1] (top3 & ~T) & (<=0 [$2] R)))"),
+     "AndC(left=ExistsE(rel=Star(body=UnionE(left=Proj(role=AtomicRole(name='R'), i=1, j=2), "
+     "right=Comp(left=Epsilon(), right=Proj(role=Sel(i=1, n=2, concept=TopC()), i=2, j=1)))), "
+     "concept=AtomicConcept(name='A')), right=AndC(left=ExistsProj(i=1, role=AndRole("
+     "left=TopN(n=3), right=NotRole(role=AtomicRole(name='T')))), "
+     "right=AtMost(k=0, i=2, role=AtomicRole(name='R'))))"),
+    (lambda: check_fragment(parse_formula("E x y z. (R(x,y) & R(y,z))"), FragmentId.FU1),
+     "Diagnostic(verdict=False, violations=(Violation(kind=<ViolationKind.UNIFORMITY: "
+     "'UNIFORMITY'>, path=(0, 0), message='atom R has variable set {x,y} but the block also "
+     "uses {y,z}'), Violation(kind=<ViolationKind.UNIFORMITY: 'UNIFORMITY'>, path=(0, 1), "
+     "message='atom R has variable set {y,z} but the block also uses {x,y}')))"),
+]
+
+
+@pytest.mark.parametrize("make, text", REPRS, ids=["fo", "vocabulary", "dl", "dlr", "diagnostic"])
+def test_node_repr_equality_and_copies(make, text):
+    node, again = make(), make()
+    assert repr(node) == text
+    assert node is not again and node == again and not node != again
+    assert isinstance(node, Vocabulary) or hash(node) == hash(again)  # a dict is unhashable
+    duplicate = copy.deepcopy(node)
+    assert duplicate is not node and duplicate == node and repr(duplicate) == text
+
+
+def test_nodes_of_two_classes_with_equal_fields_differ():
+    a, b = Atom("P", ("x",)), Atom("Q", ("x",))
+    assert And(a, b) != Or(a, b) and not And(a, b) == Or(a, b)
+    assert And(a, b) == And(Atom("P", ["x"]), b) and hash(And(a, b)) == hash(And(a, b))
+    assert And(a, b) != And(b, a) and And(a, b) != (a, b)
+    assert len({And(a, b), Or(a, b), And(a, b)}) == 2
+
+
+def test_nodes_refuse_assignment():
+    node = parse_concept("exists R.(A)")
+    for target in (node, node.role, Vocabulary({"R": 2})):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            target.name = "S"
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            del target.__slots__
+    assert node == parse_concept("exists R.(A)")
+
+
+# Each constructor check, on arguments that break two of them where it has
+# two: the message of the one made first.
+CHECKS = [
+    (lambda: CountExists("<", -1, "x", Top()), "comparator must be one of ('>=', '<=', '='), got '<'"),
+    (lambda: CountExists("=", -1, "x", Top()), "counting bound must be >= 0"),
+    (lambda: ExistsBlock([], Top()), "quantifier block needs at least one variable"),
+    (lambda: ExistsBlock(["x", "x"], Top()), "duplicate variable in quantifier block: ('x', 'x')"),
+    (lambda: Atom("P", []), "atoms take at least one argument (arity >= 1)"),
+    (lambda: Vocabulary({"=": 0}), "'=' is reserved for built-in equality"),
+    (lambda: Vocabulary({"R": 99}), f"arity 99 of 'R' exceeds the limit of {MAX_ARITY}"),
+    (lambda: dl.Surjection([1]), "coordinate maps need source arity >= 2"),
+    (lambda: dl.Surjection([1, 3]), "map (1, 3) is not onto 1..3"),
+    (lambda: dl.ExistsRole(dl.AtomicRole("R"), []),
+     "n-ary existential needs at least one argument concept"),
+    (lambda: dlr.Sel(0, 99, dl.TopC()), "selection needs 1 <= i <= n and n >= 2, got i=0, n=99"),
+    (lambda: dlr.TopN(99), f"top relation arity 99 exceeds the limit of {MAX_ARITY}"),
+    (lambda: dlr.Proj(dl.AtomicRole("R"), 0, 1), "projection indices are 1-based"),
+    (lambda: dlr.AtMost(-1, 0, dl.AtomicRole("R")), "number restriction bound must be >= 0"),
+    (lambda: dlr.ExistsProj(0, dl.AtomicRole("R")), "position index is 1-based"),
+]
+
+
+@pytest.mark.parametrize("make, message", CHECKS)
+def test_constructor_checks_keep_their_messages_and_order(make, message):
+    with pytest.raises((ValueError, VocabularyError)) as e:
+        make()
+    assert str(e.value) == message

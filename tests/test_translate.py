@@ -540,6 +540,18 @@ def _through_the_fo_layers(f):
     return satisfaction_set(_DEEP_STRUCTURE, f).elements
 
 
+def test_the_translation_of_the_deepest_dl_concept_compares_hashes_and_prints():
+    # dl_to_fu1 of the deepest DL concept is about 400 levels tall, twice
+    # what the parsers accept; its twin differs only in the innermost leaf
+    vocab = Vocabulary({"R": 2, "A": 1})
+    f, g, twin = (dl_to_fu1(dl.parse_concept("exists R.(" * 199 + leaf + ")" * 199), vocab)
+                  for leaf in ("A", "A", "top"))
+    assert f is not g and f == g and not f != g and hash(f) == hash(g)
+    assert f != twin and not f == twin
+    assert repr(f) == repr(g) != repr(twin)
+    assert repr(f).count("ExistsBlock(") == 199 and repr(f).count("(") > 800
+
+
 def test_the_deepest_accepted_input_runs_through_every_layer():
     s, vocab = _DEEP_STRUCTURE, _DEEP_STRUCTURE.vocabulary
     f = parse_formula(_deepest(lambda k: "~" * k + "P(x)", parse_formula))
