@@ -36,9 +36,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import FragmentGateError, LogicError, ParseError
-from .fragments import FragmentId, check_fragment
-from .syntax import (DEFAULT_CELL_LIMIT, TOPN_MODES, Vocabulary, free_variables,
-                     infer_vocabulary, parse_formula, print_formula)
+from .syntax import (DEFAULT_CELL_LIMIT, TOPN_MODES, FragmentId, Vocabulary,
+                     free_variables, infer_vocabulary, parse_formula, print_formula)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -120,6 +119,7 @@ def _cmd_parse(args, rep: _Reporter) -> int:
 
 
 def _cmd_check(args, rep: _Reporter) -> int:
+    from .fragments import check_fragment
     vocab = _load_vocab(args.vocab)
     f = parse_formula(_read_input(args), vocab)
     frag = FRAGMENTS[args.fragment]

@@ -54,9 +54,7 @@ from typing import Callable, Optional, Union
 
 from .errors import VocabularyError
 from .structures import Structure
-from .syntax import BinaryNode, Node, TokenParser, UnaryNode, Vocabulary, compiled, nested
-
-_set = object.__setattr__  # how an __init__ sets a field of its node
+from .syntax import Node, TokenParser, Vocabulary, compiled, nested
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
@@ -79,7 +77,7 @@ class Surjection(Node):
             raise ValueError("coordinate maps need target arity >= 2")
         if min(map) < 1 or len(set(map)) != m:  # every value is <= m
             raise ValueError(f"map {map} is not onto 1..{m}")
-        _set(self, "map", map)
+        self._set_fields(map)
 
     @property
     def source(self) -> int:
@@ -90,15 +88,8 @@ class Surjection(Node):
         return max(self.map)
 
 
-class _Named(Node):
+class AtomicRole(Node):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-
-class AtomicRole(_Named):
-    __slots__ = ()
 
 
 class Epsilon(Node):
@@ -106,22 +97,20 @@ class Epsilon(Node):
 
 
 class NotRole(Node):
+    """~role: the complement of ``role`` within the tuples of its arity."""
+
     __slots__ = ("role",)
 
-    def __init__(self, role: "RoleTerm"):
-        _set(self, "role", role)
 
-
-class AndRole(BinaryNode):
-    __slots__ = ()
+class AndRole(Node):
+    __slots__ = ("left", "right")
 
 
 class Apply(Node):
-    __slots__ = ("srj", "role")
+    """perm[...] role: ``role`` under the coordinate map ``srj``, a
+    :class:`Surjection`."""
 
-    def __init__(self, srj: Surjection, role: "RoleTerm"):
-        _set(self, "srj", srj)
-        _set(self, "role", role)
+    __slots__ = ("srj", "role")
 
 
 RoleTerm = Union[AtomicRole, Epsilon, NotRole, AndRole, Apply]
@@ -131,20 +120,20 @@ RoleTerm = Union[AtomicRole, Epsilon, NotRole, AndRole, Apply]
 # Concepts
 # ---------------------------------------------------------------------------
 
-class AtomicConcept(_Named):
-    __slots__ = ()
+class AtomicConcept(Node):
+    __slots__ = ("name",)
 
 
 class TopC(Node):
     __slots__ = ()
 
 
-class NotC(UnaryNode):
-    __slots__ = ()
+class NotC(Node):
+    __slots__ = ("body",)
 
 
-class AndC(BinaryNode):
-    __slots__ = ()
+class AndC(Node):
+    __slots__ = ("left", "right")
 
 
 class ExistsRole(Node):
@@ -154,8 +143,7 @@ class ExistsRole(Node):
         args = tuple(args)
         if not args:
             raise ValueError("n-ary existential needs at least one argument concept")
-        _set(self, "role", role)
-        _set(self, "args", args)
+        self._set_fields(role, args)
 
 
 Concept = Union[AtomicConcept, TopC, NotC, AndC, ExistsRole]

@@ -69,10 +69,7 @@ from .dl import (AndRole as AndR, Epsilon as Eps, NotRole as NotR, TopC as Top1,
                  or_concept as or_dlr)
 from .errors import ArityError, ParseError, StructureError
 from .structures import Structure
-from .syntax import (MAX_ARITY, TOPN_MODES, BinaryNode, Node, TokenParser, UnaryNode,
-                     Vocabulary, compiled, nested)
-
-_set = object.__setattr__  # how an __init__ sets a field of its node
+from .syntax import MAX_ARITY, TOPN_MODES, Node, TokenParser, Vocabulary, compiled, nested
 
 
 def check_topn_mode(topn: str) -> None:
@@ -100,7 +97,7 @@ class TopN(Node):
         if n < 2:
             raise ValueError("top_n needs n >= 2")
         _check_top_arity(n)
-        _set(self, "n", n)
+        self._set_fields(n)
 
 
 class Sel(Node):
@@ -112,9 +109,7 @@ class Sel(Node):
         if not (2 <= n and 1 <= i <= n):
             raise ValueError(f"selection needs 1 <= i <= n and n >= 2, got i={i}, n={n}")
         _check_top_arity(n)
-        _set(self, "i", i)
-        _set(self, "n", n)
-        _set(self, "concept", concept)
+        self._set_fields(i, n, concept)
 
 
 DlrRole = Union[TopN, AtomicRole, Sel, NotR, AndR]
@@ -128,32 +123,28 @@ class Proj(Node):
     def __init__(self, role: DlrRole, i: int, j: int):
         if i < 1 or j < 1:
             raise ValueError("projection indices are 1-based")
-        _set(self, "role", role)
-        _set(self, "i", i)
-        _set(self, "j", j)
+        self._set_fields(role, i, j)
 
 
-class Comp(BinaryNode):
-    __slots__ = ()
+class Comp(Node):
+    __slots__ = ("left", "right")
 
 
-class UnionE(BinaryNode):
-    __slots__ = ()
+class UnionE(Node):
+    __slots__ = ("left", "right")
 
 
-class Star(UnaryNode):
-    __slots__ = ()
+class Star(Node):
+    __slots__ = ("body",)
 
 
 DlrBinRel = Union[Eps, Proj, Comp, UnionE, Star]
 
 
 class ExistsE(Node):
-    __slots__ = ("rel", "concept")
+    """exists rel . concept: elements with a ``rel``-successor in ``concept``."""
 
-    def __init__(self, rel: DlrBinRel, concept: "DlrConcept"):
-        _set(self, "rel", rel)
-        _set(self, "concept", concept)
+    __slots__ = ("rel", "concept")
 
 
 class ExistsProj(Node):
@@ -164,8 +155,7 @@ class ExistsProj(Node):
     def __init__(self, i: int, role: DlrRole):
         if i < 1:
             raise ValueError("position index is 1-based")
-        _set(self, "i", i)
-        _set(self, "role", role)
+        self._set_fields(i, role)
 
 
 class AtMost(Node):
@@ -178,9 +168,7 @@ class AtMost(Node):
             raise ValueError("number restriction bound must be >= 0")
         if i < 1:
             raise ValueError("position index is 1-based")
-        _set(self, "k", k)
-        _set(self, "i", i)
-        _set(self, "role", role)
+        self._set_fields(k, i, role)
 
 
 DlrConcept = Union[Top1, AtomicConcept, NotC, AndC, ExistsE, ExistsProj, AtMost]
@@ -327,8 +315,7 @@ def operators_used(c: DlrConcept) -> frozenset[type]:
     while stack:
         node = stack.pop()
         seen.add(type(node))
-        stack.extend(v for v in map(node.__getattribute__, node._fields)
-                     if isinstance(v, Node))
+        stack.extend(v for v in node._values(node) if isinstance(v, Node))
     return frozenset(seen)
 
 

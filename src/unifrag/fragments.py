@@ -40,18 +40,8 @@ from typing import Iterator, Optional
 
 from .errors import ArityError, VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Node, Not, Or, Top, Vocabulary,
-                     check_atom, children, compiled)
-
-_set = object.__setattr__  # how an __init__ sets a field of its node
-
-
-class FragmentId(Enum):
-    U1_WO_EQ = "u1woeq"
-    FU1 = "fu1"
-    U1 = "u1"
-    UC1 = "uc1"
-    FO2 = "fo2"
+                     ForallBlock, Formula, FragmentId, Implies, Node, Not, Or, Top,
+                     Vocabulary, check_atom, children, compiled)
 
 
 class ViolationKind(Enum):
@@ -64,20 +54,20 @@ class ViolationKind(Enum):
 
 
 class Violation(Node):
-    __slots__ = ("kind", "path", "message")
+    """One violation: its ``kind``, a ViolationKind; the ``path`` of child
+    indices from the root to the subformula at fault; and a ``message``."""
 
-    def __init__(self, kind: ViolationKind, path: tuple[int, ...], message: str):
-        _set(self, "kind", kind)
-        _set(self, "path", path)
-        _set(self, "message", message)
+    __slots__ = ("kind", "path", "message")
 
 
 class Diagnostic(Node):
+    """The ``verdict``, true when the formula is in the fragment, and the
+    tuple of its ``violations``, empty exactly then."""
+
     __slots__ = ("verdict", "violations")
 
     def __init__(self, verdict: bool, violations: tuple[Violation, ...]):
-        _set(self, "verdict", verdict)
-        _set(self, "violations", violations)
+        self._set_fields(verdict, violations)
         assert verdict == (not violations)
 
     def to_doc(self) -> dict:

@@ -25,16 +25,15 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
 from . import dl, dlr
 from .errors import LogicError
 from .semantics import evaluate
 from .structures import Structure, disjoint_union, make_structure
-from .syntax import Formula, parse_formula, print_formula
+from .syntax import Formula, Node, parse_formula, print_formula
 
 RELATION = "R"  # the binary relation all generated structures interpret
 
@@ -76,15 +75,12 @@ def one_point_loop() -> Structure:
 # Experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Probe:
-    """A test of a structure pair: ``outcome`` reads one structure as text,
-    and ``expected`` is the pair's outcomes joined by '/', or None when
-    the pair must agree."""
+class Probe(Node):
+    """A test of a structure pair, named by its ``label``: ``outcome`` reads
+    one structure as text, and ``expected`` is the pair's outcomes joined
+    by '/', or None when the pair must agree."""
 
-    label: str
-    outcome: Callable[[Structure], str]
-    expected: Optional[str]
+    __slots__ = ("label", "outcome", "expected")
 
 
 def _sentence(f: Formula, expected: Optional[str] = None) -> Probe:
@@ -103,26 +99,25 @@ def _coverage(c: dlr.DlrConcept, s: Structure) -> str:
     return "empty" if not ext else "partial"
 
 
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    provenance: str
-    structures: tuple[Structure, Structure]
-    probes: tuple[Probe, ...]
+class Experiment(Node):
+    """An experiment, by ``name``: the ``provenance`` of its claim, the pair
+    of ``structures`` it compares, and the tuple of ``probes`` run on them."""
+
+    __slots__ = ("name", "provenance", "structures", "probes")
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    label: str
-    expected: str
-    actual: str
-    passed: bool
+class ProbeResult(Node):
+    """A probe's ``label``, its ``expected`` outcome ('agree' when the pair
+    must agree), the ``actual`` outcomes joined by '/', and whether it
+    ``passed``."""
+
+    __slots__ = ("label", "expected", "actual", "passed")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    name: str
-    probes: tuple[ProbeResult, ...]
+class ExperimentResult(Node):
+    """An experiment's ``name`` and the tuple of its ``probes``' results."""
+
+    __slots__ = ("name", "probes")
 
     @property
     def passed(self) -> bool:
@@ -146,42 +141,41 @@ def separation_experiments() -> list[Experiment]:
     loop = one_point_loop()
     experiments = [
         Experiment(
-            name="clique-edge-cover",
-            provenance="an element on every edge separates the 2-clique "
-                       "from the 3-clique, though the two-pebble game cannot",
-            structures=(gen_clique(2), gen_clique(3)),
-            probes=(_sentence(edge_cover, "True/False"),),
+            "clique-edge-cover",
+            "an element on every edge separates the 2-clique "
+            "from the 3-clique, though the two-pebble game cannot",
+            (gen_clique(2), gen_clique(3)),
+            (_sentence(edge_cover, "True/False"),),
         ),
         Experiment(
-            name="cycles-triangle",
-            provenance="four 3-cycles and three 4-cycles (equal cardinality) "
-                       "disagree on the triangle sentence but are expected to "
-                       "agree on every uniform one-dimensional sentence",
-            structures=(disjoint_copies(gen_directed_cycle(3), 4),
-                        disjoint_copies(gen_directed_cycle(4), 3)),
-            probes=(_sentence(triangle, "True/False"),) + corpus,
+            "cycles-triangle",
+            "four 3-cycles and three 4-cycles (equal cardinality) "
+            "disagree on the triangle sentence but are expected to "
+            "agree on every uniform one-dimensional sentence",
+            (disjoint_copies(gen_directed_cycle(3), 4),
+             disjoint_copies(gen_directed_cycle(4), 3)),
+            (_sentence(triangle, "True/False"),) + corpus,
         ),
         Experiment(
-            name="prop2-disjoint-copies",
-            provenance="a reflexive point and its disjoint double: free role "
-                       "negation is not closed under disjoint copies",
-            structures=(loop, disjoint_union(loop, loop)),
-            probes=(_sentence(some_non_edge, "False/True"),
-                    Probe(dl.print_concept(negated_role_witness),
-                          partial(_nonempty, negated_role_witness), "nonempty/empty")),
+            "prop2-disjoint-copies",
+            "a reflexive point and its disjoint double: free role "
+            "negation is not closed under disjoint copies",
+            (loop, disjoint_union(loop, loop)),
+            (_sentence(some_non_edge, "False/True"),
+             Probe(dl.print_concept(negated_role_witness),
+                   partial(_nonempty, negated_role_witness), "nonempty/empty")),
         ),
     ]
     for k in (2, 3):
         restriction = dlr.AtMost(k - 1, 2, dlr.AtomicRole(RELATION))
         experiments.append(Experiment(
-            name=f"cliques-count-k{k}",
-            provenance=f"{k + 1} copies of the {k}-clique against {k} copies "
-                       f"of the {k + 1}-clique: an in-degree restriction "
-                       f"separates them, uniform sentences are expected not to",
-            structures=(disjoint_copies(gen_clique(k), k + 1),
-                        disjoint_copies(gen_clique(k + 1), k)),
-            probes=(Probe(dlr.print_dlr_concept(restriction), partial(_coverage, restriction),
-                          "full/empty"),) + corpus,
+            f"cliques-count-k{k}",
+            f"{k + 1} copies of the {k}-clique against {k} copies "
+            f"of the {k + 1}-clique: an in-degree restriction "
+            f"separates them, uniform sentences are expected not to",
+            (disjoint_copies(gen_clique(k), k + 1), disjoint_copies(gen_clique(k + 1), k)),
+            (Probe(dlr.print_dlr_concept(restriction), partial(_coverage, restriction),
+                   "full/empty"),) + corpus,
         ))
     return experiments
 

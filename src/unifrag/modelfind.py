@@ -33,7 +33,6 @@ change any outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -43,7 +42,7 @@ from .errors import CellLimitError, CircuitLimitError, EvalError, LogicError
 from .semantics import block_parts, evaluate
 from .structures import Structure
 from .syntax import (DEFAULT_CELL_LIMIT, And, Atom, Bottom, CountExists, Equals,
-                     ExistsBlock, ForallBlock, Formula, Implies, Not, Or, Top,
+                     ExistsBlock, ForallBlock, Formula, Implies, Node, Not, Or, Top,
                      Vocabulary, check_atom, free_variables)
 
 # ground circuit nodes at the largest size (before folding), and sizes searched
@@ -54,18 +53,14 @@ Lit = Union[tuple[int, bool], bool]
 Ground = Callable[["Circuit", dict], Lit]  # a grounder closure, see ``grounder``
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Outcome of a bounded search.  ``model`` is None when no structure of
-    size up to ``bound`` satisfies the sentence.  ``nodes_examined`` counts
-    one node per domain size searched plus one per decision tried (a cell
-    set by branching, not by forcing)."""
+class SearchReport(Node):
+    """Outcome of a bounded search for a model of ``sentence``, which took
+    ``elapsed_seconds``.  ``model`` is None when no structure of size up to
+    ``bound`` satisfies the sentence.  ``nodes_examined`` counts one node
+    per domain size searched plus one per decision tried (a cell set by
+    branching, not by forcing)."""
 
-    sentence: Formula
-    bound: int
-    model: Optional[Structure]
-    nodes_examined: int
-    elapsed_seconds: float
+    __slots__ = ("sentence", "bound", "model", "nodes_examined", "elapsed_seconds")
 
     @property
     def found(self) -> bool:

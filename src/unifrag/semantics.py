@@ -20,27 +20,25 @@ assignment: each call passes its structure and a copy of its assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from .errors import EvalError, LogicError
 from .structures import Structure
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
-                     ForallBlock, Formula, Implies, Not, Or, Top, Vocabulary,
+                     ForallBlock, Formula, Implies, Node, Not, Or, Top, Vocabulary,
                      check_atom, compiled, free_variables, validate_formula)
 
 Assignment = Mapping[str, str]
 Test = Callable[[Structure, dict], bool]
 
 
-@dataclass(frozen=True)
-class SatisfactionSet:
-    """The subset of the domain a formula with at most one free variable
-    carves out; for sentences this is the whole domain or nothing."""
+class SatisfactionSet(Node):
+    """The ``elements``, a frozenset, of the domain that ``formula``, with
+    at most one free variable, carves out; for sentences this is the whole
+    domain or nothing."""
 
-    formula: Formula
-    elements: frozenset[str]
+    __slots__ = ("formula", "elements")
 
 
 def _check_inputs(s: Structure, a: Assignment, f: Formula):

@@ -13,37 +13,35 @@ Structures are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .errors import StructureError, VocabularyError
-from .syntax import Vocabulary
+from .syntax import Node, Vocabulary
 
 # Separator appended by disjoint_union when tagging element copies.
 COPY_SEP = "#"
 
 
-@dataclass(frozen=True)
-class Structure:
-    """Finite interpretation: ordered domain plus one tuple-set per symbol."""
+class Structure(Node):
+    """Finite interpretation: ``domain``, a tuple of distinct element names
+    in order; ``relations``, a dict from each symbol of the vocabulary to
+    the frozenset of its tuples; and ``vocabulary``, a Vocabulary.  It is
+    not hashable, since ``relations`` is a dict."""
 
-    domain: tuple[str, ...]
-    relations: Mapping[str, frozenset[tuple[str, ...]]]
-    vocabulary: Vocabulary
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("domain", "relations", "vocabulary", "_indexes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if not self.domain:
+    def __init__(self, domain: Iterable[str], relations: Mapping, vocabulary: Vocabulary):
+        domain = tuple(domain)
+        if not domain:
             raise StructureError("domain must be nonempty")
-        elems = set(self.domain)
-        if len(elems) != len(self.domain):
+        elems = set(domain)
+        if len(elems) != len(domain):
             raise StructureError("domain contains duplicate elements")
         rels: dict[str, frozenset[tuple[str, ...]]] = {}
-        for name, tuples in self.relations.items():
-            if name not in self.vocabulary:
+        for name, tuples in relations.items():
+            if name not in vocabulary:
                 raise StructureError(f"relation {name!r} is not declared in the vocabulary")
-            arity = self.vocabulary.arity(name)
+            arity = vocabulary.arity(name)
             frozen = frozenset({tuple(t): None for t in tuples})  # from a dict, sized once
             for t in frozen:
                 if len(t) != arity:
@@ -56,9 +54,10 @@ class Structure:
                             f"tuple component {component!r} of relation {name!r} "
                             f"is not a domain element")
             rels[name] = frozen
-        for name in self.vocabulary.symbols:
+        for name in vocabulary.symbols:
             rels.setdefault(name, frozenset())
-        object.__setattr__(self, "relations", rels)
+        self._set_fields(domain, rels, vocabulary)
+        object.__setattr__(self, "_indexes", {})  # see index
 
     def index(self, name: str, pos: int) -> dict[tuple[str, ...], tuple[str, ...]]:
         """The components at ``pos`` of ``name``'s tuples, keyed by the others; built once."""

@@ -23,16 +23,17 @@ every walker of the package handles; a taller tree built in code, such as
 a translation, may make one raise RecursionError and its text unparsable.
 
 Variables are plain strings; distinct names denote distinct variables.
-The AST nodes of the three grammars, :class:`Vocabulary` and the fragment
-checker's reports share one base, :class:`Node`: slotted records that are
-immutable and safe to share across threads, built by a plain ``__init__``
-per class, with ``==``, ``hash`` and ``repr`` over their fields.  ``==``
-and ``repr`` walk a tree of any height without recursing.
+The AST nodes of the three grammars and every other record of the package
+share one base, :class:`Node`: slotted records that are immutable and safe
+to share across threads, built from positional arguments, with ``==``,
+``hash`` and ``repr`` over their fields.  ``==`` and ``repr`` walk a tree
+of any height without recursing.
 """
 
 from __future__ import annotations
 
 import re
+from enum import Enum
 from functools import partial, reduce, wraps
 from itertools import islice
 from operator import attrgetter
@@ -53,29 +54,35 @@ MAX_DIGITS = 18
 
 # Stated here, where the command line's parser can read them without loading
 # the modules that use them: the ways of reading DLR's top relations (see
-# :mod:`unifrag.dlr`), and the default limit on interpretation cells of
-# :func:`unifrag.modelfind.find_model`.
+# :mod:`unifrag.dlr`), the default limit on interpretation cells of
+# :func:`unifrag.modelfind.find_model`, and the fragments of :mod:`unifrag.fragments`.
 TOPN_MODES = ("delta", "explicit")
 DEFAULT_CELL_LIMIT = 64
+
+
+class FragmentId(Enum):
+    U1_WO_EQ = "u1woeq"
+    FU1 = "fu1"
+    U1 = "u1"
+    UC1 = "uc1"
+    FO2 = "fo2"
 
 
 # ---------------------------------------------------------------------------
 # Node base
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__  # how an __init__ sets a field of its node
-
-
 class Node:
     """Base of the package's immutable records: the formula, DL and DLR AST
-    nodes, :class:`Vocabulary` and the fragment checker's reports.
+    nodes, :class:`Vocabulary`, structures, and what is computed over them.
 
-    A subclass names its fields in ``__slots__`` and sets each in its own
-    ``__init__`` with ``object.__setattr__``, after the checks of its
-    arguments; ``_fields`` lists the fields of the class and its bases in
-    order.  A field holds a node, a tuple of nodes, or a value that holds no
-    node, and cannot be assigned or deleted afterwards.  Nodes take weak
-    references.
+    A subclass names its own slots in ``__slots__``; ``_fields`` lists those
+    of the class and its bases in order, but for a slot whose name starts
+    with ``_``, which holds state.  ``_set_fields`` sets the fields, taken
+    positionally: it is the ``__init__`` of a class that adds fields and
+    defines none, and an ``__init__`` that checks its arguments calls it.  A
+    field holds a node, a tuple of nodes, or a value that holds no node, and
+    cannot be assigned or deleted afterwards.  Nodes take weak references.
 
     Two nodes are equal if they are of the same class and their fields are
     equal, so ``And(a, b) != Or(a, b)``.  ``==`` walks the nodes and tuples
@@ -88,10 +95,16 @@ class Node:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        fields = cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        own = tuple(f for f in cls.__dict__.get("__slots__", ()) if f[0] != "_")
+        fields = cls._fields = cls._fields + own
         get = attrgetter(*fields) if fields else None
         # ``_values(node)``: the tuple of the node's fields, read in C
         cls._values = get if len(fields) > 1 else partial(_one_value, get)
+        if own:
+            # the slots' own setters, which pass by the refusing __setattr__
+            cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+            cls._set_fields = _SET_FIELDS[len(fields)]
+            cls.__init__ = cls.__dict__.get("__init__", cls._set_fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -151,6 +164,46 @@ class Node:
         return type(self), self._values(self)
 
 
+# Node._set_fields of a node of one to five fields, each a plain function: a
+# loop over the fields would build a node about twice as slowly.
+
+def _set1(self, a):
+    self._setters[0](self, a)
+
+
+def _set2(self, a, b):
+    set_a, set_b = self._setters
+    set_a(self, a)
+    set_b(self, b)
+
+
+def _set3(self, a, b, c):
+    set_a, set_b, set_c = self._setters
+    set_a(self, a)
+    set_b(self, b)
+    set_c(self, c)
+
+
+def _set4(self, a, b, c, d):
+    set_a, set_b, set_c, set_d = self._setters
+    set_a(self, a)
+    set_b(self, b)
+    set_c(self, c)
+    set_d(self, d)
+
+
+def _set5(self, a, b, c, d, e):
+    set_a, set_b, set_c, set_d, set_e = self._setters
+    set_a(self, a)
+    set_b(self, b)
+    set_c(self, c)
+    set_d(self, d)
+    set_e(self, e)
+
+
+_SET_FIELDS = (None, _set1, _set2, _set3, _set4, _set5)  # by field count
+
+
 def _one_value(get, node) -> tuple:
     """The tuple of the fields of a node with one field, which ``get``
     reads, or with none."""
@@ -163,31 +216,13 @@ def _piece(v):
     return v if isinstance(v, Node) or type(v) is tuple else repr(v)
 
 
-class UnaryNode(Node):
-    """A node of one field, ``body``."""
-
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        _set(self, "body", body)
-
-
-class BinaryNode(Node):
-    """A node of two fields, ``left`` and ``right``."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-
 # ---------------------------------------------------------------------------
 # Vocabulary
 # ---------------------------------------------------------------------------
 
 class Vocabulary(Node):
-    """Finite relational vocabulary: a map from relation name to arity.
+    """Finite relational vocabulary: ``symbols`` maps each relation name to
+    its arity, a read-only dict, so that equal vocabularies hash equal.
 
     Equality is built in and the name ``=`` is therefore rejected.
     """
@@ -195,7 +230,7 @@ class Vocabulary(Node):
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: Mapping[str, int]):
-        symbols = dict(symbols)
+        symbols = _Symbols(symbols)
         for name, arity in symbols.items():
             if name == "=":
                 raise VocabularyError("'=' is reserved for built-in equality")
@@ -208,7 +243,8 @@ class Vocabulary(Node):
             # followed by '(' as a relation
             if not NAME_RE.fullmatch(name):
                 raise VocabularyError(f"invalid relation name {name!r}")
-        _set(self, "symbols", symbols)
+        symbols._hash = hash(frozenset(symbols.items()))
+        self._set_fields(symbols)
 
     def arity(self, name: str) -> int:
         try:
@@ -218,6 +254,24 @@ class Vocabulary(Node):
 
     def __contains__(self, name: str) -> bool:
         return name in self.symbols
+
+
+class _Symbols(dict):
+    """The ``symbols`` of a :class:`Vocabulary`: a dict that refuses every
+    change and hashes as its items do.  A copy is a plain dict."""
+
+    __slots__ = ("_hash",)  # set once the vocabulary has checked the symbols
+
+    def _refuse(self, *args):
+        raise TypeError("the symbols of a vocabulary cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 # Most entries of a table of :func:`compiled`; a full table is emptied.
@@ -230,26 +284,26 @@ def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extr
     """``build(term, vocab, *extra)``, kept in ``cache``, a list that each
     caller keeps for its own terms: the five fields of the entry built last,
     looked at first, and then the table of every entry kept, a dict keyed by
-    the term's id.  A hit needs the same term object (held, so that its id
-    is not reused), the same ``build``, equal ``extra`` arguments and an
-    equal vocabulary.  A table that holds ``MAX_COMPILED`` entries is
-    emptied with one ``dict.clear`` before the next goes in, so that threads
-    may share it; an error is never kept.  What is built holds no structure,
-    so that none outlives its call."""
-    # the test is spelt out twice, and compares symbols itself rather than
-    # call Vocabulary.__eq__, because a hit is the evaluators' common case
+    the term's id, the vocabulary's symbols and ``extra``.  A hit needs the same term
+    object (held, so that its id is not reused), the same ``build``, equal
+    ``extra`` arguments and an equal vocabulary.  A table that holds
+    ``MAX_COMPILED`` entries is emptied with one ``dict.clear`` before the
+    next goes in, so that threads may share it; an error is never kept.
+    What is built holds no structure, so that none outlives its call."""
+    # both tests compare symbols rather than call Vocabulary.__eq__ or hash,
+    # because a hit is the evaluators' common case
     b, t, v, e, out, table = cache
     if t is term and b is build and e == extra and (v is vocab or (
             v is not None and vocab is not None and v.symbols == vocab.symbols)):
         return out
-    b, t, v, e, out = table.get(id(term), _NO_ENTRY)
-    if t is term and b is build and e == extra and (v is vocab or (
-            v is not None and vocab is not None and v.symbols == vocab.symbols)):
+    key = id(term), None if vocab is None else vocab.symbols, extra
+    b, t, v, e, out = table.get(key, _NO_ENTRY)
+    if t is term and b is build:
         return out
     out = build(term, vocab, *extra)
     if len(table) >= MAX_COMPILED:
         table.clear()
-    table[id(term)] = entry = build, term, vocab, extra, out
+    table[key] = entry = build, term, vocab, extra, out
     cache[:] = *entry, table
     return out
 
@@ -273,28 +327,27 @@ class Atom(Node):
         args = tuple(args)
         if not args:
             raise ValueError("atoms take at least one argument (arity >= 1)")
-        _set(self, "rel", rel)
-        _set(self, "args", args)
+        self._set_fields(rel, args)
 
 
-class Equals(BinaryNode):  # of two variables
-    __slots__ = ()
+class Equals(Node):  # of two variables
+    __slots__ = ("left", "right")
 
 
-class Not(UnaryNode):
-    __slots__ = ()
+class Not(Node):
+    __slots__ = ("body",)
 
 
-class And(BinaryNode):
-    __slots__ = ()
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-class Or(BinaryNode):
-    __slots__ = ()
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-class Implies(BinaryNode):
-    __slots__ = ()
+class Implies(Node):
+    __slots__ = ("left", "right")
 
 
 class _Block(Node):
@@ -306,8 +359,7 @@ class _Block(Node):
             raise ValueError("quantifier block needs at least one variable")
         if len(set(vars)) != len(vars):
             raise ValueError(f"duplicate variable in quantifier block: {vars}")
-        _set(self, "vars", vars)
-        _set(self, "body", body)
+        self._set_fields(vars, body)
 
 
 class ExistsBlock(_Block):
@@ -331,10 +383,7 @@ class CountExists(Node):
             raise ValueError(f"comparator must be one of {COUNT_COMPARATORS}, got {cmp!r}")
         if bound < 0:
             raise ValueError("counting bound must be >= 0")
-        _set(self, "cmp", cmp)
-        _set(self, "bound", bound)
-        _set(self, "var", var)
-        _set(self, "body", body)
+        self._set_fields(cmp, bound, var, body)
 
 
 Formula = Union[Top, Bottom, Atom, Equals, Not, And, Or, Implies,

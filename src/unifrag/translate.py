@@ -20,7 +20,6 @@ trusted on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, groupby
 from typing import Callable, Iterator, Optional, Union
 
@@ -28,7 +27,7 @@ from . import dl, dlr
 from .errors import DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
-                     Formula, Implies, Not, Or, Top, Vocabulary, check_atom, fold,
+                     Formula, Implies, Node, Not, Or, Top, Vocabulary, check_atom, fold,
                      free_variables, walk)
 
 # ---------------------------------------------------------------------------
@@ -38,25 +37,22 @@ from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
 LeafAtom = Union[Atom, Equals]
 
 
-@dataclass(frozen=True)
-class Literal:
-    positive: bool
-    atom: LeafAtom
+class Literal(Node):
+    """An ``atom``, an Atom or an Equals, that is ``positive`` or negated."""
+
+    __slots__ = ("positive", "atom")
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(Node):
     """One conjunction of the distributed normal form.
 
     ``relation_literals`` all share a single variable set (the uniform
     part); ``equality_literals`` are equalities between distinct
     variables; ``unary_parts`` pairs each remaining conjunct with its free
-    variable (None for sentences).
+    variable (None for sentences).  Both kinds of literal are Literals.
     """
 
-    relation_literals: tuple[Literal, ...]
-    equality_literals: tuple[Literal, ...]
-    unary_parts: tuple[tuple[Optional[str], Formula], ...]
+    __slots__ = ("relation_literals", "equality_literals", "unary_parts")
 
     def uniform_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -65,11 +61,12 @@ class Disjunct:
         return out
 
 
-@dataclass(frozen=True)
-class DnfBlock:
-    variables: tuple[str, ...]
-    free_var: Optional[str]
-    disjuncts: tuple[Disjunct, ...]
+class DnfBlock(Node):
+    """The normal form of a block ``E variables. body``: the tuple of its
+    ``variables``; ``free_var``, its one free variable or None; and the
+    tuple of the ``disjuncts`` of its body."""
+
+    __slots__ = ("variables", "free_var", "disjuncts")
 
 
 def _leaf_vars(a: LeafAtom) -> frozenset[str]:

@@ -54,24 +54,37 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 LOADED = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'unifrag'))"
 
 
-def test_each_subcommand_imports_only_what_it_uses():
+def test_each_subcommand_imports_only_what_it_uses(tmp_path):
     parse = _python("-c", "import sys\nfrom unifrag import cli\n"
                           f"cli.run(['parse', '-e', 'P(x)'])\n{LOADED}")
     assert parse.stdout.splitlines() == ["P(x)", repr(sorted([
-        "unifrag", "unifrag.cli", "unifrag.errors", "unifrag.fragments", "unifrag.syntax"]))]
+        "unifrag", "unifrag.cli", "unifrag.errors", "unifrag.syntax"]))]
     assert _python("-c", f"import sys, unifrag\n{LOADED}").stdout == "['unifrag']\n"
     # run as a module, with no warning that the package imported it first
     command = _python("-m", "unifrag.cli", "parse", "-e", "P(x)")
     assert (command.stdout, command.stderr) == ("P(x)\n", "")
     assert set(unifrag.__all__) <= set(dir(unifrag))
-    # parse and check load neither dataclasses nor the inspect module it
-    # imports, unless the bare interpreter does
+    # no subcommand loads dataclasses nor the inspect module it imports,
+    # unless the bare interpreter does
+    model, vocab = tmp_path / "model.json", tmp_path / "vocab.json"
+    model.write_text('{"domain": ["a", "b"], "arities": {"R": 2}, '
+                     '"relations": {"R": [["a", "b"]]}}')
+    vocab.write_text('{"R": 2}')
     heavy = "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
     bare = _python("-c", f"import sys\n{heavy}").stdout
     for argv in (["parse", "-e", "P(x)"],
-                 ["check", "--fragment", "fu1", "-e", "E x y. (R(x,y) & ~R(y,z))"]):
-        run = _python("-c", f"import sys\nfrom unifrag import cli\ncli.run({argv!r})\n{heavy}")
-        assert run.stdout.splitlines()[-1] == bare.strip(), argv
+                 ["check", "--fragment", "fu1", "-e", "E x y. (R(x,y) & ~R(y,z))"],
+                 ["eval", "--model", str(model), "-e", "E x y. R(x,y)"],
+                 ["sat", "--max-size", "2", "-e", "E x. A y. ~R(x,y)"],
+                 ["translate", "--from", "fu1", "--to", "dl", "-e", "E y. R(x,y)"],
+                 ["translate", "--from", "dlr0", "--to", "fu1", "--vocab", str(vocab),
+                  "-e", "exists[$1] R"],
+                 ["lab", "run"],
+                 ["lab", "dump", "--out", str(tmp_path / "lab")]):
+        run = _python("-c", f"import sys\nfrom unifrag import cli\nprint(cli.run({argv!r}))\n"
+                            f"{heavy}")
+        code, loaded = run.stdout.splitlines()[-2:]
+        assert code in ("0", "1") and loaded == bare.strip(), argv
 
 
 def _scan(path: Path, defined: list, used: dict) -> None:

@@ -279,13 +279,32 @@ def test_each_table_is_bounded_and_frees_what_it_drops():
     for module, call, make in cases:
         first = make()
         call(first)
-        refs = [weakref.ref(first), weakref.ref(_target(module._cache[-1][id(first)][-1]))]
-        del first
+        kept = [_target(e[-1]) for e in module._cache[-1].values() if e[1] is first]
+        refs = [weakref.ref(first), *map(weakref.ref, kept)]
+        del first, kept
         for _ in range(MAX_COMPILED + 5):
             call(make())
             assert len(module._cache[-1]) <= MAX_COMPILED
         gc.collect()
         assert [r() for r in refs] == [None, None], module.__name__
+
+
+def test_a_formula_is_compiled_once_per_vocabulary(monkeypatch):
+    # one formula alternating between structures of two vocabularies
+    small = make_structure(["a"], {"P": 1}, {"P": {("a",)}})
+    large = make_structure(["a", "b"], {"P": 1, "R": 2}, {"R": {("a", "b")}})
+    f = parse_formula("E x. P(x)")
+    builds = []
+    compile_formula = semantics.compile_formula
+
+    def counted_compile(g, vocab):
+        builds.append(vocab)
+        return compile_formula(g, vocab)
+
+    monkeypatch.setattr(semantics, "compile_formula", counted_compile)
+    answers = [evaluate(s, {}, f) for _ in range(5) for s in (small, large)]
+    assert answers == [True, False] * 5
+    assert builds == [small.vocabulary, large.vocabulary]
 
 
 def test_equal_formulas_and_reused_ids_answer_as_the_reference():

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
-                     ParseError, Top, Vocabulary, VocabularyError, check_fragment,
-                     free_variables, infer_vocabulary, parse_formula, print_formula,
+                     ParseError, SearchReport, Top, Vocabulary, VocabularyError,
+                     check_fragment, free_variables, infer_vocabulary, make_structure,
+                     parse_formula, print_formula, satisfaction_set, to_dnf_block,
                      validate_formula)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId
+from unifrag.modelfind import find_model
 from unifrag.dl import _DlParser, parse_concept, print_concept
 from unifrag.dlr import _DlrParser, parse_dlr_concept, print_dlr_concept
 from unifrag.syntax import (MAX_ARITY, MAX_DIGITS, MAX_NESTING, And, Implies, Node, Or,
@@ -346,8 +349,21 @@ def test_parsed_trees_are_as_tall_as_the_parser_counts(grammar, seed):
 # The node base
 # ---------------------------------------------------------------------------
 
-# One term or record of each node class of the three grammars and of the
-# checker, and its repr: the class name, then each field as name=repr.
+def _structure():
+    return make_structure(["a", "b"], {"R": 2, "P": 1, "Q": 1},
+                          {"R": {("a", "b")}, "P": {("b",)}})
+
+
+def _report():
+    """A search report, its wall time fixed."""
+    r = find_model(parse_formula("E x. (P(x) & E y. (R(x,y) & ~P(y)))"),
+                   Vocabulary({"R": 2, "P": 1}), 3)
+    return SearchReport(r.sentence, r.bound, r.model, r.nodes_examined, 0.25)
+
+
+# One term or record of each node class of the three grammars, of the
+# checker, and of a structure and the records computed over one, and its
+# repr: the class name, then each field as name=repr.
 REPRS = [
     (lambda: parse_formula("(E x y. (R(x,y) & ~x = y) | A z. (true -> E[>=2] w. false))"),
      "Or(left=ExistsBlock(vars=('x', 'y'), body=And(left=Atom(rel='R', args=('x', 'y')), "
@@ -370,17 +386,70 @@ REPRS = [
      "'UNIFORMITY'>, path=(0, 0), message='atom R has variable set {x,y} but the block also "
      "uses {y,z}'), Violation(kind=<ViolationKind.UNIFORMITY: 'UNIFORMITY'>, path=(0, 1), "
      "message='atom R has variable set {y,z} but the block also uses {x,y}')))"),
+    (_structure,
+     "Structure(domain=('a', 'b'), relations={'R': frozenset({('a', 'b')}), "
+     "'P': frozenset({('b',)}), 'Q': frozenset()}, "
+     "vocabulary=Vocabulary(symbols={'R': 2, 'P': 1, 'Q': 1}))"),
+    (lambda: satisfaction_set(_structure(), parse_formula("E y. R(x,y)")),
+     "SatisfactionSet(formula=ExistsBlock(vars=('y',), body=Atom(rel='R', args=('x', 'y'))), "
+     "elements=frozenset({'a'}))"),
+    (lambda: to_dnf_block(parse_formula("E y. ((R(x,y) & ~x = y) | (P(y) & ~R(y,x)))")),
+     "DnfBlock(variables=('y',), free_var='x', disjuncts=(Disjunct(relation_literals=("
+     "Literal(positive=True, atom=Atom(rel='R', args=('x', 'y'))),), equality_literals=("
+     "Literal(positive=False, atom=Equals(left='x', right='y')),), unary_parts=(('x', Top()), "
+     "('y', Top()))), Disjunct(relation_literals=(Literal(positive=False, atom=Atom(rel='R', "
+     "args=('y', 'x'))),), equality_literals=(), unary_parts=(('y', Atom(rel='P', "
+     "args=('y',))), ('x', Top())))))"),
+    (_report,
+     "SearchReport(sentence=ExistsBlock(vars=('x',), body=And(left=Atom(rel='P', args=('x',)), "
+     "right=ExistsBlock(vars=('y',), body=And(left=Atom(rel='R', args=('x', 'y')), "
+     "right=Not(body=Atom(rel='P', args=('y',))))))), bound=3, model=Structure(domain=("
+     "'e0', 'e1'), relations={'R': frozenset({('e1', 'e0')}), 'P': frozenset({('e1',)})}, "
+     "vocabulary=Vocabulary(symbols={'R': 2, 'P': 1})), nodes_examined=3, "
+     "elapsed_seconds=0.25)"),
 ]
 
 
-@pytest.mark.parametrize("make, text", REPRS, ids=["fo", "vocabulary", "dl", "dlr", "diagnostic"])
+@pytest.mark.parametrize("make, text", REPRS, ids=[
+    "fo", "vocabulary", "dl", "dlr", "diagnostic", "structure", "satisfaction-set",
+    "dnf-block", "search-report"])
 def test_node_repr_equality_and_copies(make, text):
     node, again = make(), make()
     assert repr(node) == text
     assert node is not again and node == again and not node != again
-    assert isinstance(node, Vocabulary) or hash(node) == hash(again)  # a dict is unhashable
+    if "Structure(" in text:  # its relations are a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(node)
+    else:
+        assert hash(node) == hash(again)
     duplicate = copy.deepcopy(node)
     assert duplicate is not node and duplicate == node and repr(duplicate) == text
+
+
+def test_an_indexed_structure_equals_and_prints_as_an_unindexed_one():
+    s, plain = _structure(), _structure()
+    assert s.index("R", 1) == {("a",): ("b",)}
+    assert s == plain and plain == s and repr(s) == repr(plain)
+    assert copy.deepcopy(s) == plain
+
+
+def test_a_vocabulary_is_read_only_and_hashable():
+    v = Vocabulary({"R": 2, "P": 1})
+    symbols = v.symbols
+    with pytest.raises(TypeError):
+        symbols["="] = 0
+    with pytest.raises(TypeError):
+        del symbols["R"]
+    with pytest.raises(TypeError):
+        symbols |= {"Q": 1}
+    for change in (symbols.clear, symbols.popitem, lambda: symbols.pop("R"),
+                   lambda: symbols.setdefault("Q", 1), lambda: symbols.update(Q=1)):
+        with pytest.raises(TypeError):
+            change()
+    assert repr(v) == "Vocabulary(symbols={'R': 2, 'P': 1})"
+    assert json.dumps(v.symbols) == '{"R": 2, "P": 1}'
+    assert v == Vocabulary({"P": 1, "R": 2}) and hash(v) == hash(Vocabulary({"P": 1, "R": 2}))
+    assert copy.deepcopy(v) == v and copy.deepcopy(v).symbols == {"R": 2, "P": 1}
 
 
 def test_nodes_of_two_classes_with_equal_fields_differ():
@@ -393,7 +462,7 @@ def test_nodes_of_two_classes_with_equal_fields_differ():
 
 def test_nodes_refuse_assignment():
     node = parse_concept("exists R.(A)")
-    for target in (node, node.role, Vocabulary({"R": 2})):
+    for target in (node, node.role, Vocabulary({"R": 2}), _structure(), _report()):
         with pytest.raises(AttributeError, match="cannot assign to field"):
             target.name = "S"
         with pytest.raises(AttributeError, match="cannot delete field"):
