@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ArityError, VocabularyError
 from .syntax import (And, Atom, Bottom, CountExists, Equals, ExistsBlock,
@@ -80,34 +80,49 @@ class Diagnostic(Node):
         }
 
 
-def _diag(violations: list[Violation]) -> Diagnostic:
-    return Diagnostic(not violations, tuple(violations))
-
-
 class _Checker:
-    def __init__(self, frag: FragmentId):
-        self.frag = frag
+    """The one walk of a check, ``check_f`` for the U1 family and the scan of
+    :func:`check_fo2` for FO2: it meets every atom once and records there each
+    that ``vocab``, when given, refuses.  These ARITY violations go to ``arity``,
+    listed first, in pre-order; the fragment's own go to ``out``."""
+
+    def __init__(self, frag: FragmentId, vocab: Vocabulary | None):
+        self.frag, self.vocab = frag, vocab
+        self.arity: list[Violation] = []
         self.out: list[Violation] = []
 
     def emit(self, kind: ViolationKind, path: tuple[int, ...], message: str):
         self.out.append(Violation(kind, path, message))
 
+    def check_arity(self, f: Atom, path: tuple[int, ...]):
+        if self.vocab is not None:
+            try:
+                check_atom(f, self.vocab)
+            except (ArityError, VocabularyError) as e:
+                self.arity.append(Violation(ViolationKind.ARITY, path, str(e)))
+
+    def diagnostic(self) -> Diagnostic:
+        violations = (*self.arity, *self.out)
+        return Diagnostic(not violations, violations)
+
     # -- formula positions (clauses 1-3 plus block entry) -------------------
 
     def check_f(self, f: Formula, path: tuple[int, ...],
-                shared: Optional["_SharedX"] = None) -> frozenset[str]:
+                shared: Optional[tuple[list, list]] = None) -> frozenset[str]:
         """Check ``f`` at ``path``, returning its free variables.  Inside a block's
-        Boolean skeleton ``shared`` collects its uniform atoms; ``None`` means outside one."""
+        Boolean skeleton ``shared`` holds the lists of its uniform atoms and its
+        FU1 equalities; ``None`` means outside one."""
         if isinstance(f, (Top, Bottom)):
             return frozenset()
         if isinstance(f, Atom):
+            self.check_arity(f, path)
             varset = frozenset(f.args)
             if len(varset) > 1 and shared is None:
                 self.emit(ViolationKind.UNIFORMITY, path,
                           f"atom {f.rel} over two or more distinct variables may only "
                           f"occur inside a quantifier block")
             elif len(varset) > 1:
-                shared.atoms.append((varset, path, f.rel))
+                shared[0].append((varset, path, f.rel))
             return varset
         if isinstance(f, Equals):
             self.check_equality_leaf(f, path, shared)
@@ -127,7 +142,7 @@ class _Checker:
         raise TypeError(f"not a formula: {f!r}")
 
     def check_equality_leaf(self, f: Equals, path: tuple[int, ...],
-                            shared: Optional["_SharedX"]):
+                            shared: Optional[tuple[list, list]]):
         """Equality outside uniform-atom positions.
 
         U1 and UC1 admit x=y anywhere; U1(wo=) admits no equality at all;
@@ -146,63 +161,53 @@ class _Checker:
                           "equality between distinct variables may only stand where "
                           "a binary atom could (inside a quantifier block)")
             else:
-                shared.equalities.append((frozenset((f.left, f.right)), path))
+                shared[1].append((frozenset((f.left, f.right)), path))
 
     # -- clause 4 ------------------------------------------------------------
 
     def check_block(self, vars: tuple[str, ...], body: Formula, path: tuple[int, ...]):
-        at, shared = len(self.out), _SharedX()
-        leftover = self.check_f(body, path + (0,), shared).difference(vars)
+        at, atoms, equalities = len(self.out), [], []
+        leftover = self.check_f(body, path + (0,), (atoms, equalities)).difference(vars)
         if len(leftover) > 1:
             self.emit(ViolationKind.ONE_DIMENSIONALITY, path,
                       f"quantifying {' '.join(vars)} leaves "
                       f"{len(leftover)} variables free ({', '.join(sorted(leftover))}) "
                       f"instead of at most one")
             self.out.insert(at, self.out.pop())  # ahead of the body's violations
-        shared.report(self)
+        self.report(atoms, equalities)
         return leftover
 
-
-class _SharedX:
-    """Uniformity bookkeeping for one quantifier block.
-
-    Collects the variable sets of all higher-arity atoms (and, for FU1, of
-    all equality atoms between distinct variables); afterwards every set
-    must coincide.  When they do not, every atom outside the unique largest
-    class is flagged, and on a tie all classes are flagged, so the mutated
-    atom of a single-atom edit is always reported.
-    """
-
-    def __init__(self):
-        self.atoms: list[tuple[frozenset[str], tuple[int, ...], str]] = []
-        self.equalities: list[tuple[frozenset[str], tuple[int, ...]]] = []
-
-    def report(self, checker: _Checker):
-        counts = Counter(v for v, _, _ in self.atoms)
+    def report(self, atoms: list, equalities: list):
+        """Uniformity of one block, from the variable sets of its higher-arity
+        atoms and, for FU1, of its equalities between distinct variables: every
+        set must coincide.  When they do not, every atom outside the unique
+        largest class is flagged, and on a tie all classes are flagged, so the
+        mutated atom of a single-atom edit is always reported."""
+        counts = Counter(v for v, _, _ in atoms)
         shared: Optional[frozenset[str]] = None
         if counts:
             best = max(counts.values())
             majority = [v for v, c in counts.items() if c == best]
             keep = majority[0] if len(majority) == 1 else None
-            for varset, path, rel in self.atoms:
+            for varset, path, rel in atoms:
                 if varset != keep:
                     others = sorted("{%s}" % ",".join(sorted(v))
                                     for v in counts if v != varset)
-                    checker.emit(
+                    self.emit(
                         ViolationKind.UNIFORMITY, path,
                         f"atom {rel} has variable set {{{','.join(sorted(varset))}}} "
                         f"but the block also uses {', '.join(others)}")
             shared = keep
-        if not self.equalities:
+        if not equalities:
             return
         # FU1 only: equalities behave like binary atoms and share the same X
         if shared is None and counts:
             return  # uniformity already failed; avoid piling on
-        for varset, path in self.equalities:
+        for varset, path in equalities:
             if shared is None:
                 shared = varset
             if varset != shared:
-                checker.emit(
+                self.emit(
                     ViolationKind.EQUALITY_PLACEMENT, path,
                     f"equality over {{{','.join(sorted(varset))}}} does not match the "
                     f"block's uniform variable set {{{','.join(sorted(shared))}}}")
@@ -213,9 +218,10 @@ def check_fragment(f: Formula, frag: FragmentId,
     """Decide membership of ``f`` in the given fragment.
 
     Violations are returned as data, never raised.  When a vocabulary is
-    supplied, each atom that :func:`unifrag.syntax.check_atom` refuses also
-    produces an ARITY violation with its message.  The diagnostic is kept
-    in a bounded table of :func:`unifrag.syntax.compiled`, so a formula
+    supplied, the one walk of the check also finds each atom that
+    :func:`unifrag.syntax.check_atom` refuses: an ARITY violation with its
+    message, listed ahead of the fragment's own, in pre-order.  The diagnostic
+    is kept in a bounded table of :func:`unifrag.syntax.compiled`, so a formula
     object checked again for the same fragment and vocabulary is walked once.
     """
     return compiled(_cache, _check, f, vocab, frag)
@@ -227,22 +233,22 @@ _cache: list = [None] * 5 + [{}]  # the diagnostics made, see syntax.compiled
 def _check(f: Formula, vocab: Vocabulary | None, frag: FragmentId) -> Diagnostic:
     if frag is FragmentId.FO2:
         return check_fo2(f, vocab)
-    checker = _Checker(frag)
-    if vocab is not None:
-        _arity_violations(f, vocab, checker)
+    checker = _Checker(frag, vocab)
     checker.check_f(f, ())
-    return _diag(checker.out)
+    return checker.diagnostic()
 
 
 def check_fo2(f: Formula, vocab: Vocabulary | None = None) -> Diagnostic:
     """Two-variable shape: at most two distinct variable names, only
-    single-variable quantifier blocks, no counting quantifiers."""
-    checker = _Checker(FragmentId.FO2)
-    if vocab is not None:
-        _arity_violations(f, vocab, checker)
-    seen: set[str] = set()
-    for path, g in _paths(f):
+    single-variable quantifier blocks, no counting quantifiers.  One pre-order
+    scan of the subformulas, each with its diagnostic path, checks them."""
+    checker, seen, stack = _Checker(FragmentId.FO2, vocab), set(), [((), f)]
+    while stack:
+        path, g = stack.pop()
+        kids = children(g)
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
         if isinstance(g, Atom):
+            checker.check_arity(g, path)
             names = g.args
         elif isinstance(g, Equals):
             names = (g.left, g.right)
@@ -264,23 +270,4 @@ def check_fo2(f: Formula, vocab: Vocabulary | None = None) -> Diagnostic:
                     checker.emit(ViolationKind.VARIABLE_COUNT, path,
                                  f"third distinct variable {name!r} appears here; "
                                  f"FO2 allows at most two")
-    return _diag(checker.out)
-
-
-def _arity_violations(f: Formula, vocab: Vocabulary, checker: _Checker):
-    for path, g in _paths(f):
-        if isinstance(g, Atom):
-            try:
-                check_atom(g, vocab)
-            except (ArityError, VocabularyError) as e:
-                checker.emit(ViolationKind.ARITY, path, str(e))
-
-
-def _paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
-    """Every subformula of ``f`` with its diagnostic path, in pre-order."""
-    stack = [((), f)]
-    while stack:
-        path, g = stack.pop()
-        yield path, g
-        kids = children(g)
-        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
+    return checker.diagnostic()

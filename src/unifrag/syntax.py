@@ -275,7 +275,7 @@ class _Symbols(dict):
 
 
 # Most entries of a table of :func:`compiled`; a full table is emptied.
-MAX_COMPILED = 32
+MAX_COMPILED = 64
 
 _NO_ENTRY = (None,) * 5
 

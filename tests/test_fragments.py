@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (Atom, Vocabulary, check_fo2, check_fragment,
+from unifrag import (Atom, Vocabulary, check_fo2, check_fragment, fragments,
                      free_variables, parse_formula)
 from unifrag.fragments import FragmentId, ViolationKind
-from unifrag.syntax import And, ExistsBlock, Not
+from unifrag.syntax import And, ExistsBlock, Not, walk
 
 from strategies import gen_formula, rebuild, subformula_at
 
@@ -109,6 +110,38 @@ def test_arity_diagnostics_with_vocabulary():
     assert [(v.kind, v.path) for v in diag3.violations] == [
         (ViolationKind.ARITY, (1, 0, 0)), (ViolationKind.ARITY, (1, 0, 1)),
         (ViolationKind.UNIFORMITY, (0, 0, 0)), (ViolationKind.UNIFORMITY, (0, 0, 1))]
+    # an ARITY fault under a counting quantifier, in a block that is not
+    # uniform: both ARITY faults still come first, in pre-order
+    f = parse_formula("E x y z. ((R(x,y) & R(y,z,z)) & E[>=2] w. R(w,x,x))")
+    arity = [(ViolationKind.ARITY, (0, 0, 1)), (ViolationKind.ARITY, (0, 1, 0))]
+    diag4 = check_fragment(f, F.UC1, Vocabulary({"R": 2, "P": 1}))
+    assert [(v.kind, v.path) for v in diag4.violations] == arity + [
+        (ViolationKind.UNIFORMITY, (0, 0, 0)), (ViolationKind.UNIFORMITY, (0, 0, 1))]
+    diag5 = check_fragment(f, F.FO2, Vocabulary({"R": 2, "P": 1}))
+    assert [(v.kind, v.path) for v in diag5.violations] == arity + [
+        (ViolationKind.VARIABLE_COUNT, ()), (ViolationKind.VARIABLE_COUNT, ()),
+        (ViolationKind.COUNTING_QUANTIFIER, (0, 1))]
+
+
+def test_a_check_with_a_vocabulary_walks_the_formula_once(monkeypatch):
+    # FO2's scan asks for the children of each node once; the U1 family's
+    # walk follows the grammar and asks for none
+    f = parse_formula("A x. (P(x) -> E y z. ((R(x,y,z) & ~(y = z)) & E[>=2] w. S(w,x)))")
+    nodes = Counter(map(id, walk(f)))
+    asked = Counter()
+    children = fragments.children
+
+    def counted_children(g):
+        asked[id(g)] += 1
+        return children(g)
+
+    monkeypatch.setattr(fragments, "children", counted_children)
+    for frag in F:
+        asked.clear()
+        monkeypatch.setattr(fragments, "_cache", [None] * 5 + [{}])
+        diag = check_fragment(f, frag, Vocabulary({"R": 2, "P": 1}))
+        assert ViolationKind.ARITY in {v.kind for v in diag.violations}
+        assert asked == (nodes if frag is F.FO2 else Counter()), frag
 
 
 def test_fo2_examples():

@@ -155,3 +155,23 @@ def test_each_corpus_sentence_is_compiled_and_walked_once(monkeypatch):
     assert len(translated) == 16
     assert builds == {id(f): 1 for f in corpus}
     assert walks == {id(f): 1 for f in corpus}
+
+
+def test_the_corpus_over_every_lab_structure_compiles_each_pair_once(monkeypatch):
+    # 20 sentences over the structures of two vocabularies: 40 term-vocabulary
+    # pairs, which one table holds at once, whatever the order of the passes
+    corpus, structures = agreement_corpus(), list(all_structures().values())
+    assert len(corpus) == 20 and len({s.vocabulary for s in structures}) == 2
+    builds = Counter()
+    compile_formula = semantics.compile_formula
+
+    def counted_compile(f, vocab):
+        builds[id(f), vocab] += 1
+        return compile_formula(f, vocab)
+
+    monkeypatch.setattr(semantics, "compile_formula", counted_compile)
+    monkeypatch.setattr(semantics, "_cache", [None] * 5 + [{}])
+    for s in structures:
+        for f in corpus:
+            evaluate(s, {}, f)
+    assert sum(builds.values()) == 40 and len(builds) == 40

@@ -328,7 +328,10 @@ def test_threads_share_compiled_formulas_safely():
     # objects, together more than a table holds: the tables keep clearing
     texts = ["E y. R(x,y)", "A y. (R(x,y) -> E z. (R(y,z) & ~z = x))", "E[>=2] y. R(y,x)",
              "(P(x) | ~E y. (R(x,y) & P(y)))", "R(x,y)", "E y z. (R(x,y) & R(y,z))",
-             "X1(x)", "E y. R(x,y,y)", "A x. E y. (R(x,y) | x = y)", "~(x = x)"]
+             "X1(x)", "E y. R(x,y,y)", "A x. E y. (R(x,y) | x = y)", "~(x = x)",
+             "A y. (R(y,x) -> P(y))", "E y. (R(x,y) & R(y,x))", "(P(x) & E[<=1] y. R(x,y))",
+             "A y z. ((R(x,y) & R(x,z)) -> y = z)", "E y. (P(y) & ~R(y,x))", "~E y. R(y,y)",
+             "E[=2] y. (R(x,y) | P(y))"]
     assert 4 * len(texts) > MAX_COMPILED
     structures, formulas = [], []
     for i in range(4):
