@@ -22,7 +22,8 @@ Roles, concepts and coordinate maps are immutable nodes on the base
 their fields.  A chain of ``&`` is parsed as a balanced tree, and parsed
 terms are at most ``syntax.MAX_NESTING`` levels tall; a much taller term
 built in code may make the extensions, printers and translations raise
-RecursionError, though never ``==`` or ``repr``.
+RecursionError, though never ``==`` or ``repr``.  One printer prints
+concepts and roles alike; its core, :func:`printer`, serves :mod:`unifrag.dlr` too.
 
 Extensions are computed bottom-up without ever building a complement: a
 role term evaluates to a signed tuple set, the tuples of a relation or of
@@ -404,7 +405,7 @@ class _DlParser(TokenParser):
             return TopC()
         if self.accept("TILDE"):
             return NotC(self.concept())
-        if self.peek().kind == "LPAREN":
+        if self.tok.kind == "LPAREN":
             return self.chain(self.concept, {"AMP": AndC})
         if self.accept("NAME", "exists"):
             role = self.role()
@@ -421,7 +422,7 @@ class _DlParser(TokenParser):
             return Epsilon()
         if self.accept("TILDE"):
             return NotRole(self.role())
-        if self.peek().kind == "LPAREN":
+        if self.tok.kind == "LPAREN":
             return self.chain(self.role, {"AMP": AndRole})
         if self.accept("NAME", "perm"):
             self.expect("LBRACK")
@@ -437,29 +438,34 @@ def parse_concept(text: str) -> Concept:
     return p.finish(p.concept())
 
 
-def print_role(r: RoleTerm) -> str:
-    if isinstance(r, AtomicRole):
-        return r.name
-    if isinstance(r, Epsilon):
-        return "eps"
-    if isinstance(r, NotRole):
-        return f"~{print_role(r.role)}"
-    if isinstance(r, AndRole):
-        return f"({print_role(r.left)} & {print_role(r.right)})"
-    if isinstance(r, Apply):
-        return f"perm[{','.join(map(str, r.srj.map))}]{print_role(r.role)}"
-    raise TypeError(f"not a role term: {r!r}")
+def printer(top: str, own: Callable) -> Callable[[Node], str]:
+    """The printer shared with :mod:`unifrag.dlr`: it prints atomic concepts
+    and roles, ``TopC`` as the text ``top``, ``eps``, and ``~`` and ``&`` of
+    concepts or roles, and leaves the other nodes to ``own(x, p)``."""
+    def p(x) -> str:
+        kind = type(x)  # by exact class: an isinstance per kind tried made printing 1.5x slower
+        if kind is NotC:
+            return f"~{p(x.body)}"
+        if kind is AndC or kind is AndRole:
+            return f"({p(x.left)} & {p(x.right)})"
+        if kind is AtomicConcept or kind is AtomicRole:
+            return x.name
+        if kind is NotRole:
+            return f"~{p(x.role)}"
+        if kind is TopC:
+            return top
+        if kind is Epsilon:
+            return "eps"
+        return own(x, p)
+    return p
 
 
-def print_concept(c: Concept) -> str:
-    if isinstance(c, AtomicConcept):
-        return c.name
-    if isinstance(c, TopC):
-        return "top"
-    if isinstance(c, NotC):
-        return f"~{print_concept(c.body)}"
-    if isinstance(c, AndC):
-        return f"({print_concept(c.left)} & {print_concept(c.right)})"
-    if isinstance(c, ExistsRole):
-        return f"exists {print_role(c.role)}.({', '.join(print_concept(a) for a in c.args)})"
-    raise TypeError(f"not a concept: {c!r}")
+def _print_own(x, p) -> str:
+    if isinstance(x, Apply):
+        return f"perm[{','.join(map(str, x.srj.map))}]{p(x.role)}"
+    if isinstance(x, ExistsRole):
+        return f"exists {p(x.role)}.({', '.join(map(p, x.args))})"
+    raise TypeError(f"not a DL concept or role: {x!r}")
+
+
+print_role = print_concept = printer("top", _print_own)

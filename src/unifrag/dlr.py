@@ -40,8 +40,9 @@ in position i over all tuples of R.
 Atomic roles and concepts, role and concept negation and conjunction,
 ``top1`` (:class:`unifrag.dl.TopC`, the whole domain) and ``eps``
 (:class:`unifrag.dl.Epsilon`, the identity relation) are the node classes
-of :mod:`unifrag.dl`, checked by its vocabulary rules; only the spellings
-differ between the two grammars.
+of :mod:`unifrag.dl`, checked by its vocabulary rules and printed by its
+printer core (:func:`unifrag.dl.printer`), which spells ``TopC`` ``top1``
+here; the three printers of this module are one, which adds its own nodes.
 
 Every term is an immutable node on the base :class:`unifrag.syntax.Node`,
 as the shared classes are.  Parsed ``&`` chains are balanced trees, and
@@ -64,7 +65,7 @@ from __future__ import annotations
 from typing import Union
 
 from .dl import (AndC, AtomicConcept, AtomicRole, Compiled, CompiledRole, NotC,
-                 concept_compiler, crowded, identity, nothing, role_compiler)
+                 concept_compiler, crowded, identity, nothing, printer, role_compiler)
 from .dl import (AndRole as AndR, Epsilon as Eps, NotRole as NotR, TopC as Top1,
                  or_concept as or_dlr)
 from .errors import ArityError, ParseError, StructureError
@@ -344,8 +345,8 @@ class _DlrParser(TokenParser):
             e = self.binrel()
             self.expect("DOT")
             return ExistsE(e, self.concept())
-        if self.peek().kind == "LPAREN":
-            if self.peek(1).kind == "LE":
+        if self.tok.kind == "LPAREN":
+            if self.ahead.kind == "LE":
                 self.next()
                 self.next()
                 k = self.integer()
@@ -371,13 +372,13 @@ class _DlrParser(TokenParser):
         follows."""
         if self.accept("NAME", "eps"):
             return self.stars(Eps())
-        if self.peek().kind == "LPAREN" and self.peek(1).kind != "DOLLAR":
+        if self.tok.kind == "LPAREN" and self.ahead.kind != "DOLLAR":
             x = self.group()
             if isinstance(x, DlrBinRel):
                 return x
         else:
             x = self.role()
-        return x if self.peek().kind in ("AMP", "RPAREN") else self.projection(x)
+        return x if self.tok.kind in ("AMP", "RPAREN") else self.projection(x)
 
     @nested
     def group(self) -> DlrBinRel | DlrRole:
@@ -387,7 +388,7 @@ class _DlrParser(TokenParser):
         first = self.operand()
         if not isinstance(first, DlrBinRel):
             return self.chain(self.role, {"AMP": AndR}, first)
-        t = self.peek()
+        t = self.tok
         if t.kind != "NAME" or t.text not in ("o", "u"):
             raise self.expected("'o' or 'u'")
         self.next()
@@ -407,7 +408,7 @@ class _DlrParser(TokenParser):
         return self.stars(self.build(Proj, r, i, j))
 
     def stars(self, e: DlrBinRel) -> DlrBinRel:
-        while self.peek().kind == "STAR":
+        while self.tok.kind == "STAR":
             self.rise(self.height + 1)
             self.next()
             e = Star(e)
@@ -419,7 +420,7 @@ class _DlrParser(TokenParser):
     def role(self) -> DlrRole:
         if self.accept("TILDE"):
             return NotR(self.role())
-        t = self.peek()
+        t = self.tok
         if t.kind == "NAME" and t.text.startswith("top") and t.text[3:].isdigit():
             self.next()
             n = self.integer(t, 3)
@@ -428,7 +429,7 @@ class _DlrParser(TokenParser):
                                  t.line, t.col)
             return self.build(TopN, n)
         if t.kind == "LPAREN":
-            if self.peek(1).kind == "DOLLAR":
+            if self.ahead.kind == "DOLLAR":
                 self.next()
                 self.next()
                 i = self.integer()
@@ -447,47 +448,25 @@ def parse_dlr_concept(text: str) -> DlrConcept:
     return p.finish(p.concept())
 
 
-def print_dlr_role(r: DlrRole) -> str:
-    if isinstance(r, TopN):
-        return f"top{r.n}"
-    if isinstance(r, AtomicRole):
-        return r.name
-    if isinstance(r, Sel):
-        return f"(${r.i}/{r.n}:{print_dlr_concept(r.concept)})"
-    if isinstance(r, NotR):
-        return f"~{print_dlr_role(r.role)}"
-    if isinstance(r, AndR):
-        return f"({print_dlr_role(r.left)} & {print_dlr_role(r.right)})"
-    raise TypeError(f"not a role: {r!r}")
+def _print_own(x, p) -> str:
+    kind = type(x)  # by exact class, as the printer core of dl reads its nodes
+    if kind is ExistsE:
+        return f"exists {p(x.rel)} . {p(x.concept)}"
+    if kind is Proj:
+        return f"{p(x.role)}|${x.i},${x.j}"
+    if kind is ExistsProj:
+        return f"exists[${x.i}] {p(x.role)}"
+    if kind is TopN:
+        return f"top{x.n}"
+    if kind is Sel:
+        return f"(${x.i}/{x.n}:{p(x.concept)})"
+    if kind is Comp or kind is UnionE:
+        return f"({p(x.left)} {'o' if kind is Comp else 'u'} {p(x.right)})"
+    if kind is Star:
+        return f"{p(x.body)}*"
+    if kind is AtMost:
+        return f"(<={x.k} [${x.i}] {p(x.role)})"
+    raise TypeError(f"not a DLR concept, role or binary relation term: {x!r}")
 
 
-def print_dlr_binrel(e: DlrBinRel) -> str:
-    if isinstance(e, Eps):
-        return "eps"
-    if isinstance(e, Proj):
-        return f"{print_dlr_role(e.role)}|${e.i},${e.j}"
-    if isinstance(e, Comp):
-        return f"({print_dlr_binrel(e.left)} o {print_dlr_binrel(e.right)})"
-    if isinstance(e, UnionE):
-        return f"({print_dlr_binrel(e.left)} u {print_dlr_binrel(e.right)})"
-    if isinstance(e, Star):
-        return f"{print_dlr_binrel(e.body)}*"
-    raise TypeError(f"not a binary relation term: {e!r}")
-
-
-def print_dlr_concept(c: DlrConcept) -> str:
-    if isinstance(c, Top1):
-        return "top1"
-    if isinstance(c, AtomicConcept):
-        return c.name
-    if isinstance(c, NotC):
-        return f"~{print_dlr_concept(c.body)}"
-    if isinstance(c, AndC):
-        return f"({print_dlr_concept(c.left)} & {print_dlr_concept(c.right)})"
-    if isinstance(c, ExistsE):
-        return f"exists {print_dlr_binrel(c.rel)} . {print_dlr_concept(c.concept)}"
-    if isinstance(c, ExistsProj):
-        return f"exists[${c.i}] {print_dlr_role(c.role)}"
-    if isinstance(c, AtMost):
-        return f"(<={c.k} [${c.i}] {print_dlr_role(c.role)})"
-    raise TypeError(f"not a concept: {c!r}")
+print_dlr_role = print_dlr_binrel = print_dlr_concept = printer("top1", _print_own)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import partial, reduce, wraps
-from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
@@ -553,49 +552,33 @@ class TokenParser:
     :meth:`chain` a parenthesised operator chain.  They refuse a token with
     :meth:`expected`: "expected X, found Y", Y being 'end of input' at EOF.
 
-    Tokens are read on demand from :func:`_tokens` into the list ``toks``,
-    in batches as large as what has been read (:meth:`pull`), so a refusal
-    reads about twice the tokens it looked at, and the first fault in
-    reading order is reported: a bad character only once it is the current
-    token.  The productions look at most one token ahead (:meth:`peek`)."""
+    Tokens are read on demand from :func:`_tokens`, one past the current
+    token ``tok``: the productions look at most one token ahead, at
+    ``ahead``.  So a refusal has read one token past the one it refuses,
+    and the first fault in reading order is reported: a bad character only
+    once it is the current token."""
 
     def __init__(self, text: str):
         self.stream = _tokens(text)
-        self.toks: list[_Token] = []  # the tokens read so far
-        self.pos = 0
+        self.tok, self.ahead = None, next(self.stream)
         self.depth = 0   # nested productions open at the current token
         self.height = 0  # tallest part the innermost of them has built
-        self.pull()
-
-    def pull(self) -> None:
-        """Read as many tokens again as have been read, at least 32, so that
-        the token after the current one is read, EOF standing twice at the
-        end; refuse a bad character once it is the current token."""
-        toks = self.toks
-        toks.extend(islice(self.stream, len(toks) or 32))
-        t = toks[-1]
-        if t.kind == "EOF":
-            toks.append(t)
-        elif t.kind == "BAD" and self.pos == len(toks) - 1:
-            raise ParseError(f"unexpected character {t.text!r}", t.line, t.col)
-        self.last = len(toks) - 2  # :meth:`next` reads more here, or stays at EOF
-
-    def peek(self, ahead: int = 0) -> _Token:
-        """The current token (``ahead`` 0) or the one after it (1)."""
-        return self.toks[self.pos + ahead]
+        self.next()
 
     def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if self.pos < self.last:
-            self.pos += 1
-        elif t.kind != "EOF":
-            self.pos += 1
-            self.pull()
+        """The current token, consumed: the one after it becomes current,
+        refused if it is a bad character; EOF stays current at the end."""
+        t = self.tok
+        self.tok = u = self.ahead
+        if u.kind != "EOF":
+            if u.kind == "BAD":
+                raise ParseError(f"unexpected character {u.text!r}", u.line, u.col)
+            self.ahead = next(self.stream)
         return t
 
     def accept(self, kind: str, text: str | None = None) -> _Token | None:
         """The next token, consumed, if it is a ``kind`` (spelled ``text``), else None."""
-        t = self.toks[self.pos]
+        t = self.tok
         if t.kind == kind and (text is None or t.text == text):
             return self.next()
         return None
@@ -608,7 +591,7 @@ class TokenParser:
 
     def word(self, what: str, reserved: frozenset = frozenset()) -> str:
         """The text of the next token, a NAME not in ``reserved``."""
-        t = self.toks[self.pos]
+        t = self.tok
         if t.kind != "NAME" or t.text in reserved:
             raise self.expected(what)
         return self.next().text
@@ -621,12 +604,12 @@ class TokenParser:
         return values
 
     def error(self, msg: str) -> ParseError:
-        t = self.peek()
+        t = self.tok
         return ParseError(msg, t.line, t.col)
 
     def expected(self, what: str) -> ParseError:
         """"expected ``what``, found" the next token, at its position."""
-        return self.error(f"expected {what}, found {self.peek().text or 'end of input'!r}")
+        return self.error(f"expected {what}, found {self.tok.text or 'end of input'!r}")
 
     def rise(self, height: int) -> None:
         """Record a part of ``height`` tree levels built by the innermost
@@ -669,7 +652,7 @@ class TokenParser:
             n, self.height = len(parts), 0
             # the enclosing production counts the chain's top level
             self.rise(tallest + (n - 1 if op == "ARROW" else (n - 1).bit_length()) - 1)
-            t = self.peek()
+            t = self.tok
             if op is None and t.kind in ops:
                 op = t.kind
             if not self.accept(op):  # no token is of kind None
@@ -687,7 +670,7 @@ class TokenParser:
 
     def finish(self, result):
         """``result``, once the whole input has been consumed."""
-        t = self.peek()
+        t = self.tok
         if t.kind != "EOF":
             raise self.error(f"unexpected trailing input {t.text!r}")
         return result
@@ -695,9 +678,9 @@ class TokenParser:
 
 class _FormulaParser(TokenParser):
     def name(self, what: str) -> str:
-        t = self.peek()
+        t = self.tok
         # before '(' a reserved word names a relation; nothing else goes there
-        if t.text in RESERVED_WORDS and self.peek(1).kind != "LPAREN":
+        if t.text in RESERVED_WORDS and self.ahead.kind != "LPAREN":
             raise self.error(f"{t.text!r} is a reserved word and cannot name a {what}")
         return self.word(what)
 
@@ -705,18 +688,18 @@ class _FormulaParser(TokenParser):
     def formula(self) -> Formula:
         if self.accept("TILDE"):
             return Not(self.formula())
-        t = self.peek()
+        t = self.tok
         if t.kind == "LPAREN":
             return self.chain(self.formula, _CONNECTIVES)
         if t.kind != "NAME":
             raise self.expected("a formula")
-        if self.peek(1).kind == "LPAREN":
+        if self.ahead.kind == "LPAREN":
             return self.atom_or_equality()
         if self.accept("NAME", "true"):
             return Top()
         if self.accept("NAME", "false"):
             return Bottom()
-        if t.text == "E" and self.peek(1).kind == "LBRACK":
+        if t.text == "E" and self.ahead.kind == "LBRACK":
             return self.counting()
         if t.text in ("E", "A"):
             return self.block()
@@ -725,7 +708,7 @@ class _FormulaParser(TokenParser):
     def block(self) -> Formula:
         quant = self.next().text
         variables = []
-        while self.peek().kind == "NAME" and self.peek().text not in RESERVED_WORDS:
+        while self.tok.kind == "NAME" and self.tok.text not in RESERVED_WORDS:
             tok = self.next()
             if tok.text in variables:
                 raise ParseError(f"duplicate variable {tok.text!r} in quantifier block",
@@ -742,7 +725,7 @@ class _FormulaParser(TokenParser):
     def counting(self) -> Formula:
         self.next()  # E
         self.expect("LBRACK")
-        if self.peek().text not in COUNT_COMPARATORS:
+        if self.tok.text not in COUNT_COMPARATORS:
             raise self.expected("'>=', '<=' or '='")
         cmp = self.next().text
         bound = self.integer()

@@ -413,8 +413,12 @@ EVAL_MODEL = ["eval", "-e", "E x. true", "--model", "FILE"]
      "invalid relation name '1R'"),
     (["translate", "--from", "dlr0", "--to", "fu1", "-e", "exists[$1] top1"], None, "parse",
      "1:12: top_n roles need n >= 2 (use top1 as a concept)"),
+    (["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "FILE", "-e",
+      "exists[$1] (R & T)"], '{"R": 2, "T": 3}', "ArityError",
+     "role intersection of arities 2 and 3"),
 ], ids=["model-not-object", "model-lacks-arities", "model-domain", "model-arities",
-        "model-relations", "model-tuples", "trailing-input", "vocab-name", "dlr-top1-role"])
+        "model-relations", "model-tuples", "trailing-input", "vocab-name", "dlr-top1-role",
+        "dlr-role-arities"])
 def test_refusals_report_their_kind_and_message(capsys, tmp_path, argv, text, kind,
                                                 message, fmt):
     path = tmp_path / "input.json"

@@ -6,7 +6,11 @@ Each digest is the SHA-256 of one canonical text:
   fragments, with no vocabulary, with one that fits them and with one that
   refuses some of their atoms;
 * ``fu1_to_dl``: the printed concept, or the refusal, of each such formula;
-* ``lab_run``: the output of ``unifrag lab run --format json``.
+* ``lab_run``: the output of ``unifrag lab run --format json``;
+* ``text``: the printed text of seeded generated formulas, DL concepts and
+  roles, and DLR concepts, roles and binary relation terms, and the parse
+  tree, or the refusal, of each text and of seeded one-character mutations
+  of it.
 
 ``digests.json`` holds the values of the code that wrote it, so a change to
 any of these outputs fails here, under every hash seed.  After a deliberate
@@ -24,11 +28,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unifrag import LogicError, Vocabulary, check_fragment, cli, fu1_to_dl
-from unifrag.dl import print_concept
+from unifrag import LogicError, Vocabulary, check_fragment, cli, dl, dlr, fu1_to_dl
 from unifrag.fragments import FragmentId
+from unifrag.syntax import parse_formula, print_formula
 
-from strategies import VOCAB, gen_any_formula, gen_formula
+from strategies import (VOCAB, gen_any_formula, gen_dl_concept, gen_dl_role, gen_dlr_binrel,
+                        gen_dlr_concept, gen_dlr_role, gen_formula, parse_role)
 
 HERE = Path(__file__).resolve().parent
 SEEDS, PER_SEED = (1, 2, 3), 300
@@ -49,9 +54,51 @@ def _formulas():
 
 def _translation(f) -> str:
     try:
-        return print_concept(fu1_to_dl(f))
+        return dl.print_concept(fu1_to_dl(f))
     except LogicError as e:
         return f"{type(e).__name__}: {e}"
+
+
+def _dlr_reader(start: str):
+    def read(text: str):
+        p = dlr._DlrParser(text)
+        return p.finish(getattr(p, start)())
+    return read
+
+
+TEXT_ROUNDS = 150  # per seed
+# per grammar: a generator of terms, their printer and their parser
+GRAMMARS = ((lambda rng: gen_any_formula(rng, 3, ("x",)), print_formula, parse_formula),
+            (lambda rng: gen_dl_concept(rng, 3), dl.print_concept, dl.parse_concept),
+            (lambda rng: gen_dl_role(rng, 3), dl.print_role, parse_role),
+            (lambda rng: gen_dlr_concept(rng, 3), dlr.print_dlr_concept, dlr.parse_dlr_concept),
+            (lambda rng: gen_dlr_role(rng, 3), dlr.print_dlr_role, _dlr_reader("role")),
+            (lambda rng: gen_dlr_binrel(rng, 3), dlr.print_dlr_binrel, _dlr_reader("binrel")))
+MUTATION_CHARS = "~&|()[]$.,:*/<=>-0123 \nAERTxo@"
+
+
+def _parsed(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except LogicError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _texts():
+    """Per printed term: its text, then the outcome of parsing it and three
+    one-character mutations of it (an insertion, a replacement or a deletion)."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for _ in range(TEXT_ROUNDS):
+            for gen, show, parse in GRAMMARS:
+                text = show(gen(rng))
+                yield text
+                yield _parsed(parse, text)
+                for _ in range(3):
+                    i, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+                    new = rng.choice(MUTATION_CHARS) if edit < 2 else ""
+                    mutant = text[:i] + new + text[i + (edit > 0):]
+                    yield f"{mutant!r} {_parsed(parse, mutant)}"
 
 
 def _sha(text: str) -> str:
@@ -67,7 +114,8 @@ def digests() -> dict[str, str]:
         assert cli.run(["lab", "run", "--format", "json"]) == 0
     return {"check": _sha(json.dumps(checks, sort_keys=True)),
             "fu1_to_dl": _sha("\n".join(map(_translation, formulas))),
-            "lab_run": _sha(out.getvalue())}
+            "lab_run": _sha(out.getvalue()),
+            "text": _sha("\n".join(_texts()))}
 
 
 def test_outputs_match_the_committed_digests():

@@ -273,6 +273,24 @@ def test_explicit_mode_with_partial_tops_matches_the_translation():
     assert proper > 200 and differs >= 5
 
 
+@pytest.mark.parametrize("text", ["exists[$1] ~(($1/3:A) & ~R)",
+                                  "exists[$2] ~(($1/3:A) & ($3/3:A))"])
+def test_the_complement_of_a_filtered_complement_agrees_with_the_translation(text):
+    # ~ of a complement cut by a filter that is not one bare selection lists
+    # the product of its filters' sets, in both top modes
+    vocab = Vocabulary({"R": 3, "A": 1, "top3": 3})
+    c = parse_dlr_concept(text)
+    rng = random.Random(3)
+    for _ in range(100):
+        base = gen_structure(rng, Vocabulary({"R": 3, "A": 1}), 3)
+        extra = {t for t in itertools.product(base.domain, repeat=3) if rng.random() < 0.5}
+        s = make_structure(base.domain, dict(vocab.symbols),
+                           dict(base.relations, top3=base.relations["R"] | extra))
+        for mode in ("delta", "explicit"):
+            f = dlr0_to_fu1(c, vocab, topn=mode)
+            assert dlr_concept_extension(s, c, mode) == satisfaction_set(s, f).elements
+
+
 def _boolean_role(rng, depth, names):
     """A role built by ~ and & over the atomic roles ``names``, all of one arity."""
     if depth <= 0 or rng.random() < 0.3:

@@ -102,13 +102,13 @@ def test_nesting_limit_is_a_positioned_parse_error():
     (_DlrParser, "concept", "A @"),
 ])
 def test_a_deep_refusal_reads_a_bounded_prefix(parser, start, leaf):
-    """Tokens are read as the productions ask for them, in batches as large
-    as what has been read, so a refusal reads about twice what it looked at."""
+    """Tokens are read as the productions ask for them, one past the current
+    token, so a refusal at token MAX_NESTING + 1 has read one token more."""
     p = parser("~" * 100_000 + leaf)
     with pytest.raises(ParseError, match=f"^1:{MAX_NESTING + 1}: input nests deeper than "
                                          f"{MAX_NESTING} levels$"):
         getattr(p, start)()
-    assert len(p.toks) <= 2 * (MAX_NESTING + 2)
+    assert next(p.stream).col == MAX_NESTING + 3  # the first token not read
 
 
 def test_arrow_chains_block_variables_and_stars_count_against_the_bound():
@@ -458,6 +458,13 @@ def test_nodes_of_two_classes_with_equal_fields_differ():
     assert And(a, b) == And(Atom("P", ["x"]), b) and hash(And(a, b)) == hash(And(a, b))
     assert And(a, b) != And(b, a) and And(a, b) != (a, b)
     assert len({And(a, b), Or(a, b), And(a, b)}) == 2
+
+
+def test_nodes_with_tuple_fields_of_two_lengths_differ():
+    role, a, b = dl.AtomicRole("R"), dl.AtomicConcept("A"), dl.AtomicConcept("B")
+    one, two = dl.ExistsRole(role, (a,)), dl.ExistsRole(role, (a, b))
+    assert one != two and two != one
+    assert not one == two and not two == one
 
 
 def test_nodes_refuse_assignment():

@@ -470,6 +470,12 @@ def test_dlr_arity_errors_agree_between_extension_and_translation(c):
     assert "out of range for a role of arity 2" in str(from_extension.value)
 
 
+def test_an_intersection_of_two_arities_is_refused_by_the_translation():
+    c = dlr.parse_dlr_concept("exists[$1] (R & T)")
+    with pytest.raises(ArityError, match="^role intersection of arities 2 and 3$"):
+        dlr0_to_fu1(c, Vocabulary({"R": 2, "T": 3}))
+
+
 @pytest.mark.parametrize("c", [
     dl.AtomicConcept("R"),
     dl.NotC(dl.AndC(dl.AtomicConcept("A"), dl.AtomicConcept("R"))),
