@@ -7,6 +7,9 @@ Each digest is the SHA-256 of one canonical text:
   refuses some of their atoms;
 * ``fu1_to_dl``: the printed concept, or the refusal, of each such formula;
 * ``lab_run``: the output of ``unifrag lab run --format json``;
+* ``search``: for seeded generated sentences and each bound 1-3, the node
+  estimate of ``grounder`` and, pruned and unpruned, the verdict, the
+  nodes examined and the model of ``find_model``;
 * ``text``: the printed text of seeded generated formulas, DL concepts and
   roles, and DLR concepts, roles and binary relation terms, and the parse
   tree, or the refusal, of each text and of seeded one-character mutations
@@ -28,8 +31,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unifrag import LogicError, Vocabulary, check_fragment, cli, dl, dlr, fu1_to_dl
+from unifrag import LogicError, Vocabulary, check_fragment, cli, dl, dlr, find_model, fu1_to_dl
 from unifrag.fragments import FragmentId
+from unifrag.modelfind import grounder
 from unifrag.syntax import parse_formula, print_formula
 
 from strategies import (VOCAB, gen_any_formula, gen_dl_concept, gen_dl_role, gen_dlr_binrel,
@@ -101,6 +105,30 @@ def _texts():
                     yield f"{mutant!r} {_parsed(parse, mutant)}"
 
 
+SEARCHES = 200  # per seed
+SEARCH_VOCAB = Vocabulary({"R": 2, "P": 1, "Q": 1})
+
+
+def _searches():
+    """Per sentence and bound: the node estimate, then per search its
+    verdict, nodes examined and model, with each relation's tuples sorted."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for i in range(SEARCHES):
+            if i % 2:
+                f = gen_any_formula(rng, 3, (), SEARCH_VOCAB)
+            else:
+                f = gen_formula(rng, U1_FAMILY[i // 2 % 4], 3, None, SEARCH_VOCAB)
+            yield print_formula(f)
+            for bound in (1, 2, 3):
+                yield f"{bound} {grounder(f, SEARCH_VOCAB, bound)[1]}"
+                for prune in (False, True):
+                    report = find_model(f, SEARCH_VOCAB, bound, prune)
+                    model = report.model and (report.model.size, sorted(
+                        (rel, sorted(tuples)) for rel, tuples in report.model.relations.items()))
+                    yield f"{report.found} {report.nodes_examined} {model}"
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -115,6 +143,7 @@ def digests() -> dict[str, str]:
     return {"check": _sha(json.dumps(checks, sort_keys=True)),
             "fu1_to_dl": _sha("\n".join(map(_translation, formulas))),
             "lab_run": _sha(out.getvalue()),
+            "search": _sha("\n".join(_searches())),
             "text": _sha("\n".join(_texts()))}
 
 
