@@ -6,13 +6,13 @@ order over the domain e0..e{n-1}).  The search walks these strings in
 increasing binary order, false first, so the reported model is always the
 lexicographically least satisfying interpretation of minimal domain size.
 
-The sentence is compiled once (``grounder``, which checks its atoms against
-the vocabulary as it compiles them) and grounded at each size into a
-``Circuit`` of gates over the cells: ``A`` and ``E`` give AND and OR gates,
-``E[>=k]`` a threshold gate, ``E[<=k]`` the negated ``>=k+1`` gate,
-``E[=k]`` the AND of both, and equalities, ``true`` and ``false`` fold
-away.  Block parts are placed by :func:`unifrag.semantics.block_parts`, so
-a vacuous block variable does not multiply the circuit.  The root is
+The sentence is compiled once, by ``grounder``, through the one formula
+compiler :func:`unifrag.semantics.compile_formula` with a grounding kit,
+and grounded at each size into a ``Circuit`` of gates over the cells: ``A``
+and ``E`` give AND and OR gates, ``E[>=k]`` a threshold gate, ``E[<=k]`` the
+negated ``>=k+1`` gate, ``E[=k]`` the AND of both, and equalities, ``true``
+and ``false`` fold away.  Block parts are placed as the evaluator places
+them, so a vacuous block variable does not multiply the circuit.  The root is
 required true; a conflict backtracks, a true root completes with every
 undecided cell false.  Forcing only removes non-models, so outcomes match
 an exhaustive enumeration exactly.  A model is re-checked on the built
@@ -39,11 +39,9 @@ from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .errors import CellLimitError, CircuitLimitError, EvalError, LogicError
-from .semantics import block_parts, evaluate
+from .semantics import compile_formula, evaluate
 from .structures import Structure
-from .syntax import (DEFAULT_CELL_LIMIT, And, Atom, Bottom, CountExists, Equals,
-                     ExistsBlock, ForallBlock, Formula, Implies, Node, Not, Or, Top,
-                     Vocabulary, check_atom, free_variables)
+from .syntax import DEFAULT_CELL_LIMIT, Formula, Node, Vocabulary, free_variables
 
 # ground circuit nodes at the largest size (before folding), and sizes searched
 CIRCUIT_LIMIT = 100_000
@@ -210,12 +208,13 @@ def _negate(lit: Lit) -> Lit:
 
 
 def grounder(f: Formula, vocab: Vocabulary, max_size: int) -> tuple[frozenset[str], int, Ground]:
-    """Compile ``f`` once, checking each atom against ``vocab`` as it is
-    compiled, into its free variables, the number of nodes grounding makes
-    at ``max_size`` before any folds (one per gate and per gate input), and
-    ``root(c, asg)``: the literal of ``f`` grounded into the circuit ``c``
-    under the dict ``asg`` (variables to element indices), which ``root``
-    writes quantified variables into, so each call passes its own."""
+    """Compile ``f`` once, by ``compile_formula`` with a grounding kit, into
+    its free variables, the number of nodes grounding makes at ``max_size``
+    before any folds (one per gate and per gate input), and ``root(c, asg)``:
+    the literal of ``f`` grounded into the circuit ``c`` under the dict
+    ``asg`` (variables to element indices), which ``root`` writes quantified
+    variables into, so each call passes its own."""
+    nodes: dict[Ground, int] = {}  # each closure's node estimate, 1 unless set
 
     def each(var: str, g: Ground, c: Circuit, asg: dict) -> list[Lit]:
         """The literals of ``g`` for every value of ``var``."""
@@ -226,48 +225,38 @@ def grounder(f: Formula, vocab: Vocabulary, max_size: int) -> tuple[frozenset[st
         asg[var] = saved  # None out of scope, where nothing reads it
         return lits
 
-    def negate(compiled: tuple) -> tuple[Ground, int]:
-        g, nodes = compiled
-        return (lambda c, asg: _negate(g(c, asg))), nodes
+    def atom(f: Formula) -> Ground:
+        rel, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
+        if len(f.args) == 1:
+            return lambda c, asg: (c.index[rel, (key(asg),)], False)
+        return lambda c, asg: (c.index[rel, key(asg)], False)
 
-    def comp(f: Formula) -> tuple[tuple[Ground, int], frozenset[str]]:
-        """``(ground, nodes)`` of ``f``, and the free variables of ``f``."""
-        if isinstance(f, Atom):
-            check_atom(f, vocab)
-            rel, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
-            if len(f.args) == 1:
-                return ((lambda c, asg: (c.index[rel, (key(asg),)], False)), 1), frozenset(f.args)
-            return ((lambda c, asg: (c.index[rel, key(asg)], False)), 1), frozenset(f.args)
-        if isinstance(f, Not):
-            g, free = comp(f.body)
-            return negate(g), free
-        if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
-            vars, exists, levels, free, _ = block_parts(f, comp, negate)  # guards serve evaluation only
-            g, nodes = None, 0
-            for i in range(len(levels) - 1, -1, -1):
-                g = partial(level, [p for p, _ in levels[i]], vars[i] if g else None, g, exists)
-                # the level's gate, its parts, and a loop gate over the next level
-                nodes = 1 + sum(n for _, n in levels[i]) + (1 + max_size * nodes if nodes else 0)
-            return (g, nodes), free
-        if isinstance(f, Equals):
-            left, right = f.left, f.right
-            return ((lambda c, asg: asg[left] == asg[right]), 1), frozenset((left, right))
-        if isinstance(f, (Top, Bottom)):
-            const = isinstance(f, Top)
-            return ((lambda c, asg: const), 1), frozenset()
-        if isinstance(f, CountExists):
-            (body, nodes), free = comp(f.body)
-            var, cmp, k = f.var, f.cmp, f.bound
+    def negate(g: Ground) -> Ground:
+        def ground_not(c: Circuit, asg: dict) -> Lit:
+            return _negate(g(c, asg))
 
-            def count(c: Circuit, asg: dict) -> Lit:
-                lits = each(var, body, c, asg)
-                if cmp == ">=":
-                    return c.gate(k, lits)
-                at_most = _negate(c.gate(k + 1, lits))
-                return at_most if cmp == "<=" else c.gate(2, [c.gate(k, lits), at_most])
+        nodes[ground_not] = nodes.get(g, 1)
+        return ground_not
 
-            return (count, 3 + max_size * nodes), free - {var}
-        raise TypeError(f"not a formula: {f!r}")
+    def block(vars: tuple, exists: bool, levels: list, guards: list) -> Ground:
+        g, n = None, 0  # guards serve evaluation only
+        for i in range(len(levels) - 1, -1, -1):
+            g = partial(level, levels[i], vars[i] if g else None, g, exists)
+            # the level's gate, its parts, and a loop gate over the next level
+            n = 1 + sum(nodes.get(p, 1) for p in levels[i]) + (1 + max_size * n if n else 0)
+        nodes[g] = n
+        return g
+
+    def count(cmp: str, k: int, var: str, body: Ground) -> Ground:
+        def ground_count(c: Circuit, asg: dict) -> Lit:
+            lits = each(var, body, c, asg)
+            if cmp == ">=":
+                return c.gate(k, lits)
+            at_most = _negate(c.gate(k + 1, lits))
+            return at_most if cmp == "<=" else c.gate(2, [c.gate(k, lits), at_most])
+
+        nodes[ground_count] = 3 + max_size * nodes.get(body, 1)
+        return ground_count
 
     def level(parts: list, var: Optional[str], inner: Optional[Ground], exists: bool,
               c: Circuit, asg: dict) -> Lit:
@@ -278,8 +267,8 @@ def grounder(f: Formula, vocab: Vocabulary, max_size: int) -> tuple[frozenset[st
             lits.append(c.gate(1 if exists else len(loop), loop))
         return c.gate(len(lits) if exists else 1, lits)
 
-    (root, nodes), free = comp(f)
-    return free, nodes, root
+    free, root = compile_formula(f, vocab, atom, negate, block, count)
+    return free, nodes.get(root, 1), root
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Tarskian model checking over finite structures, including counting
 quantifiers.
 
-``compile_formula`` is the one evaluator core: it compiles a formula into
-a closure ``test(s, asg)`` that looks atoms up in the relations of the
-structure ``s`` it is given.  A quantifier block does not test its whole
-body for every tuple of its variables: each conjunct under ``E`` (disjunct
-under ``A``) is tested in the loop of the last block variable it mentions
-(``block_parts``, which :mod:`unifrag.modelfind` shares to ground a
-sentence); a loop with a guard atom walks the structure's index instead of
-the domain.  ``evaluate`` and ``satisfaction_set`` run the core;
-``evaluate_naive`` enumerates every branch with its own plain recursion
-and serves as the reference the compiled evaluator is tested against.
+``compile_formula`` is the one formula compiler.  By default it compiles a
+formula into a closure ``test(s, asg)`` that looks atoms up in the
+relations of the structure ``s`` it is given; :mod:`unifrag.modelfind`
+passes it a kit that grounds into a circuit instead.  A quantifier block
+does not test its whole body for every tuple of its variables: each
+conjunct under ``E`` (disjunct under ``A``) is tested in the loop of the
+last block variable it mentions (``block_parts``); a loop with a guard atom
+walks the structure's index instead of the domain.  ``evaluate`` and
+``satisfaction_set`` run the core; ``evaluate_naive`` enumerates every
+branch with its own plain recursion, the reference the core is tested on.
 
 ``evaluate`` and ``satisfaction_set`` compile, and so check, a formula once
 per vocabulary and reuse the test across structures, through a bounded
@@ -68,113 +68,22 @@ _cache: list = [None] * 5 + [{}]  # the formulas compiled, see syntax.compiled
 
 
 # ---------------------------------------------------------------------------
-# The evaluator core: two-valued evaluation compiled to closures
+# The compiler core, and the evaluator's kit of closures it builds by default
 # ---------------------------------------------------------------------------
 
-def compile_formula(f: Formula, vocab: Vocabulary) -> tuple[frozenset[str], Test]:
-    """The free variables of ``f`` and its closure ``test(s, asg)``: whether
-    ``s``, a structure over ``vocab``, satisfies ``f`` under the dict ``asg``.
-    Each atom is checked against ``vocab`` as it is compiled.  The test
-    writes quantified variables into ``asg``, so each call passes its own.
-
-    Quantifiers range over ``s.domain`` and atoms are looked up in
-    ``s.relations``.  A quantifier block tests each part of its body in the
-    loop of the last block variable the part mentions (see ``block_parts``).
-    Each loop joins its parts, in text order, with the next loop inwards.
-    This rests on Ez(p & q) = p & Ez q and Az(p | q) = p | Az q for z not
-    free in p, so every answer is the one the whole body tested in the
-    innermost loop would give.  A loop with a guard walks only the values
-    that satisfy it, read from ``s.index(rel, pos)``.
-    """
-    def comp(f: Formula) -> tuple[Test, frozenset[str]]:
-        """The closure of ``f`` and the free variables of ``f``."""
-        if isinstance(f, Atom):
-            check_atom(f, vocab)
-            name = f.rel
-            if len(f.args) == 1:
-                (v,) = f.args
-                return (lambda s, asg: (asg[v],) in s.relations[name]), frozenset(f.args)
-            key = itemgetter(*f.args)  # a tuple, also for R(x,x)
-            return (lambda s, asg: key(asg) in s.relations[name]), frozenset(f.args)
-        if isinstance(f, Not):
-            g, free = comp(f.body)
-            return _not(g), free
-        if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
-            vars, exists, levels, free, guards = block_parts(f, comp, _not)
-            for i in range(len(vars), 0, -1):  # the innermost loop first
-                walk = _walk(vars[i - 1], guards[i - 1], levels[i])
-                body = _join(levels[i], exists)
-                levels[i - 1].append(_loop(vars[i - 1], body, exists, walk))
-            return _join(levels[0], exists), free
-        if isinstance(f, Equals):
-            left, right = f.left, f.right
-            return (lambda s, asg: asg[left] == asg[right]), frozenset((left, right))
-        if isinstance(f, Top):
-            return (lambda s, asg: True), frozenset()
-        if isinstance(f, Bottom):
-            return (lambda s, asg: False), frozenset()
-        if isinstance(f, CountExists):
-            body, free = comp(f.body)
-            return _count(f.cmp, f.bound, f.var, body), free - {f.var}
-        raise TypeError(f"not a formula: {f!r}")
-
-    test, free = comp(f)
-    return free, test
+def _atom(f: Atom) -> Test:
+    name, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
+    if len(f.args) == 1:
+        v = f.args[0]
+        return lambda s, asg: (asg[v],) in s.relations[name]
+    return lambda s, asg: key(asg) in s.relations[name]
 
 
-def block_parts(f: Formula, comp: Callable, negate: Callable
-                ) -> tuple[tuple[str, ...], bool, list[list], frozenset[str], list]:
-    """The variables of the quantifier block ``f`` and whether it is an
-    ``E`` block, its compiled parts placed by the loop that tests them, its
-    free variables and its guards.  A chain of ``&`` counts as an ``E``
-    block without variables, a chain of ``|`` and ``->`` as an ``A`` block.
-
-    The parts are the conjuncts under ``E`` and the disjuncts under ``A``,
-    where ``a -> b`` gives ``negate`` of ``~a`` and the parts of ``b``;
-    ``comp`` returns a part's compiled form and free variables.  The
-    variables returned are those some part mentions: over a nonempty domain,
-    ``E z`` and ``A z`` of a formula without ``z`` are that formula.  Each
-    part goes to the last of them it mentions: ``levels[0]`` holds the parts
-    without a block variable, ``levels[i]`` those tested in the loop of
-    ``vars[i-1]``.  ``guards[i]`` is ``(k, atom)`` when ``levels[i+1][k]`` is
-    the first part to test an atom that mentions ``vars[i]`` once, as a
-    conjunct under ``E`` or negated under ``A``, and None if there is none.
-    """
-    if isinstance(f, (ExistsBlock, ForallBlock)):
-        vars, exists, todo = f.vars, isinstance(f, ExistsBlock), [f.body]
-    else:
-        vars, exists, todo = (), isinstance(f, And), [f]
-    chain = And if exists else Or
-    parts: list = []
-    free: set[str] = set()
-    while todo:  # in text order, without a Python frame per operand
-        g = todo.pop()
-        if isinstance(g, chain):
-            todo += (g.right, g.left)
-            continue
-        if not exists and isinstance(g, Implies):
-            h, part_free = comp(g.left)
-            h, atom = negate(h), g.left
-            todo.append(g.right)
-        else:
-            h, part_free = comp(g)
-            atom = g if exists else g.body if isinstance(g, Not) else None
-        parts.append((h, part_free, atom if isinstance(atom, Atom) else None))
-        free |= part_free
-    if not vars:
-        return vars, exists, [[h for h, _, _ in parts]], frozenset(free), []
-    used = tuple([v for v in vars if v in free])
-    levels: list[list] = [[] for _ in range(len(used) + 1)]
-    guards: list = [None] * len(used)
-    for h, part_free, atom in parts:
-        i = len(used)
-        while i and used[i - 1] not in part_free:
-            i -= 1
-        if i and not guards[i - 1] and atom is not None and atom.args.count(used[i - 1]) == 1:
-            guards[i - 1] = (len(levels[i]), atom)
-        levels[i].append(h)
-    free.difference_update(vars)
-    return used, exists, levels, frozenset(free), guards
+def _block(vars: tuple[str, ...], exists: bool, levels: list[list], guards: list) -> Test:
+    for i in range(len(vars), 0, -1):  # the innermost loop first
+        walk = _walk(vars[i - 1], guards[i - 1], levels[i])  # before the join
+        levels[i - 1].append(_loop(vars[i - 1], _join(levels[i], exists), exists, walk))
+    return _join(levels[0], exists)
 
 
 def _not(g: Test) -> Test:
@@ -248,6 +157,108 @@ def _count(cmp: str, bound: int, var: str, body: Test) -> Test:
         return count == bound if cmp == "=" else count <= bound
 
     return ev_count
+
+
+def compile_formula(f: Formula, vocab: Vocabulary, atom=_atom, negate=_not, block=_block,
+                    count=_count) -> tuple[frozenset[str], Callable]:
+    """The free variables of ``f`` and its closure ``test(s, asg)``: whether
+    ``s``, a structure over ``vocab``, satisfies ``f`` under the dict ``asg``.
+    Each atom is checked against ``vocab`` as it is compiled.  The test
+    writes quantified variables into ``asg``, so each call passes its own.
+    The closures of ``=``, ``true`` and ``false`` read only ``asg``; a kit
+    builds the others, ``atom(f)``, ``negate(g)``, ``block(vars, exists,
+    levels, guards)`` and ``count(cmp, bound, var, body)``, and
+    ``modelfind.grounder`` passes the kit that grounds into a circuit.
+
+    Quantifiers range over ``s.domain`` and atoms are looked up in
+    ``s.relations``.  A quantifier block tests each part of its body in the
+    loop of the last block variable the part mentions (see ``block_parts``).
+    Each loop joins its parts, in text order, with the next loop inwards.
+    This rests on Ez(p & q) = p & Ez q and Az(p | q) = p | Az q for z not
+    free in p, so every answer is the one the whole body tested in the
+    innermost loop would give.  A loop with a guard walks only the values
+    that satisfy it, read from ``s.index(rel, pos)``.
+    """
+    def comp(f: Formula) -> tuple[Callable, frozenset[str]]:
+        """The compiled form of ``f`` and the free variables of ``f``."""
+        if isinstance(f, Atom):
+            check_atom(f, vocab)
+            return atom(f), frozenset(f.args)
+        if isinstance(f, Not):
+            g, free = comp(f.body)
+            return negate(g), free
+        if isinstance(f, (And, Or, Implies, ExistsBlock, ForallBlock)):
+            vars, exists, levels, free, guards = block_parts(f, comp, negate)
+            return block(vars, exists, levels, guards), free
+        if isinstance(f, Equals):
+            left, right = f.left, f.right
+            return (lambda s, asg: asg[left] == asg[right]), frozenset((left, right))
+        if isinstance(f, Top):
+            return (lambda s, asg: True), frozenset()
+        if isinstance(f, Bottom):
+            return (lambda s, asg: False), frozenset()
+        if isinstance(f, CountExists):
+            body, free = comp(f.body)
+            return count(f.cmp, f.bound, f.var, body), free - {f.var}
+        raise TypeError(f"not a formula: {f!r}")
+
+    g, free = comp(f)
+    return free, g
+
+
+def block_parts(f: Formula, comp: Callable, negate: Callable
+                ) -> tuple[tuple[str, ...], bool, list[list], frozenset[str], list]:
+    """The variables of the quantifier block ``f`` and whether it is an
+    ``E`` block, its compiled parts placed by the loop that tests them, its
+    free variables and its guards.  A chain of ``&`` counts as an ``E``
+    block without variables, a chain of ``|`` and ``->`` as an ``A`` block.
+
+    The parts are the conjuncts under ``E`` and the disjuncts under ``A``,
+    where ``a -> b`` gives ``negate`` of ``~a`` and the parts of ``b``;
+    ``comp`` returns a part's compiled form and free variables.  The
+    variables returned are those some part mentions: over a nonempty domain,
+    ``E z`` and ``A z`` of a formula without ``z`` are that formula.  Each
+    part goes to the last of them it mentions: ``levels[0]`` holds the parts
+    without a block variable, ``levels[i]`` those tested in the loop of
+    ``vars[i-1]``.  ``guards[i]`` is ``(k, atom)`` when ``levels[i+1][k]`` is
+    the first part to test an atom that mentions ``vars[i]`` once, as a
+    conjunct under ``E`` or negated under ``A``, and None if there is none.
+    """
+    if isinstance(f, (ExistsBlock, ForallBlock)):
+        vars, exists, todo = f.vars, isinstance(f, ExistsBlock), [f.body]
+    else:
+        vars, exists, todo = (), isinstance(f, And), [f]
+    chain = And if exists else Or
+    parts: list = []
+    free: set[str] = set()
+    while todo:  # in text order, without a Python frame per operand
+        g = todo.pop()
+        if isinstance(g, chain):
+            todo += (g.right, g.left)
+            continue
+        if not exists and isinstance(g, Implies):
+            h, part_free = comp(g.left)
+            h, atom = negate(h), g.left
+            todo.append(g.right)
+        else:
+            h, part_free = comp(g)
+            atom = g if exists else g.body if isinstance(g, Not) else None
+        parts.append((h, part_free, atom if isinstance(atom, Atom) else None))
+        free |= part_free
+    if not vars:
+        return vars, exists, [[h for h, _, _ in parts]], frozenset(free), []
+    used = tuple([v for v in vars if v in free])
+    levels: list[list] = [[] for _ in range(len(used) + 1)]
+    guards: list = [None] * len(used)
+    for h, part_free, atom in parts:
+        i = len(used)
+        while i and used[i - 1] not in part_free:
+            i -= 1
+        if i and not guards[i - 1] and atom is not None and atom.args.count(used[i - 1]) == 1:
+            guards[i - 1] = (len(levels[i]), atom)
+        levels[i].append(h)
+    free.difference_update(vars)
+    return used, exists, levels, frozenset(free), guards
 
 
 def evaluate_naive(s: Structure, a: Assignment, f: Formula) -> bool:
