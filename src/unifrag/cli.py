@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import FragmentGateError, LogicError, ParseError
-from .syntax import (DEFAULT_CELL_LIMIT, TOPN_MODES, FragmentId, Vocabulary,
+from .syntax import (DEFAULT_CELL_LIMIT, TOPN_MODES, Formula, FragmentId, Vocabulary,
                      free_variables, infer_vocabulary, parse_formula, print_formula)
 
 EXIT_OK = 0
@@ -84,6 +84,14 @@ def _load_vocab(path: Optional[str]) -> Optional[Vocabulary]:
     return Vocabulary(raw)
 
 
+def _read_formula(args) -> tuple[Formula, Vocabulary]:
+    """The formula of the request and its vocabulary: ``--vocab``'s, or else
+    the one its atoms infer, which refuses a relation used at two arities."""
+    vocab = _load_vocab(args.vocab)
+    f = parse_formula(_read_input(args), vocab)
+    return f, vocab if vocab is not None else infer_vocabulary(f)
+
+
 def _parse_assignment(text: Optional[str]) -> dict[str, str]:
     if not text:
         return {}
@@ -105,14 +113,12 @@ def _parse_assignment(text: Optional[str]) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args, rep: _Reporter) -> int:
-    vocab = _load_vocab(args.vocab)
-    f = parse_formula(_read_input(args), vocab)
-    effective = vocab if vocab is not None else infer_vocabulary(f)
+    f, vocab = _read_formula(args)
     doc = {
         "command": "parse",
         "formula": print_formula(f),
         "free_variables": sorted(free_variables(f)),
-        "vocabulary": dict(sorted(effective.symbols.items())),
+        "vocabulary": dict(sorted(vocab.symbols.items())),
     }
     rep.emit(doc, doc["formula"])
     return EXIT_OK
@@ -120,8 +126,7 @@ def _cmd_parse(args, rep: _Reporter) -> int:
 
 def _cmd_check(args, rep: _Reporter) -> int:
     from .fragments import check_fragment
-    vocab = _load_vocab(args.vocab)
-    f = parse_formula(_read_input(args), vocab)
+    f, _ = _read_formula(args)
     frag = FRAGMENTS[args.fragment]
     diag = check_fragment(f, frag)
     doc = {"command": "check", "fragment": args.fragment,
@@ -150,21 +155,19 @@ def _cmd_translate(args, rep: _Reporter) -> int:
     from . import dl, dlr
     from .translate import dl_to_fu1, dlr0_to_fu1, fu1_to_dl, gate_dlr0
     source, target = args.source, args.target
-    vocab = _load_vocab(args.vocab)
-    text = _read_input(args)
     if source == "fu1" and target == "dl":
-        f = parse_formula(text, vocab)
-        if vocab is None:
-            infer_vocabulary(f)  # reject inconsistent atom arities
+        f, _ = _read_formula(args)
         out = dl.print_concept(fu1_to_dl(f))
         rendered_in = print_formula(f)
     elif source == "dl" and target == "fu1":
+        vocab, text = _load_vocab(args.vocab), _read_input(args)
         if vocab is None:
             raise LogicError("--from dl needs --vocab to resolve atomic role arities")
         concept = dl.parse_concept(text)
         out = print_formula(dl_to_fu1(concept, vocab))
         rendered_in = dl.print_concept(concept)
     elif source == "dlr0" and target == "fu1":
+        vocab, text = _load_vocab(args.vocab), _read_input(args)
         concept = dlr.parse_dlr_concept(text)
         gate_dlr0(concept)  # a refusal (3) outranks the missing vocabulary (2)
         if vocab is None:
@@ -184,10 +187,7 @@ def _cmd_translate(args, rep: _Reporter) -> int:
 def _cmd_sat(args, rep: _Reporter) -> int:
     from .modelfind import find_model
     from .structures import dump_structure, structure_to_doc
-    vocab = _load_vocab(args.vocab)
-    f = parse_formula(_read_input(args), vocab)
-    if vocab is None:
-        vocab = infer_vocabulary(f)
+    f, vocab = _read_formula(args)
     report = find_model(f, vocab, args.max_size, prune=args.prune,
                         cell_limit=args.cell_limit)
     doc = {

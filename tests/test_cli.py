@@ -416,9 +416,11 @@ EVAL_MODEL = ["eval", "-e", "E x. true", "--model", "FILE"]
     (["translate", "--from", "dlr0", "--to", "fu1", "--vocab", "FILE", "-e",
       "exists[$1] (R & T)"], '{"R": 2, "T": 3}', "ArityError",
      "role intersection of arities 2 and 3"),
+    (["check", "--fragment", "u1", "-e", "E x y. (P(x) & P(x,y))"], None, "ArityError",
+     "relation 'P' used with arities 1 and 2"),
 ], ids=["model-not-object", "model-lacks-arities", "model-domain", "model-arities",
         "model-relations", "model-tuples", "trailing-input", "vocab-name", "dlr-top1-role",
-        "dlr-role-arities"])
+        "dlr-role-arities", "check-mixed-arities"])
 def test_refusals_report_their_kind_and_message(capsys, tmp_path, argv, text, kind,
                                                 message, fmt):
     path = tmp_path / "input.json"
