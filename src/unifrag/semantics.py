@@ -72,10 +72,10 @@ _cache: list = [None] * 5 + [{}]  # the formulas compiled, see syntax.compiled
 # ---------------------------------------------------------------------------
 
 def _atom(f: Atom) -> Test:
-    name, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
     if len(f.args) == 1:
-        v = f.args[0]
+        name, v = f.rel, f.args[0]
         return lambda s, asg: (asg[v],) in s.relations[name]
+    name, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
     return lambda s, asg: key(asg) in s.relations[name]
 
 
