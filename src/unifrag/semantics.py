@@ -165,10 +165,9 @@ def compile_formula(f: Formula, vocab: Vocabulary, atom=_atom, negate=_not, bloc
     ``s``, a structure over ``vocab``, satisfies ``f`` under the dict ``asg``.
     Each atom is checked against ``vocab`` as it is compiled.  The test
     writes quantified variables into ``asg``, so each call passes its own.
-    The closures of ``=``, ``true`` and ``false`` read only ``asg``; a kit
-    builds the others, ``atom(f)``, ``negate(g)``, ``block(vars, exists,
-    levels, guards)`` and ``count(cmp, bound, var, body)``, and
-    ``modelfind.grounder`` passes the kit that grounds into a circuit.
+    ``=``, ``true`` and ``false`` read only ``asg``; the kit ``atom(f)``,
+    ``negate(g)``, ``block(vars, exists, levels, guards)`` and ``count(cmp,
+    bound, var, body)`` builds the rest (``modelfind.grounder`` passes its own).
 
     Quantifiers range over ``s.domain`` and atoms are looked up in
     ``s.relations``.  A quantifier block tests each part of its body in the
@@ -203,6 +202,7 @@ def compile_formula(f: Formula, vocab: Vocabulary, atom=_atom, negate=_not, bloc
         raise TypeError(f"not a formula: {f!r}")
 
     g, free = comp(f)
+    del comp  # it refers to itself: free it, and the kit it holds, at once
     return free, g
 
 
