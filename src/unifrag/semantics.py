@@ -81,7 +81,7 @@ def _atom(f: Atom) -> Test:
 
 def _block(vars: tuple[str, ...], exists: bool, levels: list[list], guards: list) -> Test:
     for i in range(len(vars), 0, -1):  # the innermost loop first
-        walk = _walk(vars[i - 1], guards[i - 1], levels[i])  # before the join
+        walk = _walk(vars[i - 1], guards[i - 1], levels[i])  # drops the guard's test
         levels[i - 1].append(_loop(vars[i - 1], _join(levels[i], exists), exists, walk))
     return _join(levels[0], exists)
 
