@@ -55,7 +55,7 @@ from typing import Callable, Optional, Union
 
 from .errors import VocabularyError
 from .structures import Structure
-from .syntax import Node, TokenParser, Vocabulary, compiled, nested
+from .syntax import Node, Recursive, TokenParser, Vocabulary, compiled, nested
 
 # ---------------------------------------------------------------------------
 # Surjections and role terms
@@ -190,15 +190,13 @@ def check_existential_args(n: int, args: tuple) -> None:
 # structure ``s`` over its vocabulary with the domain ``dom`` as a frozenset.
 Compiled = Callable[[Structure, frozenset], frozenset]
 
-_head = itemgetter(0)
-
 
 def nothing(s: Structure, dom: frozenset) -> frozenset:
     return frozenset()
 
 
 def identity(s: Structure, dom: frozenset) -> frozenset:
-    return frozenset((d, d) for d in s.domain)
+    return s.eps()
 
 
 _cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
@@ -209,13 +207,13 @@ def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Co
     it compiles the four node kinds of both logics and leaves the others to
     ``own(c, comp)``.  A node that fails a vocabulary check, or is no node,
     raises when it is compiled."""
-    def comp(c) -> Compiled:
+    def comp(c, comp) -> Compiled:
         if isinstance(c, TopC):
             return lambda s, dom: dom
         if isinstance(c, AtomicConcept):
             check_concept_name(c.name, vocab)
             name = c.name
-            return lambda s, dom: frozenset(map(_head, s.relations[name]))
+            return lambda s, dom: s.members(name)
         if isinstance(c, NotC):
             body = comp(c.body)
             return lambda s, dom: dom - body(s, dom)
@@ -223,7 +221,7 @@ def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Co
             left, right = comp(c.left), comp(c.right)
             return lambda s, dom: left(s, dom) & right(s, dom)
         return own(c, comp)
-    return comp
+    return Recursive(comp)
 
 
 # A compiled role ``(arity, cuts, tuples)`` stands for the set ``tuples(s,
@@ -239,7 +237,7 @@ def role_compiler(vocab: Vocabulary, own: Callable) -> Callable[[RoleTerm], Comp
     other nodes, and an ``&`` of two arities, to ``own(r, comp)``.  No rule
     lists domain^n, but ``~`` of a cut complement other than one bare filter
     lists the product of its cuts' sets."""
-    def comp(r) -> CompiledRole:
+    def comp(r, comp) -> CompiledRole:
         if isinstance(r, AtomicRole):
             name = r.name
             return atomic_role_arity(name, vocab), None, lambda s, dom: s.relations[name]
@@ -284,7 +282,7 @@ def role_compiler(vocab: Vocabulary, own: Callable) -> Callable[[RoleTerm], Comp
                 return frozenset(hits)
             return n, None, cut
         return own(r, comp)
-    return comp
+    return Recursive(comp)
 
 
 def _sets(n: int, cuts: tuple, s: Structure, dom: frozenset) -> list:
@@ -348,9 +346,14 @@ def _own_role(r, comp) -> CompiledRole:
         # t is in the result iff lift(t) = (t[map[j]-1])_j is in the inner
         # relation.  lift is injective, so it commutes with complement, and
         # the only candidate preimage of an inner tuple u is pick(u), whose
-        # position i is u's first position j with map[j] = i
+        # position i is u's first position j with map[j] = i.  A one-to-one
+        # map lifts every pick(u) back to u, so it needs no lift test
         images = r.srj.map
+        if images == tuple(range(1, k + 1)):
+            return k, cuts, inner
         pick = itemgetter(*(images.index(i) for i in range(1, r.srj.target + 1)))
+        if r.srj.target == k:
+            return k, cuts, lambda s, dom: frozenset(map(pick, inner(s, dom)))
         lift = itemgetter(*(i - 1 for i in images))
 
         def apply(s: Structure, dom: frozenset) -> frozenset:
@@ -381,14 +384,14 @@ def _compile_concept(c: Concept, vocab: Vocabulary) -> Compiled:
 
 def role_extension(s: Structure, r: RoleTerm) -> frozenset[tuple[str, ...]]:
     n, cuts, tuples = compiled(_cache, _compile_role, r, s.vocabulary)
-    ext = tuples(s, frozenset(s.domain))
+    ext = tuples(s, s.domain_set())
     if cuts is None:
         return ext
     return frozenset(t for t in product(s.domain, repeat=n) if t not in ext)
 
 
 def concept_extension(s: Structure, c: Concept) -> frozenset[str]:
-    return compiled(_cache, _compile_concept, c, s.vocabulary)(s, frozenset(s.domain))
+    return compiled(_cache, _compile_concept, c, s.vocabulary)(s, s.domain_set())
 
 
 # ---------------------------------------------------------------------------

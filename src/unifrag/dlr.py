@@ -289,7 +289,9 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
         raise TypeError(f"not a concept: {c!r}")
 
     concept = concept_compiler(vocab, own)
-    return concept(x) if kind == "concept" else binrel(x)
+    out = concept(x) if kind == "concept" else binrel(x)
+    del concept, binrel  # they refer to themselves: free them, and what they hold, at once
+    return out
 
 
 _cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
@@ -297,7 +299,7 @@ _cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
 
 def _extension(kind: str, x, s: Structure, topn: str) -> frozenset:
     check_topn_mode(topn)
-    return compiled(_cache, _compile, x, s.vocabulary, topn, kind)(s, frozenset(s.domain))
+    return compiled(_cache, _compile, x, s.vocabulary, topn, kind)(s, s.domain_set())
 
 
 def dlr_binrel_extension(s: Structure, e: DlrBinRel, topn: str = "delta") -> frozenset[tuple[str, str]]:

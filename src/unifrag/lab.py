@@ -94,7 +94,7 @@ def _nonempty(c: dl.Concept, s: Structure) -> str:
 
 def _coverage(c: dlr.DlrConcept, s: Structure) -> str:
     ext = dlr.dlr_concept_extension(s, c)
-    if ext == frozenset(s.domain):
+    if ext == s.domain_set():
         return "full"
     return "empty" if not ext else "partial"
 

@@ -20,6 +20,7 @@ assignment: each call passes its structure and a copy of its assignment.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
@@ -41,15 +42,9 @@ class SatisfactionSet(Node):
     __slots__ = ("formula", "elements")
 
 
-def _check_inputs(s: Structure, a: Assignment, f: Formula):
-    validate_formula(f, s.vocabulary)
-    _check_assignment(s, a, free_variables(f))
-
-
 def _check_assignment(s: Structure, a: Assignment, free: frozenset[str]):
-    dom = set(s.domain)
     for var, val in a.items():
-        if val not in dom:
+        if val not in s.domain_set():
             raise EvalError(f"assignment maps {var!r} to {val!r}, not a domain element")
     unbound = free - a.keys()
     if unbound:
@@ -214,8 +209,11 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
     block without variables, a chain of ``|`` and ``->`` as an ``A`` block.
 
     The parts are the conjuncts under ``E`` and the disjuncts under ``A``,
-    where ``a -> b`` gives ``negate`` of ``~a`` and the parts of ``b``;
-    ``comp`` returns a part's compiled form and free variables.  The
+    split by De Morgan: under ``A``, ``a -> b`` and ``~(a & b)`` give the
+    parts of ``~a`` and of ``b`` or ``~b``; under ``E``, ``~(a | b)`` and
+    ``~(a -> b)`` give those of ``~a`` or ``a`` and of ``~b``; ``~~a`` gives
+    those of ``a``.  ``comp`` returns a compiled form and free variables,
+    and a part ``~a`` is ``negate`` of ``a``'s compiled form.  The
     variables returned are those some part mentions: over a nonempty domain,
     ``E z`` and ``A z`` of a formula without ``z`` are that formula.  Each
     part goes to the last of them it mentions: ``levels[0]`` holds the parts
@@ -229,6 +227,7 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
     else:
         vars, exists, todo = (), isinstance(f, And), [f]
     chain = And if exists else Or
+    flips = (Not, Or, Implies) if exists else (Not, And)  # a negation of these splits
     parts: list = []
     free: set[str] = set()
     while todo:  # in text order, without a Python frame per operand
@@ -236,15 +235,23 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
         if isinstance(g, chain):
             todo += (g.right, g.left)
             continue
-        if not exists and isinstance(g, Implies):
-            h, part_free = comp(g.left)
-            h, atom = negate(h), g.left
+        if isinstance(g, Not):  # the part ~a
+            a = g.body
+        elif not exists and isinstance(g, Implies):
             todo.append(g.right)
+            a = g.left
         else:
             h, part_free = comp(g)
-            atom = g if exists else g.body if isinstance(g, Not) else None
-        parts.append((h, part_free, atom if isinstance(atom, Atom) else None))
-        free |= part_free
+            parts.append((h, part_free, g if exists and isinstance(g, Atom) else None))
+            free |= part_free
+            continue
+        if isinstance(a, flips):  # ~~b is b, ~(b & c) is ~b | ~c, ~(b -> c) is b & ~c, ...
+            todo += ((a.body,) if isinstance(a, Not) else
+                     (Not(a.right), a.left if isinstance(a, Implies) else Not(a.left)))
+        else:
+            h, part_free = comp(a)
+            parts.append((negate(h), part_free, a if not exists and isinstance(a, Atom) else None))
+            free |= part_free
     if not vars:
         return vars, exists, [[h for h, _, _ in parts]], frozenset(free), []
     used = tuple([v for v in vars if v in free])
@@ -264,7 +271,8 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
 def evaluate_naive(s: Structure, a: Assignment, f: Formula) -> bool:
     """No-pruning reference semantics: quantifiers enumerate the full
     domain and combine afterwards."""
-    _check_inputs(s, a, f)
+    validate_formula(f, s.vocabulary)
+    _check_assignment(s, a, free_variables(f))
     return _ev_naive(s, dict(a), f)
 
 
@@ -279,26 +287,13 @@ def _ev_naive(s, a, f) -> bool:
         return a[f.left] == a[f.right]
     if isinstance(f, Not):
         return not _ev_naive(s, a, f.body)
-    if isinstance(f, And):
+    if isinstance(f, (And, Or, Implies)):  # both sides, whatever the first gives
         left, right = _ev_naive(s, a, f.left), _ev_naive(s, a, f.right)
-        return left and right
-    if isinstance(f, Or):
-        left, right = _ev_naive(s, a, f.left), _ev_naive(s, a, f.right)
-        return left or right
-    if isinstance(f, Implies):
-        left, right = _ev_naive(s, a, f.left), _ev_naive(s, a, f.right)
-        return (not left) or right
+        return (left and right if isinstance(f, And) else left or right if isinstance(f, Or)
+                else not left or right)
     if isinstance(f, (ExistsBlock, ForallBlock)):
-        results = []
-
-        def enum(vars, a):
-            if not vars:
-                results.append(_ev_naive(s, dict(a), f.body))
-                return
-            for d in s.domain:
-                enum(vars[1:], {**a, vars[0]: d})
-
-        enum(f.vars, a)
+        results = [_ev_naive(s, {**a, **dict(zip(f.vars, t))}, f.body)
+                   for t in product(s.domain, repeat=len(f.vars))]
         return any(results) if isinstance(f, ExistsBlock) else all(results)
     if isinstance(f, CountExists):
         count = sum(_ev_naive(s, {**a, f.var: d}, f.body) for d in s.domain)
@@ -317,7 +312,7 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
         raise
     _at_most_one(free)
     if not free:
-        return SatisfactionSet(f, frozenset(s.domain) if test(s, {}) else frozenset())
+        return SatisfactionSet(f, s.domain_set() if test(s, {}) else frozenset())
     (x,) = free
     asg: dict[str, str] = {}
     elements = []

@@ -7,7 +7,7 @@ A structure document is a JSON object::
      "relations": {"R": [["a", "a"], ["b", "b"]]}}
 
 Relations declared in ``arities`` but absent from ``relations`` are empty.
-Structures are immutable after construction.
+Structures are immutable; the sets derived from one are cached on it, outside its fields.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Structure(Node):
         domain = tuple(domain)
         if not domain:
             raise StructureError("domain must be nonempty")
-        elems = set(domain)
+        elems = frozenset(domain)
         if len(elems) != len(domain):
             raise StructureError("domain contains duplicate elements")
         rels: dict[str, frozenset[tuple[str, ...]]] = {}
@@ -57,10 +57,28 @@ class Structure(Node):
         for name in vocabulary.symbols:
             rels.setdefault(name, frozenset())
         self._set_fields(domain, rels, vocabulary)
-        object.__setattr__(self, "_indexes", {})  # see index
+        object.__setattr__(self, "_indexes", {"domain": elems})  # the derived sets
+
+    def domain_set(self) -> frozenset[str]:
+        """The domain as a frozenset, built with the structure."""
+        return self._indexes["domain"]
+
+    def eps(self) -> frozenset[tuple[str, str]]:
+        """The identity relation, the pairs (d, d)."""
+        got = self._indexes.get("eps")
+        if got is None:
+            got = self._indexes["eps"] = frozenset((d, d) for d in self.domain)
+        return got
+
+    def members(self, name: str) -> frozenset[str]:
+        """The elements of the unary relation ``name``."""
+        got = self._indexes.get((name,))
+        if got is None:
+            got = self._indexes[name,] = frozenset(t[0] for t in self.relations[name])
+        return got
 
     def index(self, name: str, pos: int) -> dict[tuple[str, ...], tuple[str, ...]]:
-        """The components at ``pos`` of ``name``'s tuples, keyed by the others; built once."""
+        """The components at ``pos`` of ``name``'s tuples, keyed by the others."""
         index = self._indexes.get((name, pos))
         if index is None:
             lists: dict = {}

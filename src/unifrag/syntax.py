@@ -307,6 +307,18 @@ def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extr
     return out
 
 
+class Recursive:
+    """The walk ``w(x) = step(x, w)``: no reference cycle, as a function calling itself is."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: Callable):
+        self.step = step
+
+    def __call__(self, x):
+        return self.step(x, self)
+
+
 # ---------------------------------------------------------------------------
 # Formula AST
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from . import dl, dlr
 from .errors import DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
-                     Formula, Implies, Node, Not, Or, Top, Vocabulary, check_atom, fold,
-                     free_variables, walk)
+                     Formula, Implies, Node, Not, Or, Recursive, Top, Vocabulary, check_atom,
+                     fold, free_variables, walk)
 
 # ---------------------------------------------------------------------------
 # DNF blocks
@@ -397,7 +397,7 @@ def _role_formula(r, vocab: Vocabulary, own: Callable = _dl_role,
     that many variables, in one walk shaped like :func:`dl.role_compiler`'s
     (``own`` is the DL's by default).  A complement is taken in the top
     relation of mode ``topn``, domain^n in delta mode and so in the DL."""
-    def walk(r) -> tuple[int, Callable]:
+    def walk(r, walk) -> tuple[int, Callable]:
         if isinstance(r, dl.AtomicRole):
             return dl.atomic_role_arity(r.name, vocab), lambda tup: Atom(r.name, tup)
         if isinstance(r, dl.NotRole):
@@ -411,7 +411,7 @@ def _role_formula(r, vocab: Vocabulary, own: Callable = _dl_role,
                 return own(r, walk)
             return n, lambda tup: And(left(tup), right(tup))
         return own(r, walk)
-    return walk(r)
+    return Recursive(walk)(r)
 
 
 # ---------------------------------------------------------------------------

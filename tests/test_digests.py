@@ -19,6 +19,9 @@ Each digest is the SHA-256 of one canonical text:
 any of these outputs fails here, under every hash seed.  After a deliberate
 change of output, write the file anew with
 ``PYTHONPATH=src python tests/test_digests.py > tests/digests.json``.
+``python tests/test_digests.py --lines NAME`` prints the canonical text of
+the digest NAME, so that ``diff`` of its output at two commits shows which
+lines a change moved.
 """
 
 import contextlib
@@ -133,18 +136,25 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests() -> dict[str, str]:
-    formulas = list(_formulas())
-    checks = [check_fragment(f, frag, vocab).to_doc()
-              for f in formulas for frag in FragmentId for vocab in VOCABULARIES]
+def _lab_run() -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.run(["lab", "run", "--format", "json"]) == 0
-    return {"check": _sha(json.dumps(checks, sort_keys=True)),
-            "fu1_to_dl": _sha("\n".join(map(_translation, formulas))),
-            "lab_run": _sha(out.getvalue()),
-            "search": _sha("\n".join(_searches())),
-            "text": _sha("\n".join(_texts()))}
+    return out.getvalue()
+
+
+# per digest, the function that computes its canonical text
+TEXTS = {"check": lambda: json.dumps([check_fragment(f, frag, vocab).to_doc()
+                                      for f in _formulas() for frag in FragmentId
+                                      for vocab in VOCABULARIES], sort_keys=True),
+         "fu1_to_dl": lambda: "\n".join(map(_translation, _formulas())),
+         "lab_run": _lab_run,
+         "search": lambda: "\n".join(_searches()),
+         "text": lambda: "\n".join(_texts())}
+
+
+def digests() -> dict[str, str]:
+    return {name: _sha(text()) for name, text in TEXTS.items()}
 
 
 def test_outputs_match_the_committed_digests():
@@ -163,4 +173,7 @@ def test_digests_do_not_depend_on_the_hash_seed():
 
 
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=2, sort_keys=True))
+    if sys.argv[1:2] == ["--lines"]:
+        print(TEXTS[sys.argv[2]]())
+    else:
+        print(json.dumps(digests(), indent=2, sort_keys=True))

@@ -317,3 +317,31 @@ def test_a_failing_concept_fails_again_from_the_cache():
     for _ in range(3):
         with pytest.raises(VocabularyError, match="needs 1 argument concepts, got 2"):
             concept_extension(s, c)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate maps: a one-to-one map permutes the inner tuples, the identity
+# map keeps the inner role, and only the others test each lifted tuple
+# ---------------------------------------------------------------------------
+
+def _surjections(k: int) -> list[Surjection]:
+    """Every map from [k] onto [m] with 2 <= m <= k."""
+    return [Surjection(m) for m in itertools.product(range(1, k + 1), repeat=k)
+            if max(m) >= 2 and set(m) == set(range(1, max(m) + 1))]
+
+
+@pytest.mark.parametrize("srj", _surjections(2) + _surjections(3), ids=lambda srj: str(srj.map))
+def test_coordinate_maps_against_brute_force(srj):
+    rng = random.Random(31)
+    atom = AtomicRole("R" if srj.source == 2 else "T")
+    for _ in range(6):
+        s = gen_structure(rng, VOCAB, max_size=4, density=0.4)
+        for inner in (atom, NotRole(atom)):
+            listed = set(itertools.product(s.domain, repeat=srj.source))
+            ext = s.relations[atom.name] if inner is atom else listed - s.relations[atom.name]
+            targets = set(itertools.product(s.domain, repeat=srj.target))
+            expected = {t for t in targets if tuple(t[i - 1] for i in srj.map) in ext}
+            assert role_extension(s, Apply(srj, inner)) == expected
+            assert role_extension(s, NotRole(Apply(srj, inner))) == targets - expected
+            c = ExistsRole(Apply(srj, inner), (TopC(),) * (srj.target - 1))
+            assert concept_extension(s, c) == {t[0] for t in expected}

@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -6,7 +7,8 @@ import sys
 from pathlib import Path
 
 import unifrag
-from unifrag import modelfind, syntax, translate
+from unifrag import (Vocabulary, dl, dlr, fragments, make_structure, modelfind, parse_formula,
+                     semantics, syntax, translate)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -155,3 +157,37 @@ def test_every_definition_in_src_has_a_caller():
                 or called(path, name, first, last)):
             uncalled.append(f"{path.name} {qualname}")
     assert uncalled == []
+
+
+def test_no_compile_or_translation_leaves_a_reference_cycle():
+    # a compiler's recursive walk that refers to itself would keep the walk,
+    # and all it holds, until the next collection; with the collector off,
+    # each call must leave nothing for it to find
+    vocab = Vocabulary({"R": 2, "T": 3, "A": 1, "P": 1, "top2": 2})
+    s = make_structure(["a", "b", "c"], vocab.symbols, {"R": {("a", "b"), ("b", "c")}})
+    f = parse_formula("A x. E y. (R(x,y) & A z. ((R(y,z) & ~P(z)) -> E[>=1] y. R(z,y)))")
+    fu1 = parse_formula("E y. (R(x,y) & ~E z. (R(y,z) & P(z)))")
+    c = dl.parse_concept("(exists perm[2,1]R.(A) & ~exists (~T & perm[1,3,2]T).(A, ~A))")
+    d = dlr.parse_dlr_concept("(exists (R|$1,$2 o R|$2,$1*) . A & (<=1 [$1] (R & ($2/2:A))))")
+    d0 = dlr.parse_dlr_concept("(exists R|$1,$2 . A & exists[$1] (R & ~($2/2:A)))")
+    calls = {
+        "compile_formula": lambda: semantics.compile_formula(f, vocab),
+        "evaluate_naive": lambda: semantics.evaluate_naive(s, {}, f),
+        "dl._compile_concept": lambda: dl._compile_concept(c, vocab),
+        "dlr._compile": lambda: dlr._compile(d, vocab, "delta", "concept"),
+        "dlr._compile explicit": lambda: dlr._compile(d, vocab, "explicit", "concept"),
+        "translate.fu1_to_dl": lambda: translate.fu1_to_dl(fu1),
+        "translate.dl_to_fu1": lambda: translate.dl_to_fu1(c, vocab),
+        "translate.dlr0_to_fu1": lambda: translate.dlr0_to_fu1(d0, vocab),
+        "modelfind.find_model": lambda: modelfind.find_model(f, vocab, 2),
+        "fragments.check_fragment": lambda: fragments.check_fragment(fu1, syntax.FragmentId.FU1),
+    }
+    for call in calls.values():  # first calls import and cache what they use
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {name: (call(), gc.collect())[1] for name, call in calls.items()}
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(calls, 0)

@@ -545,6 +545,10 @@ GUARDED_SHAPES = [
     "E y. (R(x,y) & E x. R(y,x))",                          # an inner block rebinds x
     "A y. (R(y,x) -> E x. (R(x,y) & ~(x = y)))",
     "E y. (R(x,y) & E[>=2] z. R(y,z))",                     # a count inside a guarded loop
+    "A x y. ((R(x,y) & R(y,x)) -> x = y)",                  # split by De Morgan
+    "A y. ~(R(x,y) & P(y))",
+    "E y. ~(~R(x,y) | P(y))",
+    "E y. ~(R(x,y) -> P(y))",
 ]
 
 
@@ -584,6 +588,13 @@ def test_guarded_loops_against_the_oracle(text):
     ("E y z. (R(z,z) & R(y,z))", [None, "R(y,z)"]),
     ("A y. (R(x,y) | ~R(y,y))", [None]),
     ("(R(x,y) & P(x))", []),                                 # a chain has no loops
+    ("A x y. ((R(x,y) & R(y,x)) -> x = y)", [None, "R(x,y)"]),  # split by De Morgan
+    ("A y. ~(R(x,y) & P(y))", ["R(x,y)"]),
+    ("E y. ~(~R(x,y) | P(y))", ["R(x,y)"]),
+    ("E y. ~(R(x,y) -> P(y))", ["R(x,y)"]),
+    ("A y. ~~(R(x,y) -> P(y))", ["R(x,y)"]),
+    ("E y. ~(R(x,y) | P(y))", [None]),                       # negated under E: no guard
+    ("A y. ~((P(y) | R(y,x)) & Q(x))", [None]),              # ~(a | b) is one part under A
 ])
 def test_block_parts_reports_the_first_guard(text, expected):
     def comp(g):
@@ -595,6 +606,70 @@ def test_block_parts_reports_the_first_guard(text, expected):
         if guard:  # the part it points at tests the guard's atom
             part = levels[i + 1][guard[0]]
             assert part == guard[1] or part == Not(guard[1])
+
+
+def test_block_parts_splits_into_parts_in_text_order():
+    def comp(g):
+        return g, free_variables(g)
+
+    text = "A y. (~(P(y) & ~~R(x,y)) | ((Q(y) & ~P(x)) -> ~(R(y,x) & Q(x))))"
+    # the parts: ~P(y), ~R(x,y) (~~~R is ~R), ~Q(y), P(x) (~~P is P), ~R(y,x), ~Q(x)
+    _, exists, levels, _, guards = block_parts(parse_formula(text), comp, Not)
+    assert not exists and guards == [(0, Atom("P", ("y",)))]
+    assert [[print_formula(g) for g in level] for level in levels] == [
+        ["P(x)", "~Q(x)"], ["~P(y)", "~R(x,y)", "~Q(y)", "~R(y,x)"]]
+
+
+def _split_prone(rng, depth, pool):
+    """A formula over ``pool`` whose blocks often hold what ``block_parts``
+    splits: negated conjunctions, disjunctions and implications, compound
+    antecedents and double negations, over atoms that can guard."""
+    if depth <= 0 or rng.random() < 0.2:
+        rel = rng.choice(("R", "R", "T", "P", "Q", "="))
+        args = tuple(rng.choice(pool) for _ in range(VOCAB.symbols.get(rel, 2)))
+        leaf = Equals(*args) if rel == "=" else Atom(rel, args)
+        return Not(leaf) if rng.random() < 0.3 else leaf
+
+    def sub(extra=()):
+        return _split_prone(rng, depth - 1, pool + extra)
+
+    shape = rng.choice(("block", "block", "nand", "nand", "if", "if", "nor", "nif",
+                        "notnot", "and", "or", "count"))
+    if shape == "block":
+        vars = tuple(dict.fromkeys(f"y{rng.randint(1, 3)}" for _ in range(rng.randint(1, 2))))
+        return rng.choice((ExistsBlock, ForallBlock))(vars, sub(vars))
+    if shape == "count":
+        return CountExists(rng.choice((">=", "<=", "=")), rng.randint(0, 2), "z", sub(("z",)))
+    if shape == "nand":
+        return Not(And(sub(), sub()))
+    if shape == "if":  # a compound antecedent, most of the time
+        return Implies(rng.choice((And, And, Or, Implies))(sub(), sub()), sub())
+    if shape == "nor":
+        return Not(Or(sub(), sub()))
+    if shape == "nif":
+        return Not(Implies(sub(), sub()))
+    if shape == "notnot":
+        return Not(Not(sub()))
+    return (And if shape == "and" else Or)(sub(), sub())
+
+
+def test_split_blocks_against_the_reference_on_generated_formulas():
+    rng = random.Random(20261021)
+    structures = [gen_structure(rng, VOCAB, max_size=3, density=0.45) for _ in range(12)]
+    split = 0
+    for _ in range(2000):
+        vars = tuple(dict.fromkeys(f"y{rng.randint(1, 3)}" for _ in range(rng.randint(1, 2))))
+        f = rng.choice((ExistsBlock, ForallBlock))(vars, _split_prone(rng, 3, ("x",) + vars))
+        split += any(isinstance(g, (ExistsBlock, ForallBlock))
+                     and any(isinstance(h, Not) and isinstance(h.body, (And, Or, Implies))
+                             or isinstance(h, Implies) and isinstance(h.left, (And, Or, Implies))
+                             for h in walk(g.body))
+                     for g in walk(f))
+        s = rng.choice(structures)
+        expected = {d for d in s.domain if evaluate_naive(s, {"x": d}, f)}
+        assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected, print_formula(f)
+        assert satisfaction_set(s, f).elements == expected, print_formula(f)
+    assert split > 1000, split  # most formulas hold a split shape inside a block
 
 
 def test_guarded_loops_walk_edges_not_the_domain():

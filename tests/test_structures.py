@@ -1,12 +1,16 @@
+import gc
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (StructureError, VocabularyError, disjoint_union,
-                     make_structure, parse_structure, structure_to_doc)
+from unifrag import (StructureError, VocabularyError, disjoint_union, dl, dlr, evaluate,
+                     make_structure, parse_formula, parse_structure, satisfaction_set,
+                     structure_to_doc)
 from unifrag.structures import structure_from_doc
 
 from strategies import VOCAB, gen_structure
@@ -101,3 +105,50 @@ def test_disjoint_union_cardinalities(seed):
     assert d.size == s1.size + s2.size
     for name in VOCAB.symbols:
         assert len(d.relations[name]) == len(s1.relations[name]) + len(s2.relations[name])
+
+
+class _CountingStore(dict):
+    """A structure's store of derived sets that counts what goes into it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def _evaluate_everything(s):
+    evaluate(s, {}, parse_formula("A x. (P(x) -> E y. (R(x,y) & ~R(y,x)))"))
+    satisfaction_set(s, parse_formula("A y. (R(x,y) -> Q(y))"))
+    dl.concept_extension(s, dl.parse_concept("(P & exists (eps & ~perm[2,1]R).(~Q))"))
+    dlr.dlr_concept_extension(s, dlr.parse_dlr_concept("(P & exists eps . Q)"))
+
+
+def test_each_derived_set_is_built_once():
+    s = make_structure(["a", "b", "c"], {"R": 2, "P": 1, "Q": 1},
+                       {"R": {("a", "b"), ("b", "c"), ("c", "a")}, "P": {("a",)}})
+    store = _CountingStore(s._indexes)
+    object.__setattr__(s, "_indexes", store)
+    for _ in range(3):
+        _evaluate_everything(s)
+        assert s.domain_set() == frozenset(s.domain) and s.domain_set() is s.domain_set()
+        assert s.eps() == {(d, d) for d in s.domain} and s.eps() is s.eps()
+        assert s.members("Q") == frozenset() and s.members("Q") is s.members("Q")
+    assert set(store.stores) == {"eps", ("P",), ("Q",), ("P", 0), ("R", 1)}
+    assert set(store.stores.values()) == {1}  # the domain set is built with the structure
+
+
+def test_no_structure_outlives_its_derived_sets():
+    # with the collector off, a structure and its sets go when the last
+    # reference does: they hold no reference cycle
+    s = make_structure(["a", "b"], {"R": 2, "P": 1, "Q": 1}, {"R": {("a", "b")}, "P": {("b",)}})
+    _evaluate_everything(s)
+    refs = [weakref.ref(x) for x in (s, s.domain_set(), s.eps(), s.members("P"))]
+    gc.disable()
+    try:
+        del s
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
