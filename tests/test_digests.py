@@ -5,6 +5,13 @@ Each digest is the SHA-256 of one canonical text:
 * ``check``: the check documents of seeded generated formulas in all five
   fragments, with no vocabulary, with one that fits them and with one that
   refuses some of their atoms;
+* ``extensions``: on seeded structures of 1-4 elements, some of whose
+  relations are empty or full, the sorted satisfaction set of seeded
+  formulas with at most one free variable and of their ``fu1_to_dl``
+  translations, the sorted extensions of DL concepts and roles and of
+  their ``dl_to_fu1`` translations, and of DLR concepts and binary
+  relation terms and of the ``dlr0_to_fu1`` translations of DLR core
+  concepts, in both top modes;
 * ``fu1_to_dl``: the printed concept, or the refusal, of each such formula;
 * ``lab_run``: the output of ``unifrag lab run --format json``;
 * ``search``: for seeded generated sentences and each bound 1-3, the node
@@ -34,12 +41,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unifrag import LogicError, Vocabulary, check_fragment, cli, dl, dlr, find_model, fu1_to_dl
+from itertools import product
+
+from unifrag import (LogicError, Vocabulary, check_fragment, cli, dl, dlr, dl_to_fu1,
+                     dlr0_to_fu1, find_model, fu1_to_dl, satisfaction_set)
 from unifrag.fragments import FragmentId
 from unifrag.modelfind import grounder
+from unifrag.structures import make_structure
 from unifrag.syntax import parse_formula, print_formula
 
-from strategies import (VOCAB, gen_any_formula, gen_dl_concept, gen_dl_role, gen_dlr_binrel,
+from strategies import (DLR_VOCAB, VOCAB, gen_any_formula, gen_dl_concept, gen_dl_role, gen_dlr_binrel,
                         gen_dlr_concept, gen_dlr_role, gen_formula, parse_role)
 
 HERE = Path(__file__).resolve().parent
@@ -132,6 +143,76 @@ def _searches():
                     yield f"{report.found} {report.nodes_examined} {model}"
 
 
+EXTENSION_ROUNDS, EXTENSION_STRUCTURES = 60, 6  # per seed
+TOP_VOCAB = Vocabulary({**DLR_VOCAB.symbols, "top2": 2, "top3": 3})
+
+
+def _extension_structures(rng: random.Random, vocab: Vocabulary) -> list:
+    """Structures of 1-4 elements, each relation empty, full or in between;
+    a ``top<n>`` relation covers every n-ary relation, as explicit mode needs."""
+    out = []
+    for _ in range(EXTENSION_STRUCTURES):
+        domain = [f"e{i}" for i in range(rng.randint(1, 4))]
+        rels = {}
+        for name, arity in vocab.symbols.items():
+            density = rng.choice((0.0, 0.3, 0.6, 1.0))
+            rels[name] = {t for t in product(domain, repeat=arity) if rng.random() < density}
+        for name, arity in vocab.symbols.items():
+            if name.startswith("top"):
+                for other, tuples in list(rels.items()):
+                    if vocab.symbols[other] == arity:
+                        rels[name] |= tuples
+        out.append(make_structure(domain, dict(vocab.symbols), rels))
+    return out
+
+
+def _outcomes(term, show, extension, structures) -> str:
+    """The printed term, then per structure its sorted extension or the refusal."""
+    out = [show(term)]
+    for s in structures:
+        try:
+            out.append(" ".join(map(str, sorted(extension(s, term)))))
+        except LogicError as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return " | ".join(out)
+
+
+def _satisfied(s, f):
+    return satisfaction_set(s, f).elements
+
+
+def _extensions():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        fo, tops = _extension_structures(rng, VOCAB), _extension_structures(rng, TOP_VOCAB)
+        for i in range(EXTENSION_ROUNDS):
+            f = (gen_any_formula(rng, 3, ("x",)) if i % 2
+                 else gen_formula(rng, U1_FAMILY[i // 2 % 4], 3))
+            yield _outcomes(f, print_formula, _satisfied, fo)
+            try:
+                yield _outcomes(fu1_to_dl(f), dl.print_concept, dl.concept_extension, fo)
+            except LogicError as e:
+                yield f"{type(e).__name__}: {e}"
+            c = gen_dl_concept(rng, 3)
+            yield _outcomes(c, dl.print_concept, dl.concept_extension, fo)
+            yield _outcomes(dl_to_fu1(c, VOCAB), print_formula, _satisfied, fo)
+            yield _outcomes(gen_dl_role(rng, 3), dl.print_role, dl.role_extension, fo)
+            c, rel = gen_dlr_concept(rng, 3), gen_dlr_binrel(rng, 3)
+            core = gen_dlr_concept(rng, 3, core_only=True)
+            for topn in ("delta", "explicit"):
+                yield _outcomes(c, dlr.print_dlr_concept,
+                                lambda s, c: dlr.dlr_concept_extension(s, c, topn), tops)
+                yield _outcomes(rel, dlr.print_dlr_binrel,
+                                lambda s, r: dlr.dlr_binrel_extension(s, r, topn), tops)
+                yield _outcomes(core, dlr.print_dlr_concept,
+                                lambda s, c: dlr.dlr_concept_extension(s, c, topn), tops)
+                try:
+                    yield _outcomes(dlr0_to_fu1(core, TOP_VOCAB, topn), print_formula,
+                                    _satisfied, tops)
+                except LogicError as e:
+                    yield f"{type(e).__name__}: {e}"
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -147,6 +228,7 @@ def _lab_run() -> str:
 TEXTS = {"check": lambda: json.dumps([check_fragment(f, frag, vocab).to_doc()
                                       for f in _formulas() for frag in FragmentId
                                       for vocab in VOCABULARIES], sort_keys=True),
+         "extensions": lambda: "\n".join(_extensions()),
          "fu1_to_dl": lambda: "\n".join(map(_translation, _formulas())),
          "lab_run": _lab_run,
          "search": lambda: "\n".join(_searches()),
