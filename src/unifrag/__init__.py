@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # the public names, by the module that defines them
 _EXPORTS = {
-    "errors": ("ArityError", "CellLimitError", "CircuitLimitError", "DnfLimitError",
-               "EvalError", "FragmentGateError", "LogicError", "ParseError",
+    "errors": ("ArityError", "CellLimitError", "CircuitLimitError", "DepthLimitError",
+               "DnfLimitError", "EvalError", "FragmentGateError", "LogicError", "ParseError",
                "StructureError", "VocabularyError"),
     "fragments": ("Diagnostic", "FragmentId", "Violation", "ViolationKind",
                   "check_fo2", "check_fragment"),

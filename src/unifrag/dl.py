@@ -40,9 +40,10 @@ position filters of its selections and are taken in its top relations.
 A concept or role is compiled once per vocabulary into closures that do
 only this set work: names, arities, argument counts and coordinate maps
 are checked and settled at compile time, so a term that fails a check
-raises before any structure is read, as an FO formula does.  The terms
-compiled are kept in a bounded table of :func:`unifrag.syntax.compiled`,
-so a concept checked on many structures is compiled once.
+raises before any structure is read, as an FO formula does; ``~~C``
+compiles as ``C``, ``~(~C & ~D)`` as one union, and an existential over the
+full relation ``~(eps & ~eps)`` as the domain or nothing.  The terms
+compiled are kept in a bounded table of :func:`unifrag.syntax.compiled`.
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ _cache: list = [None] * 5 + [{}]  # the terms compiled, see syntax.compiled
 def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Compiled]:
     """The compiler of concepts over ``vocab``, shared with :mod:`unifrag.dlr`:
     it compiles the four node kinds of both logics and leaves the others to
-    ``own(c, comp)``.  A node that fails a vocabulary check, or is no node,
-    raises when it is compiled."""
+    ``own(c, comp)``.  ``~~C`` compiles as ``C`` and ``~(~C & ~D)`` as one
+    union.  A node that fails a vocabulary check, or is no node, raises when
+    it is compiled."""
     def comp(c, comp) -> Compiled:
         if isinstance(c, TopC):
             return lambda s, dom: dom
@@ -215,7 +217,13 @@ def concept_compiler(vocab: Vocabulary, own: Callable) -> Callable[[Concept], Co
             name = c.name
             return lambda s, dom: s.members(name)
         if isinstance(c, NotC):
-            body = comp(c.body)
+            body = c.body
+            if isinstance(body, NotC):  # ~~C is C
+                return comp(body.body)
+            if isinstance(body, AndC) and type(body.left) is type(body.right) is NotC:
+                left, right = comp(body.left.body), comp(body.right.body)  # ~(~C & ~D) is C | D
+                return lambda s, dom: left(s, dom) | right(s, dom)
+            body = comp(body)
             return lambda s, dom: dom - body(s, dom)
         if isinstance(c, AndC):
             left, right = comp(c.left), comp(c.right)
@@ -300,6 +308,11 @@ def crowded(role: CompiledRole, filters: tuple, positions: tuple, k: int = 0) ->
     other positions' sets for tuples, less the excluded ones it has."""
     n, cuts, tuples = role
     key = itemgetter(*positions)
+    if cuts == () and tuples is nothing and not k and len(positions) == 1:
+        def full(s: Structure, dom: frozenset) -> frozenset:
+            # the complement of nothing: no caller filters the key's position
+            return dom if all(_sets(n, filters, s, dom)) else frozenset()
+        return full
     if cuts is None and not k:
         def present(s: Structure, dom: frozenset) -> frozenset:
             hits = tuples(s, dom)

@@ -53,7 +53,9 @@ RecursionError, though never ``==`` or ``repr``.
 Concepts, binary relation terms and roles are compiled once per
 vocabulary and top mode, the shared nodes by the concept and role
 compilers of :mod:`unifrag.dl`, and kept in a bounded table of their own
-by :func:`unifrag.syntax.compiled`.  A term is checked against the
+by :func:`unifrag.syntax.compiled`; ``exists eps . C`` compiles as ``C``.
+A composition looks its second side up by first element, and ``e*`` is
+what each element reaches over ``e``, found by a walk.  A term is checked against the
 vocabulary when it is compiled, before any structure is read: a role's
 names and arities first, then the positions read from it, then the
 concepts of its selections.  Structure errors, such as an explicit-mode
@@ -208,8 +210,32 @@ def _top(s: Structure, n: int) -> frozenset[tuple[str, ...]]:
     return ext
 
 
-def _compose(first, second) -> set:
-    return {(a, c) for a, b in first for b2, c in second if b == b2}
+def _successors(pairs) -> dict:
+    """Each first element of ``pairs`` mapped to the list of its seconds."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    return succ
+
+
+def _compose(first, second) -> frozenset:
+    succ = _successors(second)
+    return frozenset((a, c) for a, b in first for c in succ.get(b, ()))
+
+
+def _closure(pairs, dom: frozenset) -> frozenset:
+    """The least reflexive-transitive relation over ``dom`` that holds
+    ``pairs``: each element with everything it reaches over them."""
+    succ, out = _successors(pairs), []
+    for d in dom:
+        seen, todo = {d}, [d]
+        while todo:
+            for b in succ.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        out += [(d, b) for b in seen]
+    return frozenset(out)
 
 
 def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
@@ -256,24 +282,19 @@ def _compile(x, vocab: Vocabulary, topn: str, kind: str) -> Compiled:
             return counted(e.role, 0, "projection |${},${}", e.i, e.j)
         if isinstance(e, Comp):
             left, right = binrel(e.left), binrel(e.right)
-            return lambda s, dom: frozenset(_compose(left(s, dom), right(s, dom)))
+            return lambda s, dom: _compose(left(s, dom), right(s, dom))
         if isinstance(e, UnionE):
             left, right = binrel(e.left), binrel(e.right)
             return lambda s, dom: left(s, dom) | right(s, dom)
         if isinstance(e, Star):
             body = binrel(e.body)
-
-            def star(s: Structure, dom: frozenset) -> frozenset:
-                # least reflexive-transitive relation containing the body
-                closure = set(identity(s, dom)) | body(s, dom)
-                while not (step := _compose(closure, closure)) <= closure:
-                    closure |= step
-                return frozenset(closure)
-            return star
+            return lambda s, dom: _closure(body(s, dom), dom)
         raise TypeError(f"not a binary relation term: {e!r}")
 
     def own(c, comp) -> Compiled:
         if isinstance(c, ExistsE):
+            if isinstance(c.rel, Eps):  # exists eps . C is C
+                return comp(c.concept)
             rel, good = binrel(c.rel), comp(c.concept)
 
             def exists(s: Structure, dom: frozenset) -> frozenset:

@@ -50,3 +50,8 @@ class DnfLimitError(LogicError):
 class CircuitLimitError(LogicError):
     """Model search refused: the ground circuit at the requested domain size,
     or the number of sizes to search, would exceed the fixed circuit budget."""
+
+
+class DepthLimitError(LogicError):
+    """Input refused: it nests more deeply than a recursive walk of the
+    package can follow within Python's recursion limit."""

@@ -2,15 +2,16 @@
 quantifiers.
 
 ``compile_formula`` is the one formula compiler.  By default it compiles a
-formula into a closure ``test(s, asg)`` that looks atoms up in the
-relations of the structure ``s`` it is given; :mod:`unifrag.modelfind`
-passes it a kit that grounds into a circuit instead.  A quantifier block
-does not test its whole body for every tuple of its variables: each
-conjunct under ``E`` (disjunct under ``A``) is tested in the loop of the
-last block variable it mentions (``block_parts``); a loop with a guard atom
-walks the structure's index instead of the domain.  ``evaluate`` and
-``satisfaction_set`` run the core; ``evaluate_naive`` enumerates every
-branch with its own plain recursion, the reference the core is tested on.
+formula into a closure ``test(s, asg)`` that looks atoms up in the relations
+of the structure ``s`` it is given (a negated atom or equality is one test);
+:mod:`unifrag.modelfind` passes it a kit that grounds into a circuit instead.
+A quantifier block does not test its whole body for every tuple of its
+variables: each conjunct under ``E`` (disjunct under ``A``) is tested in the
+loop of the last block variable it mentions (``block_parts``); a loop with a
+guard atom walks the structure's index, and one with a guard equality the
+one value it allows, not the domain.  ``evaluate`` and ``satisfaction_set``
+run the core; ``evaluate_naive`` enumerates every branch with its own plain
+recursion, the reference the core is tested on.
 
 ``evaluate`` and ``satisfaction_set`` compile, and so check, a formula once
 per vocabulary and reuse the test across structures, through a bounded
@@ -67,11 +68,15 @@ _cache: list = [None] * 5 + [{}]  # the formulas compiled, see syntax.compiled
 # ---------------------------------------------------------------------------
 
 def _atom(f: Atom) -> Test:
+    """The test of ``f``, which carries its ``negation`` for ``_not``."""
+    name, v, key = f.rel, f.args[0], itemgetter(*f.args)  # key: a tuple, also for R(x,x)
     if len(f.args) == 1:
-        name, v = f.rel, f.args[0]
-        return lambda s, asg: (asg[v],) in s.relations[name]
-    name, key = f.rel, itemgetter(*f.args)  # a tuple, also for R(x,x)
-    return lambda s, asg: key(asg) in s.relations[name]
+        test = lambda s, asg: (asg[v],) in s.relations[name]
+        test.negation = lambda s, asg: (asg[v],) not in s.relations[name]
+    else:
+        test = lambda s, asg: key(asg) in s.relations[name]
+        test.negation = lambda s, asg: key(asg) not in s.relations[name]
+    return test
 
 
 def _block(vars: tuple[str, ...], exists: bool, levels: list[list], guards: list) -> Test:
@@ -82,7 +87,7 @@ def _block(vars: tuple[str, ...], exists: bool, levels: list[list], guards: list
 
 
 def _not(g: Test) -> Test:
-    return lambda s, asg: not g(s, asg)
+    return getattr(g, "negation", None) or (lambda s, asg: not g(s, asg))
 
 
 def _join(gs: list[Test], conj: bool) -> Test:
@@ -109,13 +114,19 @@ def _join(gs: list[Test], conj: bool) -> Test:
 
 def _walk(var: str, guard: Optional[tuple], level: list) -> Callable:
     """What the loop of ``var`` walks: the domain, or the values that satisfy
-    the guard ``(k, atom)``, whose own test ``level[k]`` is then deleted."""
+    the guard ``(k, atom)``, an atom or equality, whose test ``level[k]`` is deleted."""
     if guard is None:
         return lambda s, asg: s.domain
     k, atom = guard
     del level[k]
+    if isinstance(atom, Equals):
+        other = atom.right if atom.left == var else atom.left
+        return lambda s, asg: (asg[other],)
     pos = atom.args.index(var)
     name, others = atom.rel, atom.args[:pos] + atom.args[pos + 1:]
+    if len(others) == 1:
+        other = others[0]
+        return lambda s, asg: s.index(name, pos).get((asg[other],), ())
     return lambda s, asg: s.index(name, pos).get(tuple([asg[v] for v in others]), ())
 
 
@@ -186,7 +197,9 @@ def compile_formula(f: Formula, vocab: Vocabulary, atom=_atom, negate=_not, bloc
             return block(vars, exists, levels, guards), free
         if isinstance(f, Equals):
             left, right = f.left, f.right
-            return (lambda s, asg: asg[left] == asg[right]), frozenset((left, right))
+            test = lambda s, asg: asg[left] == asg[right]
+            test.negation = lambda s, asg: asg[left] != asg[right]
+            return test, frozenset((left, right))
         if isinstance(f, Top):
             return (lambda s, asg: True), frozenset()
         if isinstance(f, Bottom):
@@ -219,8 +232,9 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
     part goes to the last of them it mentions: ``levels[0]`` holds the parts
     without a block variable, ``levels[i]`` those tested in the loop of
     ``vars[i-1]``.  ``guards[i]`` is ``(k, atom)`` when ``levels[i+1][k]`` is
-    the first part to test an atom that mentions ``vars[i]`` once, as a
-    conjunct under ``E`` or negated under ``A``, and None if there is none.
+    the first part to test an atom, or an equality, that mentions ``vars[i]``
+    once, as a conjunct under ``E`` or negated under ``A``, and None if there
+    is none.
     """
     if isinstance(f, (ExistsBlock, ForallBlock)):
         vars, exists, todo = f.vars, isinstance(f, ExistsBlock), [f.body]
@@ -242,7 +256,7 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
             a = g.left
         else:
             h, part_free = comp(g)
-            parts.append((h, part_free, g if exists and isinstance(g, Atom) else None))
+            parts.append((h, part_free, g if exists and isinstance(g, (Atom, Equals)) else None))
             free |= part_free
             continue
         if isinstance(a, flips):  # ~~b is b, ~(b & c) is ~b | ~c, ~(b -> c) is b & ~c, ...
@@ -250,7 +264,8 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
                      (Not(a.right), a.left if isinstance(a, Implies) else Not(a.left)))
         else:
             h, part_free = comp(a)
-            parts.append((negate(h), part_free, a if not exists and isinstance(a, Atom) else None))
+            parts.append((negate(h), part_free,
+                          a if not exists and isinstance(a, (Atom, Equals)) else None))
             free |= part_free
     if not vars:
         return vars, exists, [[h for h, _, _ in parts]], frozenset(free), []
@@ -261,7 +276,9 @@ def block_parts(f: Formula, comp: Callable, negate: Callable
         i = len(used)
         while i and used[i - 1] not in part_free:
             i -= 1
-        if i and not guards[i - 1] and atom is not None and atom.args.count(used[i - 1]) == 1:
+        if i and not guards[i - 1] and atom is not None and (  # atom mentions used[i - 1]
+                atom.left != atom.right if isinstance(atom, Equals)
+                else atom.args.count(used[i - 1]) == 1):
             guards[i - 1] = (len(levels[i]), atom)
         levels[i].append(h)
     free.difference_update(vars)
@@ -310,9 +327,10 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
     except LogicError:
         _at_most_one(free_variables(f))  # this error comes before the vocabulary's
         raise
-    _at_most_one(free)
     if not free:
         return SatisfactionSet(f, s.domain_set() if test(s, {}) else frozenset())
+    if len(free) > 1:
+        _at_most_one(free)
     (x,) = free
     asg: dict[str, str] = {}
     elements = []
@@ -320,7 +338,8 @@ def satisfaction_set(s: Structure, f: Formula) -> SatisfactionSet:
         asg[x] = d
         if test(s, asg):
             elements.append(d)
-    return SatisfactionSet(f, frozenset(elements))
+    return SatisfactionSet(f, s.domain_set() if len(elements) == len(s.domain)
+                           else frozenset(elements))
 
 
 def _at_most_one(free: frozenset[str]) -> None:

@@ -221,7 +221,9 @@ def _piece(v):
 
 class Vocabulary(Node):
     """Finite relational vocabulary: ``symbols`` maps each relation name to
-    its arity, a read-only dict, so that equal vocabularies hash equal.
+    its arity, a read-only dict, so that equal vocabularies hash equal.  Those
+    built from the same items in the same order mostly share one ``symbols``,
+    which :func:`compiled` matches by identity.
 
     Equality is built in and the name ``=`` is therefore rejected.
     """
@@ -243,7 +245,10 @@ class Vocabulary(Node):
             if not NAME_RE.fullmatch(name):
                 raise VocabularyError(f"invalid relation name {name!r}")
         symbols._hash = hash(frozenset(symbols.items()))
-        self._set_fields(symbols)
+        key = tuple(symbols.items())  # in order: a shared dict must print as this one
+        if len(_SHARED_SYMBOLS) >= MAX_COMPILED and key not in _SHARED_SYMBOLS:
+            _SHARED_SYMBOLS.clear()
+        self._set_fields(_SHARED_SYMBOLS.setdefault(key, symbols))
 
     def arity(self, name: str) -> int:
         try:
@@ -277,6 +282,7 @@ class _Symbols(dict):
 MAX_COMPILED = 64
 
 _NO_ENTRY = (None,) * 5
+_SHARED_SYMBOLS: dict = {}  # the symbols that vocabularies share, by items; emptied when full
 
 
 def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extra):
@@ -285,24 +291,24 @@ def compiled(cache: list, build: Callable, term, vocab: Vocabulary | None, *extr
     looked at first, and then the table of every entry kept, a dict keyed by
     the term's id, the vocabulary's symbols and ``extra``.  A hit needs the same term
     object (held, so that its id is not reused), the same ``build``, equal
-    ``extra`` arguments and an equal vocabulary.  A table that holds
+    ``extra`` arguments and equal symbols, mostly the same object.  A table that holds
     ``MAX_COMPILED`` entries is emptied with one ``dict.clear`` before the
     next goes in, so that threads may share it; an error is never kept.
     What is built holds no structure, so that none outlives its call."""
     # both tests compare symbols rather than call Vocabulary.__eq__ or hash,
     # because a hit is the evaluators' common case
+    symbols = None if vocab is None else vocab.symbols
     b, t, v, e, out, table = cache
-    if t is term and b is build and e == extra and (v is vocab or (
-            v is not None and vocab is not None and v.symbols == vocab.symbols)):
+    if t is term and b is build and e == extra and (v is symbols or v == symbols):
         return out
-    key = id(term), None if vocab is None else vocab.symbols, extra
+    key = id(term), symbols, extra
     b, t, v, e, out = table.get(key, _NO_ENTRY)
     if t is term and b is build:
         return out
     out = build(term, vocab, *extra)
     if len(table) >= MAX_COMPILED:
         table.clear()
-    table[key] = entry = build, term, vocab, extra, out
+    table[key] = entry = build, term, symbols, extra, out
     cache[:] = *entry, table
     return out
 

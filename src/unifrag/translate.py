@@ -24,7 +24,7 @@ from itertools import count, groupby
 from typing import Callable, Iterator, Optional, Union
 
 from . import dl, dlr
-from .errors import DnfLimitError, FragmentGateError, VocabularyError
+from .errors import DepthLimitError, DnfLimitError, FragmentGateError, VocabularyError
 from .fragments import FragmentId, check_fragment
 from .syntax import (And, Atom, Bottom, Equals, ExistsBlock, ForallBlock,
                      Formula, Implies, Node, Not, Or, Recursive, Top, Vocabulary, check_atom,
@@ -235,7 +235,8 @@ def fu1_to_dl(f: Formula) -> dl.Concept:
     extension-equal concept.  The two checks below are the only fragment
     refusals, and a relation named by a DL keyword, which would print as
     that keyword, the only vocabulary refusal; the construction assumes
-    them and refuses nothing but a normal form over ``DNF_LIMIT``."""
+    them and refuses nothing but a normal form over ``DNF_LIMIT`` and a
+    formula nested too deeply for its recursion (``DepthLimitError``)."""
     diag = check_fragment(f, FragmentId.FU1)
     if not diag.verdict:
         first = diag.violations[0]
@@ -248,7 +249,10 @@ def fu1_to_dl(f: Formula) -> dl.Concept:
     if keywords:
         raise VocabularyError(f"{keywords[0]!r} is a DL keyword and cannot name a "
                               f"concept or role")
-    return _concept_of(f)
+    try:
+        return _concept_of(f)
+    except RecursionError:
+        raise DepthLimitError("formula nests too deeply to translate into a concept") from None
 
 
 def _concept_of(f: Formula) -> dl.Concept:

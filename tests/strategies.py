@@ -236,6 +236,20 @@ def dlr_role_extension(s: Structure, r: dlr.DlrRole, topn: str = "delta") -> fro
     return dlr.dlr_binrel_extension(s, dlr.Proj(r, 1, 2), topn)
 
 
+def compose_reference(first, second) -> frozenset:
+    """Relational composition by a nested loop over every pair of both sides."""
+    return frozenset((a, c) for a, b in first for b2, c in second if b == b2)
+
+
+def closure_reference(pairs, domain) -> frozenset:
+    """The reflexive-transitive closure of ``pairs`` over ``domain``, squared
+    with :func:`compose_reference` until nothing new appears."""
+    closure = {(d, d) for d in domain} | set(pairs)
+    while not (step := compose_reference(closure, closure)) <= closure:
+        closure |= step
+    return frozenset(closure)
+
+
 def inverse(srj: dl.Surjection) -> dl.Surjection:
     """The inverse of a permutation."""
     if srj.source != srj.target:

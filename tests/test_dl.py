@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (VocabularyError, disjoint_union, evaluate, make_structure,
+from unifrag import (VocabularyError, disjoint_union, dl, evaluate, make_structure,
                      satisfaction_set)
 from unifrag.dl import (AndC, AndRole, Apply, AtomicConcept, AtomicRole,
                         Epsilon, ExistsRole, NotC, NotRole, Surjection, TopC,
@@ -275,6 +275,49 @@ def test_universal_role_reaches_the_whole_of_a_large_domain():
     s = disjoint_copies(gen_clique(8), 9)
     assert s.size == 72
     assert concept_extension(s, ExistsRole(universal_role(), (TopC(),))) == frozenset(s.domain)
+
+
+# ---------------------------------------------------------------------------
+# Folds decided at compile time: ~~C is C, ~(~C & ~D) is one union, and an
+# existential over the full relation ~(eps & ~eps) answers the domain or nothing
+# ---------------------------------------------------------------------------
+
+FOLDED = ["~~P", "~~~exists R.(Q)", "~(~P & ~exists R.(Q))", "~(~~P & ~(Q & P))",
+          "exists ~(eps & ~eps).(P)", "exists ~(eps & ~eps).((P & ~P))",
+          "~exists ~(eps & ~eps).(~~exists ~(eps & ~eps).(Q))",
+          "exists ~(T & ~T).(P, Q)", "exists ~(eps & ~eps).(exists T.(P, ~P))"]
+_FOLD_RNG = random.Random(33)
+# empty and full relations, so that each fold meets an empty and a nonempty argument
+FOLD_STRUCTURES = [gen_structure(_FOLD_RNG, VOCAB, 4, density)
+                   for density in (0, 0, 0.2, 0.5, 1) * 4]
+
+
+@pytest.mark.parametrize("text", FOLDED)
+def test_folded_concepts_agree_with_the_translation(text):
+    c = parse_concept(text)
+    f = dl_to_fu1(c, VOCAB)
+    for s in FOLD_STRUCTURES:
+        assert concept_extension(s, c) == satisfaction_set(s, f).elements
+
+
+def test_each_concept_fold_fires():
+    c, d = parse_concept("exists R.(P)"), parse_concept("exists T.(P, Q)")
+    closures = {c: lambda s, dom: frozenset("c"), d: lambda s, dom: frozenset("d")}
+    comp = dl.concept_compiler(VOCAB, lambda x, comp: closures[x])
+    assert comp(NotC(NotC(c))) is closures[c]  # the very closure of C
+    assert comp(NotC(NotC(NotC(NotC(d))))) is closures[d]
+    union = comp(NotC(AndC(NotC(c), NotC(d))))  # one closure over C and D, no complement
+    assert {cell.cell_contents for cell in union.__closure__} == {closures[c], closures[d]}
+    assert union(None, frozenset("cdx")) == frozenset("cd")
+    for text in ("exists ~(eps & ~eps).(P)", "exists ~(eps & ~eps).((P & ~P))"):
+        compiled = dl._compile_concept(parse_concept(text), VOCAB)
+        assert compiled.__qualname__ == "crowded.<locals>.full"
+    compiled = dl._compile_concept(parse_concept("exists ~R.(P)"), VOCAB)
+    assert compiled.__qualname__ != "crowded.<locals>.full"
+    some_p = parse_concept("exists ~(eps & ~eps).(P)")
+    empty, full = FOLD_STRUCTURES[0], FOLD_STRUCTURES[-1]  # every relation empty, and full
+    assert concept_extension(empty, some_p) == frozenset()
+    assert concept_extension(full, some_p) == full.domain_set()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from unifrag.semantics import satisfaction_set
 from unifrag.syntax import Vocabulary
 from unifrag.translate import dlr0_to_fu1
 
-from strategies import (DLR_VOCAB, dlr_role_extension, gen_dlr_binrel, gen_dlr_concept,
-                        gen_structure, tag_elements)
+from strategies import (DLR_VOCAB, closure_reference, compose_reference, dlr_role_extension,
+                        gen_dlr_binrel, gen_dlr_concept, gen_structure, tag_elements)
 
 
 def test_topn_default_is_domain_power():
@@ -175,6 +175,36 @@ def test_position_existential_is_complement_of_at_most_zero():
     assert lhs == rhs == {"b"}
 
 
+def test_composition_and_closure_against_the_nested_loop_fixpoint():
+    # the successor index and the reachability walk against the reference
+    # they replaced, on seeded relations of every density, and through the
+    # extensions of generated terms
+    rng = random.Random(4)
+    for _ in range(400):
+        domain = [f"e{i}" for i in range(rng.randint(1, 7))]
+        first, second = ({p for p in itertools.product(domain, repeat=2) if rng.random() < d}
+                         for d in (rng.choice((0, 0.15, 0.4, 1)), rng.choice((0, 0.15, 0.4, 1))))
+        assert dlr._compose(first, second) == compose_reference(first, second)
+        assert dlr._closure(first, frozenset(domain)) == closure_reference(first, domain)
+    for _ in range(300):
+        s = gen_structure(rng, DLR_VOCAB, max_size=4, density=rng.choice((0, 0.2, 0.5)))
+        e1, e2 = gen_dlr_binrel(rng, 2), gen_dlr_binrel(rng, 2)
+        ext1, ext2 = dlr_binrel_extension(s, e1), dlr_binrel_extension(s, e2)
+        assert dlr_binrel_extension(s, Comp(e1, e2)) == compose_reference(ext1, ext2)
+        assert dlr_binrel_extension(s, Star(e1)) == closure_reference(ext1, s.domain)
+
+
+def test_the_closure_over_a_300_cycle_answers_in_time():
+    # the former fixpoint, squaring the closure until it was stable, took over 100 s
+    domain = [f"c{i}" for i in range(300)]
+    s = make_structure(domain, {"R": 2, "A": 1},
+                       {"R": {(d, domain[i - 1]) for i, d in enumerate(domain)},
+                        "A": {(domain[0],)}})
+    started = time.perf_counter()
+    assert dlr_concept_extension(s, parse_dlr_concept("exists R|$1,$2* . A")) == set(domain)
+    assert time.perf_counter() - started < 10
+
+
 # ---------------------------------------------------------------------------
 # Explicit top mode and disjoint-copy closure
 # ---------------------------------------------------------------------------
@@ -240,10 +270,10 @@ def test_delta_convention_breaks_closure_via_role_negation():
     assert dlr_concept_extension(double, c, topn="delta") != frozenset()
 
 
-def _with_partial_tops(rng, max_size=3):
+def _with_partial_tops(rng, max_size=3, density=0.4):
     """A structure whose top<n> covers its n-ary relations and, whenever
     they leave a tuple of domain^n out, misses at least one such tuple."""
-    base = gen_structure(rng, DLR_VOCAB, max_size)
+    base = gen_structure(rng, DLR_VOCAB, max_size, density)
     rels = {name: set(t) for name, t in base.relations.items()}
     for n, name in ((2, "R"), (3, "T")):
         outside = [t for t in itertools.product(base.domain, repeat=n) if t not in rels[name]]
@@ -289,6 +319,40 @@ def test_the_complement_of_a_filtered_complement_agrees_with_the_translation(tex
         for mode in ("delta", "explicit"):
             f = dlr0_to_fu1(c, vocab, topn=mode)
             assert dlr_concept_extension(s, c, mode) == satisfaction_set(s, f).elements
+
+
+# Concepts that the compiler folds: exists eps . C is C, and the full
+# relation of delta mode, top<n>, reaches every element; explicit mode reads
+# top<n> and so folds none of its complements
+DLR_FOLDED = ["exists eps . A", "exists eps . exists eps . ~~B", "~(~A & ~exists eps . B)",
+              "exists[$1] top2", "exists[$2] top3", "exists[$1] ~(R & ~R)",
+              "exists[$3] ~(T & ~T)", "exists (eps u eps) . A",
+              "exists eps . exists[$1] ($2/2:(A & B))"]
+
+
+@pytest.mark.parametrize("text", DLR_FOLDED)
+def test_folded_concepts_agree_with_the_translation_in_both_modes(text):
+    c = parse_dlr_concept(text)
+    rng = random.Random(33)
+    for density in (0, 0, 0.3, 0.6, 1) * 4:  # empty relations make every fold's empty branch run
+        s = _with_partial_tops(rng, 4, density)
+        for mode in ("delta", "explicit"):
+            f = dlr0_to_fu1(c, EXPLICIT_VOCAB, topn=mode)
+            assert dlr_concept_extension(s, c, mode) == satisfaction_set(s, f).elements
+
+
+def test_each_dlr_fold_fires():
+    def compiled(text, mode="delta"):
+        return dlr._compile(parse_dlr_concept(text), EXPLICIT_VOCAB, mode, "concept")
+
+    # exists eps . C compiles to the closure C compiles to, not to a walk over pairs
+    for mode in ("delta", "explicit"):
+        assert (compiled("exists eps . exists eps . exists[$1] R", mode).__code__
+                is compiled("exists[$1] R", mode).__code__)
+        assert compiled("exists R|$1,$1 . A", mode).__qualname__.endswith("own.<locals>.exists")
+    for text in ("exists[$2] top3", "exists[$1] top2", "exists[$1] ~(top2 & ~top2)"):
+        assert compiled(text).__qualname__ == "crowded.<locals>.full"
+        assert compiled(text, "explicit").__qualname__ != "crowded.<locals>.full"
 
 
 def _boolean_role(rng, depth, names):

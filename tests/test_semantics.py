@@ -549,6 +549,12 @@ GUARDED_SHAPES = [
     "A y. ~(R(x,y) & P(y))",
     "E y. ~(~R(x,y) | P(y))",
     "E y. ~(R(x,y) -> P(y))",
+    "E y. (x = y & P(y))",                                  # equality guards: one value
+    "A y. (~(x = y) | P(y))",
+    "A y. (x = y -> P(y))",
+    "E y z. (R(x,y) & y = z & P(z))",
+    "A y z. (R(x,y) -> (~(z = y) | ~R(z,x)))",
+    "E y. (y = y & P(y))",                                  # not a guard: y twice
 ]
 
 
@@ -595,6 +601,12 @@ def test_guarded_loops_against_the_oracle(text):
     ("A y. ~~(R(x,y) -> P(y))", ["R(x,y)"]),
     ("E y. ~(R(x,y) | P(y))", [None]),                       # negated under E: no guard
     ("A y. ~((P(y) | R(y,x)) & Q(x))", [None]),              # ~(a | b) is one part under A
+    ("E y. (x = y & P(y))", ["x = y"]),                       # an equality with one side y
+    ("A y. (~(x = y) | P(y))", ["x = y"]),
+    ("A y. (x = y -> P(y))", ["x = y"]),
+    ("E y z. (R(x,y) & y = z & P(z))", ["R(x,y)", "y = z"]),
+    ("E y. (y = y & ~P(y))", [None]),                        # y = y is no guard
+    ("E y. (y = y & P(y))", ["P(y)"]),
 ])
 def test_block_parts_reports_the_first_guard(text, expected):
     def comp(g):
@@ -670,6 +682,59 @@ def test_split_blocks_against_the_reference_on_generated_formulas():
         assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected, print_formula(f)
         assert satisfaction_set(s, f).elements == expected, print_formula(f)
     assert split > 1000, split  # most formulas hold a split shape inside a block
+
+
+def _equality_prone(rng, depth, pool):
+    """A formula over ``pool`` rich in equalities and negated atoms: the
+    parts whose negation is one closure, and the equalities that guard a
+    loop with one value."""
+    if depth <= 0 or rng.random() < 0.25:
+        rel = rng.choice(("=", "=", "=", "R", "T", "P", "Q"))
+        args = tuple(rng.choice(pool) for _ in range(VOCAB.symbols.get(rel, 2)))
+        leaf = Equals(*args) if rel == "=" else Atom(rel, args)
+        return Not(leaf) if rng.random() < 0.5 else leaf
+    shape = rng.choice(("block", "block", "and", "and", "or", "if", "not"))
+    if shape == "block":
+        vars = tuple(dict.fromkeys(f"y{rng.randint(1, 3)}" for _ in range(rng.randint(1, 2))))
+        body = _equality_prone(rng, depth - 1, pool + vars)
+        return rng.choice((ExistsBlock, ForallBlock))(vars, body)
+    if shape == "not":
+        return Not(_equality_prone(rng, depth - 1, pool))
+    return {"and": And, "or": Or, "if": Implies}[shape](_equality_prone(rng, depth - 1, pool),
+                                                        _equality_prone(rng, depth - 1, pool))
+
+
+def test_equality_guards_and_fused_negations_against_the_reference():
+    def comp(g):
+        return g, free_variables(g)
+
+    rng = random.Random(20261022)
+    structures = [gen_structure(rng, VOCAB, max_size=3, density=density)
+                  for density in (0, 0.2, 0.45, 0.7, 1) * 3]
+    guarded = 0
+    for _ in range(2000):
+        vars = tuple(dict.fromkeys(f"y{rng.randint(1, 3)}" for _ in range(rng.randint(1, 2))))
+        f = rng.choice((ExistsBlock, ForallBlock))(vars, _equality_prone(rng, 3, ("x",) + vars))
+        guarded += any(isinstance(guard and guard[1], Equals)
+                       for g in walk(f) if isinstance(g, (ExistsBlock, ForallBlock))
+                       for guard in block_parts(g, comp, lambda h: h)[4])
+        s = rng.choice(structures)
+        expected = {d for d in s.domain if evaluate_naive(s, {"x": d}, f)}
+        assert {d for d in s.domain if evaluate(s, {"x": d}, f)} == expected, print_formula(f)
+        assert satisfaction_set(s, f).elements == expected, print_formula(f)
+    assert guarded > 200, guarded  # many formulas hold a loop that an equality guards
+
+
+def test_a_negated_atom_or_equality_is_one_closure():
+    for text in ("~P(x)", "~R(x,y)", "~R(y,y)", "~(x = y)"):
+        _, test = semantics.compile_formula(parse_formula(text), VOCAB)
+        assert "_not" not in test.__qualname__, text  # no wrapper around the positive test
+        for s in SCHEDULING_STRUCTURES:
+            for x, y in itertools.product(s.domain, repeat=2):
+                assert test(s, {"x": x, "y": y}) == evaluate_naive(s, {"x": x, "y": y},
+                                                                   parse_formula(text))
+    _, test = semantics.compile_formula(parse_formula("~E y. R(x,y)"), VOCAB)
+    assert test.__qualname__ == "_not.<locals>.<lambda>"
 
 
 def test_guarded_loops_walk_edges_not_the_domain():

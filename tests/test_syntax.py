@@ -11,7 +11,7 @@ from unifrag import (ArityError, Atom, CountExists, Equals, ExistsBlock,
                      check_fragment, free_variables, infer_vocabulary, make_structure,
                      parse_formula, print_formula, satisfaction_set, to_dnf_block,
                      validate_formula)
-from unifrag import dl, dlr
+from unifrag import dl, dlr, syntax
 from unifrag.fragments import FragmentId
 from unifrag.modelfind import find_model
 from unifrag.dl import _DlParser, parse_concept, print_concept
@@ -450,6 +450,44 @@ def test_a_vocabulary_is_read_only_and_hashable():
     assert json.dumps(v.symbols) == '{"R": 2, "P": 1}'
     assert v == Vocabulary({"P": 1, "R": 2}) and hash(v) == hash(Vocabulary({"P": 1, "R": 2}))
     assert copy.deepcopy(v) == v and copy.deepcopy(v).symbols == {"R": 2, "P": 1}
+
+
+def test_equal_vocabularies_share_their_symbols():
+    v, w = Vocabulary({"R": 2, "P": 1}), Vocabulary({"R": 2, "P": 1})
+    assert v.symbols is w.symbols
+    s, t = (make_structure(["a"], {"R": 2, "P": 1}) for _ in range(2))
+    assert s.vocabulary.symbols is t.vocabulary.symbols is v.symbols
+    # the same items in another order print in that order, so they keep their own
+    other = Vocabulary({"P": 1, "R": 2})
+    assert other == v and other.symbols is not v.symbols
+    assert repr(other) == "Vocabulary(symbols={'P': 1, 'R': 2})"
+
+
+def test_a_compiled_entry_serves_every_equal_vocabulary():
+    builds = []
+
+    def build(term, vocab):
+        builds.append(vocab)
+        return object()
+
+    cache, term = [None] * 5 + [{}], parse_formula("P(x)")
+    v, w = Vocabulary({"R": 2, "P": 1}), Vocabulary({"R": 2, "P": 1})
+    out = syntax.compiled(cache, build, term, v)
+    assert syntax.compiled(cache, build, term, w) is out  # the same symbols object
+    syntax._SHARED_SYMBOLS.clear()
+    other = Vocabulary({"R": 2, "P": 1})  # an equal vocabulary with symbols of its own
+    assert other.symbols is not v.symbols
+    assert syntax.compiled(cache, build, term, other) is out  # the entry built last
+    cache[:5] = [None] * 5
+    assert syntax.compiled(cache, build, term, other) is out  # the table's entry
+    assert builds == [v]
+
+
+def test_the_shared_symbols_table_is_bounded():
+    for i in range(2 * syntax.MAX_COMPILED + 3):
+        v = Vocabulary({f"S{i}": 1, "R": 2})
+        assert len(syntax._SHARED_SYMBOLS) <= syntax.MAX_COMPILED
+        assert Vocabulary({f"S{i}": 1, "R": 2}).symbols is v.symbols
 
 
 def test_nodes_of_two_classes_with_equal_fields_differ():

@@ -1,13 +1,14 @@
 import random
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unifrag import (ArityError, DnfLimitError, FragmentGateError, ParseError, StructureError,
-                     Vocabulary, VocabularyError, evaluate, make_structure, parse_formula,
-                     print_formula, satisfaction_set)
+from unifrag import (ArityError, DepthLimitError, DnfLimitError, FragmentGateError, LogicError,
+                     ParseError, StructureError, Vocabulary, VocabularyError, evaluate,
+                     make_structure, parse_formula, print_formula, satisfaction_set)
 from unifrag import dl, dlr
 from unifrag.fragments import FragmentId, check_fragment
 from unifrag.syntax import (And, Atom, Equals, ExistsBlock, ForallBlock, Not, Top,
@@ -576,3 +577,37 @@ def test_the_deepest_accepted_input_runs_through_every_layer():
     f = dlr0_to_fu1(c, vocab)
     assert _through_the_fo_layers(f) == dlr.dlr_concept_extension(s, c) == {"a", "b"}
     assert evaluate(s, {"x": "a"}, f)
+
+
+def _bare_blocks(k):
+    """``E x1. E x2. ... E xk. P(xk)``, built in code: no parser accepts it."""
+    f = Atom("P", (f"x{k}",))
+    for i in range(k, 0, -1):
+        f = ExistsBlock((f"x{i}",), f)
+    return f
+
+
+def test_fu1_to_dl_refuses_what_nests_too_deeply_for_it():
+    # a named refusal, which the CLI reports with exit 2, not a RecursionError
+    assert issubclass(DepthLimitError, LogicError)
+    assert not issubclass(DepthLimitError, FragmentGateError)
+    outcomes = {}
+
+    def translate():  # from the shallow stack of a new thread, as a script calls it
+        for k in (165, 166, 400):
+            try:
+                outcomes[k] = dl.print_concept(fu1_to_dl(_bare_blocks(k)))
+            except DepthLimitError as e:
+                outcomes[k] = e
+
+    thread = threading.Thread(target=translate)
+    thread.start()
+    thread.join()
+    assert outcomes[165] == "exists ~(eps & ~eps).(P)"  # only the innermost block binds
+    for k in (166, 400):
+        assert str(outcomes[k]) == "formula nests too deeply to translate into a concept"
+    deep = dl_to_fu1(dl.parse_concept("exists R.(" * 199 + "A" + ")" * 199),
+                     Vocabulary({"R": 2, "A": 1}))
+    with pytest.raises(DepthLimitError):
+        fu1_to_dl(deep)
+    assert dl.print_concept(fu1_to_dl(_bare_blocks(3))) == outcomes[165]  # the next call answers
